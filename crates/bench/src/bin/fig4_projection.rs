@@ -14,6 +14,9 @@ use sem_bench::{fmt_secs, header, parse_scale, timed, Scale};
 
 fn main() {
     let scale = parse_scale();
+    // `TERASEM_METRICS=1` (with `_SINK`/`_PHASES`/`TERASEM_RANK`) turns
+    // on one step record per step from every solver below.
+    let metrics = sem_obs::init_from_env();
     let (kx, ky, n, steps) = match scale {
         Scale::Quick => (8, 4, 5, 60),
         Scale::Full => (16, 8, 7, 200),
@@ -34,6 +37,7 @@ fn main() {
     let mut runs = Vec::new();
     for lmax in [26usize, 0] {
         let mut s = rayleigh_benard(kx, ky, n, ra, pr, lmax, dt, tol);
+        s.cfg.metrics = metrics;
         let c0 = sem_obs::counters::snapshot();
         let sp0 = sem_obs::spans::span_snapshot();
         let (series, secs) = timed(|| {

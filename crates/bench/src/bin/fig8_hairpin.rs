@@ -16,6 +16,10 @@ use sem_bench::{fmt_secs, header, parse_scale, Scale};
 
 fn main() {
     let scale = parse_scale();
+    // `TERASEM_METRICS=1` (with `_SINK`/`_PHASES`/`TERASEM_RANK`) turns
+    // on one step record per step from every solver below.
+    let metrics = sem_obs::init_from_env();
+    let trace_path = sem_obs::trace::init_from_env();
     let (k, n, dt) = match scale {
         Scale::Quick => ([8usize, 3, 4], 5, 4e-3),
         Scale::Full => ([12, 4, 6], 7, 2e-3),
@@ -25,6 +29,7 @@ fn main() {
         "Fig. 8: first 26 steps of the hairpin benchmark substitute (K = {kelem}, N = {n})"
     ));
     let mut s = hairpin_channel(k, n, dt, 25);
+    s.cfg.metrics = metrics;
     // Long-run operation: the 26-step trajectory is driven through the
     // sem-run supervisor, so `TERASEM_CHECKPOINT_DIR` turns on
     // auto-checkpointing and a killed run resumes where it left off.
@@ -91,4 +96,10 @@ fn main() {
     println!("projection history builds; Helmholtz iterations stay low and flat; step time");
     println!("tracks the pressure iteration count. Table 4 scales this run's measured flops");
     println!("through the ASCI-Red machine model.");
+    if let Some(path) = trace_path {
+        match sem_obs::trace::write_chrome(&path) {
+            Ok(threads) => eprintln!("chrome trace ({threads} thread(s)) -> {path}"),
+            Err(e) => eprintln!("cannot write chrome trace {path}: {e}"),
+        }
+    }
 }

@@ -23,6 +23,9 @@ struct Row {
 
 fn main() {
     let scale = parse_scale();
+    // `TERASEM_METRICS=1` (with `_SINK`/`_PHASES`/`TERASEM_RANK`) turns
+    // on one step record per step from every solver below.
+    let metrics = sem_obs::init_from_env();
     let n = 7;
     let eps = 1e-5;
     let steps = match scale {
@@ -102,6 +105,7 @@ fn main() {
         let dt = 2e-3 / (1 << level) as f64;
         for row in &rows {
             let mut s = cylinder_startup(params, n, row.cfg, dt, eps);
+            s.cfg.metrics = metrics;
             let c0 = sem_obs::counters::snapshot();
             let t0 = std::time::Instant::now();
             let mut iters = 0usize;

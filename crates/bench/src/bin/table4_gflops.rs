@@ -79,6 +79,9 @@ struct StepProfile {
 
 fn main() {
     let scale = parse_scale();
+    // `TERASEM_METRICS=1` (with `_SINK`/`_PHASES`/`TERASEM_RANK`) turns
+    // on one step record per step from every solver below.
+    let metrics = sem_obs::init_from_env();
     header("Table 4: ASCI-Red-333 total time and GFLOPS, K = 8168, N = 15, 26 steps");
 
     // --- measure the benchmark at laptop scale -------------------------
@@ -91,6 +94,7 @@ fn main() {
         ksmall[0], ksmall[1], ksmall[2], nsmall, steps
     );
     let mut s = hairpin_channel(ksmall, nsmall, 4e-3, 25);
+    s.cfg.metrics = metrics;
     let mut prof = StepProfile {
         flops: 0.0,
         press_iters: 0.0,
@@ -243,6 +247,7 @@ fn main() {
     for t in threads {
         let secs = sem_comm::par::with_threads(t, || {
             let mut s = hairpin_channel(ksmall, nsmall, 4e-3, 25);
+            s.cfg.metrics = metrics;
             let t0 = std::time::Instant::now();
             for _ in 0..4 {
                 s.step().unwrap();
@@ -270,6 +275,7 @@ fn main() {
     ] {
         sem_linalg::backend::set_backend(b);
         let mut s = hairpin_channel(ksmall, nsmall, 4e-3, 25);
+        s.cfg.metrics = metrics;
         let c0 = sem_obs::counters::snapshot();
         let t0 = std::time::Instant::now();
         for _ in 0..4 {

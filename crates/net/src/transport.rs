@@ -1736,27 +1736,39 @@ mod tests {
         sem_obs::set_enabled(true);
         let before = counters::snapshot();
         let dir = scratch(tag);
-        // `dup` fires before any link-breaking kind so the duplicate
-        // actually reaches the wire (a dup on a broken link is simply
-        // buffered once and replayed once — no duplicate to discard).
-        const SPEC: &str = "seed=3,delay:5@1,dup@2,drop@3,corrupt@4,truncate@5,sever@6";
+        // The kinds whose counters need the receiver to *read* the
+        // damaged bytes — `dup` (a stale copy) and `corrupt` (a CRC
+        // failure) — go first, and the receiver acknowledges them before
+        // the faulty rank sends the frames that lose data or break the
+        // link (`drop`, `truncate`, `sever`). Without that round trip a
+        // link-breaking fault and the immediate redial could replace the
+        // connection while the receiver's reader still had the damaged
+        // frames unread, and their clean replays would leave nothing to
+        // count.
+        const SPEC: &str = "seed=3,delay:5@1,dup@2,corrupt@3,drop@4,truncate@5,sever@6";
+        const LIVE_LINK_FRAMES: u8 = 3;
         let ok = run_ranks_tuned(&dir, 2, storm_tuning(faulty, SPEC), move |r, mut t| {
             let peer = 1 - r;
+            let payload = |i: u8| -> Vec<u8> { (0..64).map(|j| i ^ j).collect() };
             if r == faulty {
                 for i in 0..8u8 {
-                    let payload: Vec<u8> = (0..64).map(|j| i ^ j).collect();
-                    t.send(peer, 2, &payload).unwrap();
+                    if i == LIVE_LINK_FRAMES {
+                        assert_eq!(t.recv(peer, 4).unwrap(), b"damaged frames read");
+                    }
+                    t.send(peer, 2, &payload(i)).unwrap();
                 }
                 // Round-trip an ack so this rank keeps driving (or
                 // serving) heals until the receiver has everything.
                 t.recv(peer, 3).unwrap() == b"all received"
             } else {
                 for i in 0..8u8 {
-                    let want: Vec<u8> = (0..64).map(|j| i ^ j).collect();
+                    if i == LIVE_LINK_FRAMES {
+                        t.send(peer, 4, b"damaged frames read").unwrap();
+                    }
                     let got = t.recv(peer, 2).unwrap_or_else(|e| {
                         panic!("rank {r}: frame {i} not recovered: {e}")
                     });
-                    assert_eq!(got, want, "frame {i} damaged end-to-end");
+                    assert_eq!(got, payload(i), "frame {i} damaged end-to-end");
                 }
                 t.send(peer, 3, b"all received").unwrap();
                 true

@@ -1,12 +1,19 @@
 //! On-disk checkpoint/restart for the NS time loop (`sem-guard`).
 //!
 //! A [`Checkpoint`] captures everything `NsSolver::step` evolves —
-//! current fields, the full multistep histories, the successive-RHS
-//! projection basis (with its `E`-images, so the restarted pressure
-//! solves see the same initial guesses) — in a versioned little-endian
-//! binary format built on `std::io` alone. A run resumed from a
-//! checkpoint is bitwise-identical to the uninterrupted run, at any
-//! `TERASEM_THREADS` setting.
+//! current fields, the multistep ring of past time levels ([`Level`])
+//! that every transported field shares, the successive-RHS projection
+//! basis (with its `E`-images, so the restarted pressure solves see the
+//! same initial guesses) — in a versioned little-endian binary format
+//! built on `std::io` alone. The same value is the guarded step's
+//! in-memory rollback snapshot. A run resumed from a checkpoint is
+//! bitwise-identical to the uninterrupted run, at any `TERASEM_THREADS`
+//! setting.
+//!
+//! The v1 file stores the ring field by field (velocity, level times,
+//! velocity convection, temperature, its convection, then per species
+//! its values and convection); a file whose sections disagree on the
+//! number of levels is rejected as `InvalidData`.
 //!
 //! The solver configuration, boundary/forcing closures, and the
 //! transient recovery-ladder state (per-step Jacobi fallback, pending
@@ -15,6 +22,7 @@
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::ops::Range;
 use std::path::Path;
 
 /// File magic ("terasem checkpoint").
@@ -34,19 +42,52 @@ pub const Z_VERSION: u32 = 1;
 /// Codec id 1: the PackBits-style run-length encoding below.
 pub const CODEC_RLE: u32 = 1;
 
-/// Serialized state of one passive scalar.
+/// A registered passive species: its identity and current values (its
+/// past values live in the shared [`Level`] ring).
 #[derive(Clone, Debug, PartialEq)]
-pub struct ScalarState {
+pub struct Species {
     /// Display name.
     pub name: String,
     /// Diffusivity.
     pub kappa: f64,
     /// Current nodal values.
-    pub field: Vec<f64>,
-    /// BDF value history (front = most recent).
-    pub hist: Vec<Vec<f64>>,
-    /// Convection-term history (front = most recent).
-    pub conv_hist: Vec<Vec<f64>>,
+    pub values: Vec<f64>,
+}
+
+/// One past time level of every transported field — the multistep
+/// ring's element. Fields are ordered u, v[, w][, T], species….
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Level {
+    /// Simulation time of the level.
+    pub time: f64,
+    /// Every transported field's values at `time`.
+    pub values: Vec<Vec<f64>>,
+    /// `(u·∇)φ` at `time`, per field: empty for a field whose scheme
+    /// does not extrapolate its convection (velocity under OIFS or
+    /// none). A field's convective levels are a prefix of the ring.
+    pub conv: Vec<Vec<f64>>,
+}
+
+/// A transported field's place in a [`Level`], i.e. the ring's field
+/// order: the velocity components, then the temperature when
+/// Boussinesq-coupled, then the species in registration order.
+#[derive(Clone, Copy)]
+pub(crate) enum Slot {
+    Vel(usize),
+    Temp,
+    Species(usize),
+}
+
+impl Slot {
+    /// The slot of field `f` with `dim` velocity components, with or
+    /// without a temperature.
+    pub(crate) fn of(f: usize, dim: usize, temp: bool) -> Slot {
+        match f.checked_sub(dim) {
+            None => Slot::Vel(f),
+            Some(0) if temp => Slot::Temp,
+            Some(s) => Slot::Species(s - temp as usize),
+        }
+    }
 }
 
 /// A complete, self-describing snapshot of the time-loop state.
@@ -70,18 +111,10 @@ pub struct Checkpoint {
     pub pressure: Vec<f64>,
     /// Temperature, when Boussinesq coupling was active.
     pub temp: Option<Vec<f64>>,
-    /// Velocity BDF history (front = most recent).
-    pub vel_hist: Vec<Vec<Vec<f64>>>,
-    /// Times of the history levels.
-    pub time_hist: Vec<f64>,
-    /// Convection-term history (EXT mode).
-    pub conv_hist: Vec<Vec<Vec<f64>>>,
-    /// Temperature value history.
-    pub temp_hist: Vec<Vec<f64>>,
-    /// Temperature convection history.
-    pub temp_conv_hist: Vec<Vec<f64>>,
-    /// Passive scalars, in registration order.
-    pub scalars: Vec<ScalarState>,
+    /// Passive species, in registration order.
+    pub scalars: Vec<Species>,
+    /// The multistep ring (front = most recent).
+    pub levels: Vec<Level>,
     /// Successive-RHS projection basis: `(x, Ex)` pairs, oldest first.
     pub projection: Vec<(Vec<f64>, Vec<f64>)>,
 }
@@ -110,14 +143,6 @@ fn w_f64s2(w: &mut dyn Write, v: &[Vec<f64>]) -> io::Result<()> {
     w_u64(w, v.len() as u64)?;
     for x in v {
         w_f64s(w, x)?;
-    }
-    Ok(())
-}
-
-fn w_f64s3(w: &mut dyn Write, v: &[Vec<Vec<f64>>]) -> io::Result<()> {
-    w_u64(w, v.len() as u64)?;
-    for x in v {
-        w_f64s2(w, x)?;
     }
     Ok(())
 }
@@ -277,9 +302,80 @@ pub fn rle_decompress(enc: &[u8], raw_len: usize) -> io::Result<Vec<u8>> {
         }
     }
     if out.len() != raw_len {
-        return Err(corrupt("rle stream decodes short of the declared raw length"));
+        return Err(corrupt(
+            "rle stream decodes short of the declared raw length",
+        ));
     }
     Ok(out)
+}
+
+fn invalid(what: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what.to_string())
+}
+
+/// Write one v1 history section: the values (or, with `conv`, the
+/// convective prefix) of the fields `fs` at each ring level — nested
+/// per level for the velocity group (the ring's first fields), one
+/// vector per level for a scalar. An empty `fs` (no temperature) writes
+/// an empty section.
+fn w_hist(w: &mut dyn Write, levels: &[Level], fs: Range<usize>, conv: bool) -> io::Result<()> {
+    let mut parts = Vec::new();
+    for level in levels {
+        let fields = if conv { &level.conv } else { &level.values };
+        let part = &fields[fs.clone()];
+        if part.is_empty() || part.iter().any(Vec::is_empty) {
+            break;
+        }
+        parts.push(part);
+    }
+    w_u64(w, parts.len() as u64)?;
+    for part in parts {
+        if fs.start == 0 {
+            w_f64s2(w, part)?;
+        } else {
+            w_f64s(w, &part[0])?;
+        }
+    }
+    Ok(())
+}
+
+/// One field group's v1 history section: per level, the group's fields.
+type Section = Vec<Vec<Vec<f64>>>;
+
+/// Transpose the v1 field-major history sections — per field group
+/// (velocity, temperature, each species): its width, value levels and
+/// convective levels — into the level-major ring. Every group must
+/// hold one value entry per level time and at most that many
+/// convective entries, each `width` fields wide.
+fn ring_from_sections(
+    times: Vec<f64>,
+    groups: Vec<(usize, Section, Section)>,
+) -> io::Result<Vec<Level>> {
+    let mut levels: Vec<Level> = times
+        .into_iter()
+        .map(|time| Level {
+            time,
+            ..Level::default()
+        })
+        .collect();
+    for (width, values, conv) in groups {
+        let agree = values.len() == levels.len()
+            && conv.len() <= levels.len()
+            && values.iter().chain(&conv).all(|lv| lv.len() == width);
+        if !agree {
+            return Err(invalid(
+                "checkpoint history sections disagree on the number of levels",
+            ));
+        }
+        let mut conv = conv.into_iter();
+        for (level, vals) in levels.iter_mut().zip(values) {
+            level.values.extend(vals);
+            level
+                .conv
+                .extend(conv.next().unwrap_or_else(|| vec![Vec::new(); width]));
+        }
+    }
+    Ok(levels)
 }
 
 impl Checkpoint {
@@ -299,18 +395,25 @@ impl Checkpoint {
         if let Some(t) = &self.temp {
             w_f64s(w, t)?;
         }
-        w_f64s3(w, &self.vel_hist)?;
-        w_f64s(w, &self.time_hist)?;
-        w_f64s3(w, &self.conv_hist)?;
-        w_f64s2(w, &self.temp_hist)?;
-        w_f64s2(w, &self.temp_conv_hist)?;
+        // v1 stores the ring field-major, one section per `Slot` group:
+        // velocity, times, velocity convection, temperature, its
+        // convection, then each species. `d..t` is the temperature's
+        // ring range (empty without one); species `s` is at `t + s`.
+        let d = self.vel.len();
+        let t = d + self.temp.is_some() as usize;
+        w_hist(w, &self.levels, 0..d, false)?;
+        let times: Vec<f64> = self.levels.iter().map(|l| l.time).collect();
+        w_f64s(w, &times)?;
+        w_hist(w, &self.levels, 0..d, true)?;
+        w_hist(w, &self.levels, d..t, false)?;
+        w_hist(w, &self.levels, d..t, true)?;
         w_u64(w, self.scalars.len() as u64)?;
-        for sc in &self.scalars {
+        for (s, sc) in self.scalars.iter().enumerate() {
             w_str(w, &sc.name)?;
             w_f64(w, sc.kappa)?;
-            w_f64s(w, &sc.field)?;
-            w_f64s2(w, &sc.hist)?;
-            w_f64s2(w, &sc.conv_hist)?;
+            w_f64s(w, &sc.values)?;
+            w_hist(w, &self.levels, t + s..t + s + 1, false)?;
+            w_hist(w, &self.levels, t + s..t + s + 1, true)?;
         }
         w_u64(w, self.projection.len() as u64)?;
         for (x, ex) in &self.projection {
@@ -351,20 +454,27 @@ impl Checkpoint {
             None
         };
         let vel_hist = r_f64s3(r)?;
-        let time_hist = r_f64s(r)?;
+        let times = r_f64s(r)?;
         let conv_hist = r_f64s3(r)?;
-        let temp_hist = r_f64s2(r)?;
-        let temp_conv_hist = r_f64s2(r)?;
+        let (temp_hist, temp_conv_hist) = (r_f64s2(r)?, r_f64s2(r)?);
+        let mut groups = vec![(vel.len(), vel_hist, conv_hist)];
+        let one = |h: Vec<Vec<f64>>| h.into_iter().map(|v| vec![v]).collect();
+        if temp.is_some() {
+            groups.push((1, one(temp_hist), one(temp_conv_hist)));
+        } else if !temp_hist.is_empty() || !temp_conv_hist.is_empty() {
+            return Err(invalid(
+                "checkpoint has temperature history but no temperature",
+            ));
+        }
         let nsc = r_len(r)?;
         let mut scalars = Vec::with_capacity(nsc.min(1 << 10));
         for _ in 0..nsc {
-            scalars.push(ScalarState {
+            scalars.push(Species {
                 name: r_str(r)?,
                 kappa: r_f64(r)?,
-                field: r_f64s(r)?,
-                hist: r_f64s2(r)?,
-                conv_hist: r_f64s2(r)?,
+                values: r_f64s(r)?,
             });
+            groups.push((1, one(r_f64s2(r)?), one(r_f64s2(r)?)));
         }
         let nproj = r_len(r)?;
         let mut projection = Vec::with_capacity(nproj.min(1 << 10));
@@ -383,12 +493,8 @@ impl Checkpoint {
             vel,
             pressure,
             temp,
-            vel_hist,
-            time_hist,
-            conv_hist,
-            temp_hist,
-            temp_conv_hist,
             scalars,
+            levels: ring_from_sections(times, groups)?,
             projection,
         })
     }
@@ -498,17 +604,26 @@ mod tests {
             vel: vec![vec![1.0, -2.5, 3.25], vec![0.0, 0.5, -0.5]],
             pressure: vec![9.0, -1.0],
             temp: Some(vec![0.1, 0.2, 0.3]),
-            vel_hist: vec![vec![vec![1.0, 1.0, 1.0], vec![2.0, 2.0, 2.0]]],
-            time_hist: vec![0.124],
-            conv_hist: vec![vec![vec![0.0, 0.1, 0.2], vec![0.3, 0.4, 0.5]]],
-            temp_hist: vec![vec![0.1, 0.2, 0.25]],
-            temp_conv_hist: vec![vec![0.0, 0.0, 0.01]],
-            scalars: vec![ScalarState {
+            scalars: vec![Species {
                 name: "dye".into(),
                 kappa: 1e-6,
-                field: vec![1.0, 0.0, -1.0],
-                hist: vec![vec![1.0, 0.0, -1.0]],
-                conv_hist: vec![vec![0.0, 0.0, 0.0]],
+                values: vec![1.0, 0.0, -1.0],
+            }],
+            // u, v, T, dye at one past level.
+            levels: vec![Level {
+                time: 0.124,
+                values: vec![
+                    vec![1.0, 1.0, 1.0],
+                    vec![2.0, 2.0, 2.0],
+                    vec![0.1, 0.2, 0.25],
+                    vec![1.0, 0.0, -1.0],
+                ],
+                conv: vec![
+                    vec![0.0, 0.1, 0.2],
+                    vec![0.3, 0.4, 0.5],
+                    vec![0.0, 0.0, 0.01],
+                    vec![0.0, 0.0, 0.0],
+                ],
             }],
             projection: vec![(vec![0.5, -0.5], vec![1.5, -1.5])],
         }
@@ -526,6 +641,29 @@ mod tests {
         let back = Checkpoint::read_from(&mut buf.as_slice()).unwrap();
         assert_eq!(back.vel[0][1].to_bits(), (-0.0f64).to_bits());
         assert_eq!(back, ck);
+    }
+
+    #[test]
+    fn sections_disagreeing_on_the_level_count_are_invalid_data() {
+        // Two ring levels, but the dye is missing at the older one: the
+        // file's dye section holds one level where the others hold two.
+        let mut ck = sample();
+        let mut older = ck.levels[0].clone();
+        older.time = 0.123;
+        older.values[3].clear();
+        ck.levels.push(older);
+        let mut buf = Vec::new();
+        ck.write_to(&mut buf).unwrap();
+        let err = Checkpoint::read_from(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("number of levels"), "{err}");
+        // A convective section may be a prefix of the ring, never longer.
+        ck.levels[1].values[3] = vec![0.0; 3];
+        ck.levels[1].conv[0].clear();
+        ck.levels[1].conv[1].clear();
+        let mut buf = Vec::new();
+        ck.write_to(&mut buf).unwrap();
+        assert_eq!(Checkpoint::read_from(&mut buf.as_slice()).unwrap(), ck);
     }
 
     #[test]
@@ -610,13 +748,13 @@ mod tests {
         ck.pressure[0] = f64::MIN_POSITIVE;
         ck.vel[0][1] = -0.0;
         // Pad with a quiescent scalar so the zero-run savings show.
-        ck.scalars.push(ScalarState {
+        ck.scalars.push(Species {
             name: "quiet".into(),
             kappa: 0.0,
-            field: vec![0.0; 512],
-            hist: vec![vec![0.0; 512]],
-            conv_hist: vec![vec![0.0; 512]],
+            values: vec![0.0; 512],
         });
+        ck.levels[0].values.push(vec![0.0; 512]);
+        ck.levels[0].conv.push(vec![0.0; 512]);
         let mut raw = Vec::new();
         ck.write_to(&mut raw).unwrap();
         let mut z = Vec::new();
@@ -657,15 +795,24 @@ mod tests {
         // Bad container version.
         let mut v = z.clone();
         v[8] = 99;
-        assert!(Checkpoint::from_bytes(&v).unwrap_err().to_string().contains("version"));
+        assert!(Checkpoint::from_bytes(&v)
+            .unwrap_err()
+            .to_string()
+            .contains("version"));
         // Unknown codec id.
         let mut c = z.clone();
         c[12] = 42;
-        assert!(Checkpoint::from_bytes(&c).unwrap_err().to_string().contains("codec"));
+        assert!(Checkpoint::from_bytes(&c)
+            .unwrap_err()
+            .to_string()
+            .contains("codec"));
         // Absurd raw length.
         let mut l = z.clone();
         l[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(Checkpoint::from_bytes(&l).unwrap_err().to_string().contains("out of range"));
+        assert!(Checkpoint::from_bytes(&l)
+            .unwrap_err()
+            .to_string()
+            .contains("out of range"));
         // Truncated payload (torn write): error, not panic.
         for cut in [20, 24, 25, z.len() - 1] {
             assert!(Checkpoint::from_bytes(&z[..cut]).is_err(), "cut at {cut}");
@@ -674,10 +821,16 @@ mod tests {
         let mut short = z.clone();
         let declared = u64::from_le_bytes(short[16..24].try_into().unwrap());
         short[16..24].copy_from_slice(&(declared + 1).to_le_bytes());
-        assert!(Checkpoint::from_bytes(&short).unwrap_err().to_string().contains("short"));
+        assert!(Checkpoint::from_bytes(&short)
+            .unwrap_err()
+            .to_string()
+            .contains("short"));
         let mut long = z.clone();
         long[16..24].copy_from_slice(&(declared - 1).to_le_bytes());
-        assert!(Checkpoint::from_bytes(&long).unwrap_err().to_string().contains("past"));
+        assert!(Checkpoint::from_bytes(&long)
+            .unwrap_err()
+            .to_string()
+            .contains("past"));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! CFL stays small even when the overall Δt corresponds to CFL 1–5 —
 //! "significantly reducing the number of (expensive) Stokes solves".
 
+use crate::checkpoint::Level;
 use crate::config::ext_coeffs;
 use sem_ops::convect::convect;
 use sem_ops::SemOps;
@@ -39,22 +40,23 @@ impl OifsScratch {
 }
 
 /// Evaluate the advecting velocity at time `s` by polynomial
-/// extrapolation/interpolation from stored levels `(times[j], fields[j])`.
-fn interp_velocity(times: &[f64], fields: &[Vec<Vec<f64>>], s: f64, out: &mut [Vec<f64>]) {
-    let m = times.len().min(fields.len());
+/// extrapolation/interpolation from the ring's levels (velocity is the
+/// first `out.len()` fields of each level).
+fn interp_velocity(levels: &[Level], s: f64, out: &mut [Vec<f64>]) {
+    let m = levels.len();
     assert!(m >= 1, "need at least one stored level");
     let mut w = vec![1.0; m];
     for (i, wi) in w.iter_mut().enumerate() {
         for j in 0..m {
             if i != j {
-                *wi *= (s - times[j]) / (times[i] - times[j]);
+                *wi *= (s - levels[j].time) / (levels[i].time - levels[j].time);
             }
         }
     }
     for (c, oc) in out.iter_mut().enumerate() {
         oc.fill(0.0);
         for (i, &wi) in w.iter().enumerate() {
-            for (o, &v) in oc.iter_mut().zip(fields[i][c].iter()) {
+            for (o, &v) in oc.iter_mut().zip(levels[i].values[c].iter()) {
                 *o += wi * v;
             }
         }
@@ -67,13 +69,12 @@ fn advection_rate(
     ops: &SemOps,
     u: &[f64],
     at: f64,
-    times: &[f64],
-    vels: &[Vec<Vec<f64>>],
+    levels: &[Level],
     rate: &mut Vec<f64>,
     wvel: &mut [Vec<f64>],
     grad: &mut [Vec<f64>],
 ) {
-    interp_velocity(times, vels, at, wvel);
+    interp_velocity(levels, at, wvel);
     let refs: Vec<&[f64]> = wvel.iter().map(|c| c.as_slice()).collect();
     convect(ops, &refs, u, rate, grad);
     for v in rate.iter_mut() {
@@ -83,16 +84,14 @@ fn advection_rate(
 }
 
 /// Advect `field` from `t0` to `t1` by RK4 subintegration with `steps`
-/// stages; the advecting velocity is interpolated in time from
-/// `(times, vels)`.
-#[allow(clippy::too_many_arguments)]
+/// stages; the advecting velocity is interpolated in time from the
+/// ring's `levels`.
 pub fn advect_field(
     ops: &SemOps,
     field: &mut [f64],
     t0: f64,
     t1: f64,
-    times: &[f64],
-    vels: &[Vec<Vec<f64>>],
+    levels: &[Level],
     steps: usize,
     scratch: &mut OifsScratch,
 ) {
@@ -103,32 +102,33 @@ pub fn advect_field(
     let [k1, k2, k3, k4] = k;
     for step in 0..steps {
         let s = t0 + h * step as f64;
-        advection_rate(ops, field, s, times, vels, k1, wvel, grad);
+        advection_rate(ops, field, s, levels, k1, wvel, grad);
         for i in 0..n {
             tmp[i] = field[i] + 0.5 * h * k1[i];
         }
-        advection_rate(ops, tmp, s + 0.5 * h, times, vels, k2, wvel, grad);
+        advection_rate(ops, tmp, s + 0.5 * h, levels, k2, wvel, grad);
         for i in 0..n {
             tmp[i] = field[i] + 0.5 * h * k2[i];
         }
-        advection_rate(ops, tmp, s + 0.5 * h, times, vels, k3, wvel, grad);
+        advection_rate(ops, tmp, s + 0.5 * h, levels, k3, wvel, grad);
         for i in 0..n {
             tmp[i] = field[i] + h * k3[i];
         }
-        advection_rate(ops, tmp, s + h, times, vels, k4, wvel, grad);
+        advection_rate(ops, tmp, s + h, levels, k4, wvel, grad);
         for i in 0..n {
             field[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
         }
     }
 }
 
-/// Extrapolated convection term `−EXTk[(u·∇)u]` for the EXT scheme:
-/// `history[j]` holds the `(u·∇)u` evaluation at level `n−1−j`.
-pub fn ext_convection(order: usize, history: &[Vec<f64>], out: &mut [f64]) {
-    let c = ext_coeffs(order.min(history.len()));
+/// Extrapolated convection term `−EXTk[(u·∇)φ]` of field `f` for the
+/// EXT scheme: `levels[j].conv[f]` holds the `(u·∇)φ` evaluation at
+/// level `n−1−j` (every level passed must hold one).
+pub fn ext_convection(order: usize, levels: &[Level], f: usize, out: &mut [f64]) {
+    let c = ext_coeffs(order.min(levels.len()));
     out.fill(0.0);
     for (j, cj) in c.iter().enumerate() {
-        for (o, &v) in out.iter_mut().zip(history[j].iter()) {
+        for (o, &v) in out.iter_mut().zip(levels[j].conv[f].iter()) {
             *o -= cj * v;
         }
     }
@@ -144,27 +144,26 @@ mod tests {
         SemOps::new(box2d(k, k, [0.0, 1.0], [0.0, 1.0], true, true), n)
     }
 
+    /// A ring level holding only the velocity (and its convection).
+    fn level(time: f64, values: Vec<Vec<f64>>, conv: Vec<Vec<f64>>) -> Level {
+        Level { time, values, conv }
+    }
+
     #[test]
     fn interp_velocity_linear_exact() {
         let ops = ops_periodic(2, 4);
         let n = ops.n_velocity();
-        let f0 = vec![vec![1.0; n], vec![0.0; n]];
-        let f1 = vec![vec![3.0; n], vec![0.0; n]];
+        let levels = [
+            level(0.0, vec![vec![1.0; n], vec![0.0; n]], vec![]),
+            level(1.0, vec![vec![3.0; n], vec![0.0; n]], vec![]),
+        ];
         let mut out = vec![vec![0.0; n]; 2];
-        interp_velocity(&[0.0, 1.0], &[f0, f1], 0.25, &mut out);
+        interp_velocity(&levels, 0.25, &mut out);
         for &v in &out[0] {
             assert!((v - 1.5).abs() < 1e-13);
         }
         // Extrapolation beyond the last level.
-        interp_velocity(
-            &[0.0, 1.0],
-            &[
-                vec![vec![1.0; n], vec![0.0; n]],
-                vec![vec![3.0; n], vec![0.0; n]],
-            ],
-            1.5,
-            &mut out,
-        );
+        interp_velocity(&levels, 1.5, &mut out);
         for &v in &out[0] {
             assert!((v - 4.0).abs() < 1e-13);
         }
@@ -174,10 +173,10 @@ mod tests {
     fn advection_of_constant_is_invariant() {
         let ops = ops_periodic(2, 5);
         let n = ops.n_velocity();
-        let vel = vec![vec![vec![0.7; n], vec![-0.3; n]]];
+        let vel = [level(0.0, vec![vec![0.7; n], vec![-0.3; n]], vec![])];
         let mut field = vec![2.5; n];
         let mut scratch = OifsScratch::new(&ops);
-        advect_field(&ops, &mut field, 0.0, 0.1, &[0.0], &vel, 4, &mut scratch);
+        advect_field(&ops, &mut field, 0.0, 0.1, &vel, 4, &mut scratch);
         for &v in &field {
             assert!((v - 2.5).abs() < 1e-12);
         }
@@ -191,10 +190,10 @@ mod tests {
         let n = ops.n_velocity();
         let two_pi = 2.0 * std::f64::consts::PI;
         let mut field = eval_on_nodes(&ops, |x, _, _| (two_pi * x).sin());
-        let vel = vec![vec![vec![1.0; n], vec![0.0; n]]];
+        let vel = [level(0.0, vec![vec![1.0; n], vec![0.0; n]], vec![])];
         let t = 0.25;
         let mut scratch = OifsScratch::new(&ops);
-        advect_field(&ops, &mut field, 0.0, t, &[0.0], &vel, 40, &mut scratch);
+        advect_field(&ops, &mut field, 0.0, t, &vel, 40, &mut scratch);
         let want = eval_on_nodes(&ops, |x, _, _| (two_pi * (x - t)).sin());
         let err = field
             .iter()
@@ -210,14 +209,14 @@ mod tests {
         let ops = ops_periodic(3, 7);
         let n = ops.n_velocity();
         let two_pi = 2.0 * std::f64::consts::PI;
-        let vel = vec![vec![vec![1.0; n], vec![0.0; n]]];
+        let vel = [level(0.0, vec![vec![1.0; n], vec![0.0; n]], vec![])];
         let t = 0.2;
         let want = eval_on_nodes(&ops, |x, _, _| (two_pi * (x - t)).sin());
         let mut errs = Vec::new();
         for steps in [5, 10, 20] {
             let mut field = eval_on_nodes(&ops, |x, _, _| (two_pi * x).sin());
             let mut scratch = OifsScratch::new(&ops);
-            advect_field(&ops, &mut field, 0.0, t, &[0.0], &vel, steps, &mut scratch);
+            advect_field(&ops, &mut field, 0.0, t, &vel, steps, &mut scratch);
             let err = field
                 .iter()
                 .zip(want.iter())
@@ -230,16 +229,19 @@ mod tests {
 
     #[test]
     fn ext_convection_orders() {
-        let h1 = vec![vec![2.0; 4], vec![1.0; 4]];
+        // Field 1's convection at two levels (field 0 is a bystander).
+        let h1 = [
+            level(1.0, vec![], vec![vec![], vec![2.0; 4]]),
+            level(0.0, vec![], vec![vec![], vec![1.0; 4]]),
+        ];
         let mut out = vec![0.0; 4];
-        ext_convection(2, &h1, &mut out);
+        ext_convection(2, &h1, 1, &mut out);
         // −(2·2 − 1·1) = −3.
         for &v in &out {
             assert!((v + 3.0).abs() < 1e-14);
         }
         // With only one history level available, falls back to EXT1.
-        let h2 = vec![vec![2.0; 4]];
-        ext_convection(2, &h2, &mut out);
+        ext_convection(2, &h1[..1], 1, &mut out);
         for &v in &out {
             assert!((v + 2.0).abs() < 1e-14);
         }

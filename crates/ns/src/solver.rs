@@ -1,37 +1,54 @@
 //! The time stepper: BDFk / EXTk–OIFS incremental pressure-correction
 //! splitting (§4).
 //!
-//! Each step performs, in order:
+//! Every transported field — the velocity components, the Boussinesq
+//! temperature and each passive species — keeps its past values in one
+//! ring of time levels ([`Level`]; an EXT-convected field also keeps its
+//! past `(u·∇)φ` there), and every field advances through one transport
+//! routine: explicit BDF/EXT right-hand side, Dirichlet lift, a
+//! Jacobi-PCG Helmholtz solve `H = κA + (β₀/Δt)B` (one cached solver per
+//! diffusivity κ), unlift, filter. Each step performs, in order:
 //!
-//! 1. explicit right-hand side assembly — BDF history terms (advected to
-//!    `tⁿ` by characteristics when OIFS is active), extrapolated
-//!    convection (EXT mode), forcing, Boussinesq buoyancy, and the
-//!    previous pressure gradient (incremental form);
-//! 2. one Jacobi-PCG Helmholtz solve per velocity component
-//!    (`H = νA + (β₀/Δt)B`), with inhomogeneous Dirichlet data imposed by
-//!    lifting;
+//! 1. the ring push: the current fields become the newest level;
+//! 2. the velocity right-hand side — BDF history terms (advected to `tⁿ`
+//!    by characteristics when OIFS is active), extrapolated convection
+//!    (EXT mode), forcing, Boussinesq buoyancy, and the previous pressure
+//!    gradient (incremental form) — and one Helmholtz solve per
+//!    component;
 //! 3. the pressure-increment solve `E δp = −(β₀/Δt) D u*` through the
 //!    projection + Schwarz-PCG pressure solver, followed by the velocity
 //!    correction `uⁿ = u* + (Δt/β₀) B̄⁻¹ Dᵀ δp`;
-//! 4. once-per-step filter stabilization of velocity (and temperature);
-//! 5. the temperature transport step (when Boussinesq coupling is on).
+//! 4. the velocity filter;
+//! 5. the temperature, then each species, through the same routine.
+//!
+//! The temperature and the species are EXT-convected whatever
+//! `cfg.convection` says, so under OIFS they stay CFL-limited: above a
+//! convective CFL of about 1 a transported scalar can blow up while the
+//! OIFS velocity stays bounded (advecting the scalars along
+//! characteristics too is open work).
+//!
+//! The guarded step's rollback snapshot is the [`Checkpoint`] value the
+//! run supervisor writes: [`NsSolver::checkpoint`] is the one capture,
+//! and one assignment serves both [`NsSolver::restore_checkpoint`] and
+//! the rollback.
 
-use crate::checkpoint::Checkpoint;
-use crate::config::{bdf_coeffs, Boussinesq, ConvectionScheme, NsConfig};
+use crate::checkpoint::{Checkpoint, Level, Slot, Species};
+use crate::config::{bdf_coeffs, ext_coeffs, Boussinesq, ConvectionScheme, NsConfig};
 use crate::convection::{advect_field, ext_convection, OifsScratch};
 use crate::diagnostics::{cfl, field_health, kinetic_energy, HealthViolation, StepStats};
 use crate::fault::{FaultKind, FieldTarget};
 use crate::recovery::{RecoveryAttempt, RecoveryStage, SolveKind, StepError, StepFailure};
 use sem_obs::fault::{self as obs_fault, FaultSite};
+use sem_obs::Phase;
 use sem_ops::convect::convect;
-use sem_ops::fields::set_dirichlet;
 use sem_ops::filter::ElementFilter;
 use sem_ops::laplace::helmholtz_local;
 use sem_ops::pressure::{divergence, gradient_weak};
 use sem_ops::SemOps;
 use sem_solvers::jacobi::HelmholtzSolver;
-use sem_solvers::PressureSolver;
-use std::collections::VecDeque;
+use sem_solvers::pressure_solver::PressureSolveStats;
+use sem_solvers::{CgResult, PressureSolver};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Velocity boundary-value function: `(x, y, z, t) → [u, v, w]`.
@@ -77,20 +94,21 @@ pub struct NsSolver {
     pub time: f64,
     /// Steps taken.
     pub step_index: usize,
-    vel_hist: VecDeque<Vec<Vec<f64>>>,
-    time_hist: VecDeque<f64>,
-    conv_hist: VecDeque<Vec<Vec<f64>>>,
-    temp_hist: VecDeque<Vec<f64>>,
-    temp_conv_hist: VecDeque<Vec<f64>>,
-    helmholtz: Option<(f64, HelmholtzSolver)>,
-    helmholtz_t: Option<(f64, HelmholtzSolver)>,
+    /// Passive species, in registration order.
+    scalars: Vec<Species>,
+    /// Past levels of every transported field, newest first.
+    ring: Vec<Level>,
+    /// Helmholtz solvers keyed by diffusivity, with the `h2` each was
+    /// built for.
+    helmholtz: Vec<(f64, f64, HelmholtzSolver)>,
     pressure_solver: PressureSolver,
     filter: Option<ElementFilter>,
     bc: Option<BcFn>,
     force: Option<ForceFn>,
     temp_bc: Option<ScalarFn>,
+    /// Dirichlet data of each species (`set_scalar_bc`).
+    scalar_bc: Vec<Option<ScalarFn>>,
     oifs_scratch: OifsScratch,
-    scalars: Vec<PassiveScalar>,
     /// Pending Δt restoration after a stage-3 (Δt-halving) recovery.
     dt_restore: Option<DtRestore>,
 }
@@ -104,21 +122,18 @@ struct DtRestore {
     clean_steps_left: usize,
 }
 
-/// Everything `step()` needs to roll the solver back to step entry.
-struct StepSnapshot {
-    vel: Vec<Vec<f64>>,
-    pressure: Vec<f64>,
-    temp: Option<Vec<f64>>,
-    time: f64,
-    step_index: usize,
-    vel_hist: VecDeque<Vec<Vec<f64>>>,
-    time_hist: VecDeque<f64>,
-    conv_hist: VecDeque<Vec<Vec<f64>>>,
-    temp_hist: VecDeque<Vec<f64>>,
-    temp_conv_hist: VecDeque<Vec<f64>>,
-    scalars: Vec<(Vec<f64>, VecDeque<Vec<f64>>, VecDeque<Vec<f64>>)>,
-    projection: sem_solvers::projection::RhsProjection,
-    kinetic: f64,
+/// Transported field `f`, borrowed apart from the rest of the solver.
+fn field_mut<'a>(
+    vel: &'a mut [Vec<f64>],
+    temp: &'a mut Option<Vec<f64>>,
+    scalars: &'a mut [Species],
+    f: usize,
+) -> &'a mut Vec<f64> {
+    match Slot::of(f, vel.len(), temp.is_some()) {
+        Slot::Vel(c) => &mut vel[c],
+        Slot::Temp => temp.as_mut().expect("the temperature slot"),
+        Slot::Species(s) => &mut scalars[s].values,
+    }
 }
 
 impl NsSolver {
@@ -150,20 +165,16 @@ impl NsSolver {
             temp,
             time: 0.0,
             step_index: 0,
-            vel_hist: VecDeque::new(),
-            time_hist: VecDeque::new(),
-            conv_hist: VecDeque::new(),
-            temp_hist: VecDeque::new(),
-            temp_conv_hist: VecDeque::new(),
-            helmholtz: None,
-            helmholtz_t: None,
+            scalars: Vec::new(),
+            ring: Vec::new(),
+            helmholtz: Vec::new(),
             pressure_solver,
             filter,
             bc: None,
             force: None,
             temp_bc: None,
+            scalar_bc: Vec::new(),
             oifs_scratch,
-            scalars: Vec::new(),
             dt_restore: None,
             ops,
             cfg,
@@ -210,35 +221,24 @@ impl NsSolver {
         self.temp_bc = Some(f);
     }
 
-    /// Current effective BDF order: limited by the history levels
-    /// available (called after the current state is pushed, so the first
-    /// step runs BDF1, the second BDF2, …).
-    fn effective_order(&self) -> usize {
-        self.cfg.torder.min(self.vel_hist.len()).max(1)
+    /// Every transported field's current values, in ring order (see
+    /// [`Slot`]).
+    fn fields(&self) -> impl Iterator<Item = &Vec<f64>> {
+        let species = self.scalars.iter().map(|sc| &sc.values);
+        self.vel.iter().chain(&self.temp).chain(species)
     }
 
-    /// Ensure the cached velocity Helmholtz solver matches `h2`.
-    fn ensure_helmholtz(&mut self, h2: f64) {
-        let rebuild = match &self.helmholtz {
-            Some((cached, _)) => (cached - h2).abs() > 1e-14 * h2.abs(),
-            None => true,
-        };
-        if rebuild {
-            let s = HelmholtzSolver::new(&self.ops, self.cfg.nu, h2, self.cfg.helmholtz_cg);
-            self.helmholtz = Some((h2, s));
+    /// Index of the cached Helmholtz solver for diffusivity `kappa`,
+    /// (re)built when `h2` moved.
+    fn helmholtz_for(&mut self, kappa: f64, h2: f64) -> usize {
+        let current = |&(k, h, _): &(f64, f64, _)| k == kappa && (h - h2).abs() <= 1e-14 * h2.abs();
+        if let Some(s) = self.helmholtz.iter().position(current) {
+            return s;
         }
-    }
-
-    /// Ensure the cached temperature Helmholtz solver matches `h2`.
-    fn ensure_helmholtz_t(&mut self, kappa: f64, h2: f64) {
-        let rebuild = match &self.helmholtz_t {
-            Some((cached, _)) => (cached - h2).abs() > 1e-14 * h2.abs(),
-            None => true,
-        };
-        if rebuild {
-            let s = HelmholtzSolver::new(&self.ops, kappa, h2, self.cfg.helmholtz_cg);
-            self.helmholtz_t = Some((h2, s));
-        }
+        self.helmholtz.retain(|&(k, ..)| k != kappa);
+        let solver = HelmholtzSolver::new(&self.ops, kappa, h2, self.cfg.helmholtz_cg);
+        self.helmholtz.push((kappa, h2, solver));
+        self.helmholtz.len() - 1
     }
 
     /// Advance one timestep; returns the step's statistics.
@@ -265,17 +265,11 @@ impl NsSolver {
         let counters0 = sem_obs::counters::snapshot();
         let spans0 = sem_obs::spans::span_snapshot();
         let hist0 = sem_obs::hist::hist_snapshot();
-        let step_span = sem_obs::span(sem_obs::Phase::Step);
+        let step_span = sem_obs::span(Phase::Step);
         let flops0 = self.ops.flops_so_far();
         let guarded = self.cfg.recovery.enabled || self.cfg.faults.is_some();
         let mut stats = if guarded {
-            match self.guarded_step() {
-                Ok(s) => s,
-                Err(e) => {
-                    drop(step_span);
-                    return Err(e);
-                }
-            }
+            self.guarded_step()?
         } else {
             self.attempt_step().0
         };
@@ -308,277 +302,20 @@ impl NsSolver {
     /// in the fields, which the caller rolls back.
     fn attempt_step(&mut self) -> (StepStats, Option<StepFailure>) {
         let mut failure: Option<StepFailure> = None;
-        let dim = self.ops.geo.dim;
-        let n = self.ops.n_velocity();
-        let dt = self.cfg.dt;
-        let t_new = self.time + dt;
+        let dim = self.vel.len();
+        let t_new = self.time + self.cfg.dt;
         self.step_index += 1;
-
-        // --- histories entering this step -------------------------------
-        // Push the *current* state as level n−1.
-        let order_next = self.cfg.torder;
-        // Convection of the current field (one evaluation per step).
-        if matches!(self.cfg.convection, ConvectionScheme::Ext) {
-            let _conv_span = sem_obs::span(sem_obs::Phase::Convection);
-            let mut conv = vec![vec![0.0; n]; dim];
-            let refs: Vec<&[f64]> = self.vel.iter().map(|c| c.as_slice()).collect();
-            let mut grad = vec![vec![0.0; n]; dim];
-            for c in 0..dim {
-                convect(&self.ops, &refs, &self.vel[c], &mut conv[c], &mut grad);
-            }
-            self.conv_hist.push_front(conv);
-            self.conv_hist.truncate(order_next);
-        }
-        if let Some(t) = &self.temp {
-            let refs: Vec<&[f64]> = self.vel.iter().map(|c| c.as_slice()).collect();
-            let mut convt = vec![0.0; n];
-            let mut grad = vec![vec![0.0; n]; dim];
-            convect(&self.ops, &refs, t, &mut convt, &mut grad);
-            self.temp_conv_hist.push_front(convt);
-            self.temp_conv_hist.truncate(order_next);
-            self.temp_hist.push_front(t.clone());
-            self.temp_hist.truncate(order_next);
-        }
-        self.vel_hist.push_front(self.vel.clone());
-        self.vel_hist.truncate(order_next);
-        self.time_hist.push_front(self.time);
-        self.time_hist.truncate(order_next);
-
-        let k = self.effective_order();
-        let (b0, bj) = bdf_coeffs(k);
-        let h2 = b0 / dt;
-        let cfl_now = cfl(&self.ops, &self.vel, dt);
-
-        // --- explicit RHS per component ---------------------------------
-        let bm = self.ops.geo.bm.clone();
-        let mut rhs: Vec<Vec<f64>> = vec![vec![0.0; n]; dim];
-        match self.cfg.convection {
-            ConvectionScheme::Oifs { substeps } => {
-                // Advect each history level to t_new along characteristics.
-                let _conv_span = sem_obs::span(sem_obs::Phase::Convection);
-                let times: Vec<f64> = self.time_hist.iter().copied().collect();
-                let fields: Vec<Vec<Vec<f64>>> = self.vel_hist.iter().cloned().collect();
-                for (j, coeff) in bj.iter().enumerate().take(self.vel_hist.len()) {
-                    let mut advected = self.vel_hist[j].clone();
-                    let t0 = self.time_hist[j];
-                    let total_steps = substeps.max(1) * (j + 1);
-                    let _oifs_span = sem_obs::span(sem_obs::Phase::Oifs);
-                    for comp in advected.iter_mut() {
-                        advect_field(
-                            &self.ops,
-                            comp,
-                            t0,
-                            t_new,
-                            &times,
-                            &fields,
-                            total_steps,
-                            &mut self.oifs_scratch,
-                        );
-                    }
-                    for c in 0..dim {
-                        for i in 0..n {
-                            rhs[c][i] += (coeff / dt) * bm[i] * advected[c][i];
-                        }
-                    }
-                }
-            }
-            _ => {
-                for (j, coeff) in bj.iter().enumerate().take(self.vel_hist.len()) {
-                    for c in 0..dim {
-                        for i in 0..n {
-                            rhs[c][i] += (coeff / dt) * bm[i] * self.vel_hist[j][c][i];
-                        }
-                    }
-                }
-                if matches!(self.cfg.convection, ConvectionScheme::Ext) {
-                    let mut cx = vec![0.0; n];
-                    for c in 0..dim {
-                        let comp_hist: Vec<Vec<f64>> =
-                            self.conv_hist.iter().map(|lvl| lvl[c].clone()).collect();
-                        ext_convection(k, &comp_hist, &mut cx);
-                        for i in 0..n {
-                            rhs[c][i] += bm[i] * cx[i];
-                        }
-                    }
-                }
-            }
-        }
-        // Forcing.
-        if let Some(f) = &self.force {
-            for i in 0..n {
-                let fv = f(
-                    self.ops.geo.x[i],
-                    self.ops.geo.y[i],
-                    self.ops.geo.z[i],
-                    t_new,
-                );
-                for c in 0..dim {
-                    rhs[c][i] += bm[i] * fv[c];
-                }
-            }
-        }
-        // Boussinesq buoyancy with extrapolated temperature.
-        if let Some(Boussinesq { g_beta, .. }) = self.cfg.boussinesq {
-            let text: Vec<f64> = {
-                let c = crate::config::ext_coeffs(k.min(self.temp_hist.len()));
-                let mut t = vec![0.0; n];
-                for (j, cj) in c.iter().enumerate() {
-                    for (tv, &hv) in t.iter_mut().zip(self.temp_hist[j].iter()) {
-                        *tv += cj * hv;
-                    }
-                }
-                t
-            };
-            for c in 0..dim {
-                if g_beta[c] != 0.0 {
-                    for i in 0..n {
-                        rhs[c][i] += bm[i] * g_beta[c] * text[i];
-                    }
-                }
-            }
-        }
-        // Incremental form: previous pressure gradient.
-        {
-            let mut gp = vec![vec![0.0; n]; dim];
-            gradient_weak(&self.ops, &self.pressure, &mut gp);
-            for c in 0..dim {
-                for i in 0..n {
-                    rhs[c][i] += gp[c][i];
-                }
-            }
-        }
-        // Assemble.
-        for r in rhs.iter_mut() {
-            self.ops.dssum_mask(r);
-        }
-
-        // --- Helmholtz solves with Dirichlet lifting ---------------------
-        let helm_span = sem_obs::span(sem_obs::Phase::Helmholtz);
-        let mut helm_iters = Vec::with_capacity(dim);
-        let mut u_star: Vec<Vec<f64>> = Vec::with_capacity(dim);
-        for c in 0..dim {
-            // Lift: boundary data at t_new on top of the previous field.
-            let mut ub = self.vel[c].clone();
-            if let Some(bcf) = &self.bc {
-                let geo = &self.ops.geo;
-                for i in 0..n {
-                    if self.ops.mask[i] == 0.0 {
-                        ub[i] = bcf(geo.x[i], geo.y[i], geo.z[i], t_new)[c];
-                    }
-                }
-            } else {
-                set_dirichlet(&self.ops, &mut ub, |_, _, _| 0.0);
-            }
-            let mut hub = vec![0.0; n];
-            helmholtz_local(&self.ops, &ub, &mut hub, self.cfg.nu, h2);
-            self.ops.dssum_mask(&mut hub);
-            let mut b = rhs[c].clone();
-            for i in 0..n {
-                b[i] -= hub[i];
-            }
-            // Initial guess: previous homogeneous part.
-            let mut u0: Vec<f64> = self.vel[c]
-                .iter()
-                .zip(ub.iter())
-                .zip(self.ops.mask.iter())
-                .map(|((&u, &l), &m)| (u - l) * m)
-                .collect();
-            self.ensure_helmholtz(h2);
-            let solver = &self.helmholtz.as_ref().unwrap().1;
-            let res = solver.solve(&self.ops, &mut u0, &b);
-            if failure.is_none() {
-                if let Some(bd) = res.breakdown {
-                    failure = Some(StepFailure::Breakdown {
-                        solve: SolveKind::Helmholtz(c),
-                        breakdown: bd,
-                    });
-                }
-            }
-            helm_iters.push(res.iterations);
-            let mut u_new = u0;
-            for i in 0..n {
-                u_new[i] += ub[i];
-            }
-            u_star.push(u_new);
-        }
-        drop(helm_span);
-
-        // --- pressure correction ----------------------------------------
-        let np = self.ops.n_pressure();
-        let mut g = vec![0.0; np];
-        {
-            let refs: Vec<&[f64]> = u_star.iter().map(|c| c.as_slice()).collect();
-            divergence(&self.ops, &refs, &mut g);
-        }
-        for v in g.iter_mut() {
-            *v *= -h2;
-        }
-        let mut dp = vec![0.0; np];
-        let pstats = self.pressure_solver.solve(&self.ops, &mut dp, &mut g);
-        if failure.is_none() {
-            if let Some(bd) = pstats.breakdown {
-                failure = Some(StepFailure::Breakdown {
-                    solve: SolveKind::Pressure,
-                    breakdown: bd,
-                });
-            }
-        }
-        for (p, &d) in self.pressure.iter_mut().zip(dp.iter()) {
-            *p += d;
-        }
-        {
-            let mut w = vec![vec![0.0; n]; dim];
-            gradient_weak(&self.ops, &dp, &mut w);
-            for c in 0..dim {
-                self.ops.dssum_mask(&mut w[c]);
-                for i in 0..n {
-                    u_star[c][i] += (1.0 / h2) * w[c][i] / self.ops.bm_assembled[i];
-                }
-            }
-        }
-        self.vel = u_star;
-
-        // --- filter -------------------------------------------------------
-        if let Some(f) = &self.filter {
-            let _filter_span = sem_obs::span(sem_obs::Phase::Filter);
-            for c in 0..dim {
-                f.apply(&self.ops, &mut self.vel[c]);
-            }
-        }
-
-        // --- temperature transport ---------------------------------------
+        self.push_level();
+        // Effective BDF order: limited by the levels available, so the
+        // first step runs BDF1, the second BDF2, ….
+        let k = self.cfg.torder.min(self.ring.len()).max(1);
+        let cfl_now = cfl(&self.ops, &self.vel, self.cfg.dt);
+        let (helm_iters, pstats) = self.transport(0..dim, k, t_new, &mut failure);
         let mut temp_iters = 0;
-        if let Some(b) = self.cfg.boussinesq {
-            let (iters, bd) = self.step_temperature(b, k, h2, t_new);
-            temp_iters = iters;
-            if failure.is_none() {
-                if let Some(bd) = bd {
-                    failure = Some(StepFailure::Breakdown {
-                        solve: SolveKind::Scalar,
-                        breakdown: bd,
-                    });
-                }
-            }
-            if let (Some(f), Some(t)) = (&self.filter, self.temp.as_mut()) {
-                let _filter_span = sem_obs::span(sem_obs::Phase::Filter);
-                f.apply(&self.ops, t);
-            }
+        for f in dim..self.fields().count() {
+            temp_iters += self.transport(f..f + 1, k, t_new, &mut failure).0[0];
         }
-
-        // --- passive species transport ------------------------------------
-        if !self.scalars.is_empty() {
-            let (iters, bd) = self.step_scalars(k, h2, t_new);
-            temp_iters += iters;
-            if failure.is_none() {
-                if let Some(bd) = bd {
-                    failure = Some(StepFailure::Breakdown {
-                        solve: SolveKind::Scalar,
-                        breakdown: bd,
-                    });
-                }
-            }
-        }
-
+        let pstats = pstats.expect("the velocity transport runs the pressure correction");
         self.time = t_new;
         let stats = StepStats {
             step: self.step_index,
@@ -596,15 +333,297 @@ impl NsSolver {
         (stats, failure)
     }
 
+    /// Push the current fields as the ring's newest level (recycling the
+    /// oldest level's buffers once the ring is `torder` deep), with
+    /// `(u·∇)φ` of every EXT-convected field: the velocity under EXT,
+    /// the temperature and the species always. Other fields store no
+    /// convective history.
+    fn push_level(&mut self) {
+        let n = self.ops.n_velocity();
+        let dim = self.vel.len();
+        let depth = self.cfg.torder;
+        let mut level = if self.ring.len() >= depth {
+            self.ring.pop().unwrap_or_default()
+        } else {
+            Level::default()
+        };
+        let fields: Vec<&Vec<f64>> = self.fields().collect();
+        level.time = self.time;
+        level.values.resize(fields.len(), Vec::new());
+        level.conv.resize(fields.len(), Vec::new());
+        for (values, phi) in level.values.iter_mut().zip(&fields) {
+            values.clone_from(phi);
+        }
+        let ext_vel = matches!(self.cfg.convection, ConvectionScheme::Ext);
+        let refs: Vec<&[f64]> = self.vel.iter().map(Vec::as_slice).collect();
+        let mut grad = vec![vec![0.0; n]; dim];
+        // The Convection span times the velocity's convection; the
+        // scalars' convection is step self-time.
+        let mut conv_span = ext_vel.then(|| sem_obs::span(Phase::Convection));
+        for (f, (conv, phi)) in level.conv.iter_mut().zip(fields).enumerate() {
+            conv_span = conv_span.filter(|_| f < dim);
+            if ext_vel || f >= dim {
+                conv.resize(n, 0.0);
+                convect(&self.ops, &refs, phi, conv, &mut grad);
+            } else {
+                *conv = Vec::new();
+            }
+        }
+        drop(conv_span);
+        self.ring.insert(0, level);
+        self.ring.truncate(depth);
+    }
+
+    /// Advance the fields `fs` (the velocity components, or one scalar)
+    /// one step: explicit BDF/EXT right-hand side → Dirichlet lift →
+    /// Helmholtz solve → unlift → filter. The velocity adds its forcing,
+    /// buoyancy and pressure-gradient terms before the solves and runs
+    /// the pressure correction between its solves and its filter. The
+    /// first breakdown is recorded in `failure`. Returns the Helmholtz
+    /// iterations per field, and the pressure statistics for the
+    /// velocity.
+    fn transport(
+        &mut self,
+        fs: Range<usize>,
+        k: usize,
+        t_new: f64,
+        failure: &mut Option<StepFailure>,
+    ) -> (Vec<usize>, Option<PressureSolveStats>) {
+        let velocity = fs.start == 0;
+        let h2 = bdf_coeffs(k).0 / self.cfg.dt;
+        let mut rhs = self.history_rhs(fs.clone(), k, t_new);
+        if velocity {
+            self.momentum_terms(&mut rhs, k, t_new);
+        }
+        for r in rhs.iter_mut() {
+            self.ops.dssum_mask(r);
+        }
+        // The velocity's solves are one Helmholtz span, lifts and solver
+        // builds included; a scalar's span times its CG solve only.
+        let helm_span = velocity.then(|| sem_obs::span(Phase::Helmholtz));
+        let mut iters = Vec::with_capacity(fs.len());
+        for (f, b) in fs.clone().zip(rhs.iter_mut()) {
+            let res = self.helmholtz_solve(f, b, h2, t_new);
+            if let (None, Some(breakdown)) = (&failure, res.breakdown) {
+                let solve = if velocity {
+                    SolveKind::Helmholtz(f)
+                } else {
+                    SolveKind::Scalar
+                };
+                *failure = Some(StepFailure::Breakdown { solve, breakdown });
+            }
+            iters.push(res.iterations);
+        }
+        drop(helm_span);
+        let pstats = velocity.then(|| self.correct_pressure(h2, failure));
+        if let Some(filter) = &self.filter {
+            let _filter_span = sem_obs::span(Phase::Filter);
+            for f in fs {
+                let phi = field_mut(&mut self.vel, &mut self.temp, &mut self.scalars, f);
+                filter.apply(&self.ops, phi);
+            }
+        }
+        (iters, pstats)
+    }
+
+    /// Explicit BDF/EXT right-hand side of the fields `fs` from the
+    /// ring: `Σ_j (b_j/Δt) B φ^{n−j}` — the velocity levels advected to
+    /// `t_new` along characteristics under OIFS — plus
+    /// `B · EXTk[−(u·∇)φ]` for an EXT-convected field.
+    fn history_rhs(&mut self, fs: Range<usize>, k: usize, t_new: f64) -> Vec<Vec<f64>> {
+        let bj = bdf_coeffs(k).1;
+        let n = self.ops.n_velocity();
+        let dt = self.cfg.dt;
+        let bm = &self.ops.geo.bm;
+        let mut rhs = vec![vec![0.0; n]; fs.len()];
+        let substeps = match self.cfg.convection {
+            ConvectionScheme::Oifs { substeps } if fs.start == 0 => Some(substeps.max(1)),
+            _ => None,
+        };
+        let conv_span = substeps.map(|_| sem_obs::span(Phase::Convection));
+        let mut advected = Vec::new();
+        for (j, coeff) in bj.iter().enumerate().take(self.ring.len()) {
+            let level = &self.ring[j];
+            let _oifs_span = substeps.map(|_| sem_obs::span(Phase::Oifs));
+            for (r, f) in rhs.iter_mut().zip(fs.clone()) {
+                let past = match substeps {
+                    Some(s) => {
+                        advected.clone_from(&level.values[f]);
+                        let scratch = &mut self.oifs_scratch;
+                        let steps = s * (j + 1);
+                        advect_field(
+                            &self.ops,
+                            &mut advected,
+                            level.time,
+                            t_new,
+                            &self.ring,
+                            steps,
+                            scratch,
+                        );
+                        &advected
+                    }
+                    None => &level.values[f],
+                };
+                for i in 0..n {
+                    r[i] += (coeff / dt) * bm[i] * past[i];
+                }
+            }
+        }
+        drop(conv_span);
+        let mut cx = vec![0.0; n];
+        for (r, f) in rhs.iter_mut().zip(fs) {
+            let m = self
+                .ring
+                .iter()
+                .take_while(|l| !l.conv[f].is_empty())
+                .count();
+            if m > 0 {
+                ext_convection(k, &self.ring[..m], f, &mut cx);
+                for i in 0..n {
+                    r[i] += bm[i] * cx[i];
+                }
+            }
+        }
+        rhs
+    }
+
+    /// The velocity's own right-hand-side terms: the body force, the
+    /// Boussinesq buoyancy of the extrapolated temperature, and the
+    /// previous pressure gradient (incremental form).
+    fn momentum_terms(&self, rhs: &mut [Vec<f64>], k: usize, t_new: f64) {
+        let n = self.ops.n_velocity();
+        let geo = &self.ops.geo;
+        let bm = &geo.bm;
+        if let Some(f) = &self.force {
+            for i in 0..n {
+                let fv = f(geo.x[i], geo.y[i], geo.z[i], t_new);
+                for (c, r) in rhs.iter_mut().enumerate() {
+                    r[i] += bm[i] * fv[c];
+                }
+            }
+        }
+        if let Some(Boussinesq { g_beta, .. }) = self.cfg.boussinesq {
+            let mut text = vec![0.0; n];
+            let c = ext_coeffs(k.min(self.ring.len()));
+            for (cj, level) in c.iter().zip(&self.ring) {
+                for (tv, &hv) in text.iter_mut().zip(&level.values[rhs.len()]) {
+                    *tv += cj * hv;
+                }
+            }
+            for (c, r) in rhs.iter_mut().enumerate() {
+                if g_beta[c] != 0.0 {
+                    for i in 0..n {
+                        r[i] += bm[i] * g_beta[c] * text[i];
+                    }
+                }
+            }
+        }
+        let mut gp = vec![vec![0.0; n]; rhs.len()];
+        gradient_weak(&self.ops, &self.pressure, &mut gp);
+        for (r, g) in rhs.iter_mut().zip(&gp) {
+            for i in 0..n {
+                r[i] += g[i];
+            }
+        }
+    }
+
+    /// Lift → solve → unlift for field `f`: impose its Dirichlet data at
+    /// `t_new` on a copy of its values — the velocity BC (zero without
+    /// one), the temperature's or the species' BC (without one, the
+    /// boundary values are kept) — solve for the homogeneous part (`rhs`
+    /// loses the lift's Helmholtz image) from the cached solver for its
+    /// diffusivity, and store the sum.
+    fn helmholtz_solve(&mut self, f: usize, rhs: &mut [f64], h2: f64, t_new: f64) -> CgResult {
+        let slot = Slot::of(f, self.vel.len(), self.temp.is_some());
+        let (kappa, scalar_bc) = match slot {
+            Slot::Vel(_) => (self.cfg.nu, None),
+            Slot::Temp => (
+                self.cfg.boussinesq.expect("the temperature slot").kappa,
+                self.temp_bc.as_ref(),
+            ),
+            Slot::Species(s) => (self.scalars[s].kappa, self.scalar_bc[s].as_ref()),
+        };
+        let phi = self.fields().nth(f).expect("transported field index");
+        let mut lift = phi.clone();
+        let geo = &self.ops.geo;
+        for i in (0..lift.len()).filter(|&i| self.ops.mask[i] == 0.0) {
+            let (x, y, z) = (geo.x[i], geo.y[i], geo.z[i]);
+            if let Slot::Vel(c) = slot {
+                lift[i] = self.bc.as_ref().map_or(0.0, |bc| bc(x, y, z, t_new)[c]);
+            } else if let Some(bc) = scalar_bc {
+                lift[i] = bc(x, y, z, t_new);
+            }
+        }
+        let mut h_lift = vec![0.0; lift.len()];
+        helmholtz_local(&self.ops, &lift, &mut h_lift, kappa, h2);
+        self.ops.dssum_mask(&mut h_lift);
+        for (b, h) in rhs.iter_mut().zip(&h_lift) {
+            *b -= h;
+        }
+        // Initial guess: the previous homogeneous part.
+        let mut u0: Vec<f64> = phi
+            .iter()
+            .zip(&lift)
+            .zip(&self.ops.mask)
+            .map(|((&u, &l), &m)| (u - l) * m)
+            .collect();
+        let s = self.helmholtz_for(kappa, h2);
+        let helm_span = (f >= self.vel.len()).then(|| sem_obs::span(Phase::Helmholtz));
+        let res = self.helmholtz[s].2.solve(&self.ops, &mut u0, rhs);
+        drop(helm_span);
+        for (u, l) in u0.iter_mut().zip(&lift) {
+            *u += l;
+        }
+        *field_mut(&mut self.vel, &mut self.temp, &mut self.scalars, f) = u0;
+        res
+    }
+
+    /// The pressure increment `E δp = −(β₀/Δt) D u*` and the velocity
+    /// correction `uⁿ = u* + (Δt/β₀) B̄⁻¹ Dᵀ δp`.
+    fn correct_pressure(
+        &mut self,
+        h2: f64,
+        failure: &mut Option<StepFailure>,
+    ) -> PressureSolveStats {
+        let n = self.ops.n_velocity();
+        let np = self.ops.n_pressure();
+        let mut g = vec![0.0; np];
+        let refs: Vec<&[f64]> = self.vel.iter().map(Vec::as_slice).collect();
+        divergence(&self.ops, &refs, &mut g);
+        for v in g.iter_mut() {
+            *v *= -h2;
+        }
+        let mut dp = vec![0.0; np];
+        let pstats = self.pressure_solver.solve(&self.ops, &mut dp, &mut g);
+        if let (None, Some(breakdown)) = (&failure, pstats.breakdown) {
+            *failure = Some(StepFailure::Breakdown {
+                solve: SolveKind::Pressure,
+                breakdown,
+            });
+        }
+        for (p, &d) in self.pressure.iter_mut().zip(dp.iter()) {
+            *p += d;
+        }
+        let mut w = vec![vec![0.0; n]; self.vel.len()];
+        gradient_weak(&self.ops, &dp, &mut w);
+        for (u, wc) in self.vel.iter_mut().zip(w.iter_mut()) {
+            self.ops.dssum_mask(wc);
+            for i in 0..n {
+                u[i] += (1.0 / h2) * wc[i] / self.ops.bm_assembled[i];
+            }
+        }
+        pstats
+    }
+
     /// The guarded step: snapshot, inject scheduled faults, attempt,
     /// and walk the recovery ladder on failure (see
-    /// [`crate::recovery`]).
+    /// [`crate::recovery`]). The snapshot is [`NsSolver::checkpoint`];
+    /// a rollback assigns it back but keeps the pending Δt restoration.
     fn guarded_step(&mut self) -> Result<StepStats, StepError> {
         let policy = self.cfg.recovery;
-        let step_idx = self.step_index + 1;
-        let entry_time = self.time;
-        let original_dt = self.cfg.dt;
-        let snap = self.snapshot();
+        let kinetic = kinetic_energy(&self.ops, &self.vel);
+        let snap = self.checkpoint();
+        let (step_idx, original_dt) = (self.step_index + 1, snap.dt);
         let mut trail: Vec<RecoveryAttempt> = Vec::new();
         let mut halvings = 0usize;
         let mut attempt = 0usize;
@@ -627,7 +646,7 @@ impl NsSolver {
             let _ = obs_fault::take_fired(FaultSite::CoarseRhs);
 
             if failure.is_none() {
-                failure = self.health_failure(snap.kinetic, policy.max_energy_growth);
+                failure = self.health_failure(kinetic, policy.max_energy_growth);
             }
 
             let Some(cause) = failure else {
@@ -640,10 +659,10 @@ impl NsSolver {
                 return Ok(stats);
             };
 
-            // Roll back to step entry before deciding what to do next.
-            self.restore(&snap);
+            // Roll back to step entry (Δt included) before deciding what
+            // to do next.
+            self.assign(&snap);
             self.pressure_solver.set_jacobi_fallback(false);
-            self.cfg.dt = original_dt;
 
             let rollbacks = trail.len();
             let stage = if !policy.enabled || rollbacks >= policy.max_retries {
@@ -662,10 +681,13 @@ impl NsSolver {
             };
 
             let Some(stage) = stage else {
-                trail.push(RecoveryAttempt { cause: cause.clone(), stage: None });
+                trail.push(RecoveryAttempt {
+                    cause: cause.clone(),
+                    stage: None,
+                });
                 return Err(StepError {
                     step: step_idx,
-                    time: entry_time,
+                    time: snap.time,
                     cause,
                     trail,
                 });
@@ -688,7 +710,7 @@ impl NsSolver {
                 self.cfg.dt = original_dt / f64::powi(2.0, halvings as i32);
                 // A changed Δt invalidates the uniform-spacing multistep
                 // history: restart at BDF1/EXT1.
-                self.clear_multistep_history();
+                self.ring.clear();
             }
             attempt += 1;
         }
@@ -711,33 +733,33 @@ impl NsSolver {
                         f64::INFINITY
                     };
                     let target = ev.field.expect("field faults carry a target");
-                    let data: &mut Vec<f64> = match target {
-                        FieldTarget::U => &mut self.vel[0],
-                        FieldTarget::V => &mut self.vel[1],
-                        FieldTarget::W => {
-                            if self.vel.len() < 3 {
-                                eprintln!("terasem: ignoring w-field fault on a 2D run");
-                                continue;
-                            }
-                            &mut self.vel[2]
-                        }
+                    let dim = self.vel.len();
+                    let data = match target {
                         FieldTarget::Pressure => &mut self.pressure,
-                        // `t` poisons the active scalar transport: the
-                        // Boussinesq temperature when coupled, else the
-                        // first registered passive scalar (its Helmholtz
-                        // solve and health scan see the NaN/Inf).
-                        FieldTarget::Temperature => match self.temp.as_mut() {
-                            Some(t) => t,
-                            None => match self.scalars.first_mut() {
-                                Some(sc) => &mut sc.field,
-                                None => {
-                                    eprintln!(
-                                        "terasem: ignoring temperature fault without Boussinesq or passive scalars"
-                                    );
-                                    continue;
-                                }
-                            },
-                        },
+                        FieldTarget::W if dim < 3 => {
+                            eprintln!("terasem: ignoring w-field fault on a 2D run");
+                            continue;
+                        }
+                        FieldTarget::Temperature if self.fields().count() == dim => {
+                            eprintln!(
+                                "terasem: ignoring temperature fault without Boussinesq or passive scalars"
+                            );
+                            continue;
+                        }
+                        // `t` poisons the active scalar transport, the
+                        // ring's first scalar field: the Boussinesq
+                        // temperature when coupled, else the first
+                        // registered passive scalar (its Helmholtz solve
+                        // and health scan see the NaN/Inf).
+                        _ => {
+                            let f = match target {
+                                FieldTarget::U => 0,
+                                FieldTarget::V => 1,
+                                FieldTarget::W => 2,
+                                _ => dim,
+                            };
+                            field_mut(&mut self.vel, &mut self.temp, &mut self.scalars, f)
+                        }
                     };
                     let idx = plan.node_index(step, target, data.len());
                     data[idx] = val;
@@ -756,18 +778,11 @@ impl NsSolver {
     /// Post-attempt field-health check: NaN/Inf scan over every evolved
     /// field plus the kinetic-energy watchdog.
     fn health_failure(&self, ke0: f64, max_growth: f64) -> Option<StepFailure> {
-        const COMP: [&str; 3] = ["u", "v", "w"];
-        let mut fields: Vec<(&str, &[f64])> = Vec::new();
-        for (c, comp) in self.vel.iter().enumerate() {
-            fields.push((COMP[c], comp.as_slice()));
-        }
-        fields.push(("p", self.pressure.as_slice()));
-        if let Some(t) = &self.temp {
-            fields.push(("T", t.as_slice()));
-        }
-        for sc in &self.scalars {
-            fields.push((sc.name.as_str(), sc.field.as_slice()));
-        }
+        let names = ["u", "v", "w"][..self.vel.len()].iter().copied();
+        let names = names.chain(self.temp.as_ref().map(|_| "T"));
+        let names = names.chain(self.scalars.iter().map(|sc| sc.name.as_str()));
+        let mut fields: Vec<(&str, &[f64])> = names.zip(self.fields().map(Vec::as_slice)).collect();
+        fields.insert(self.vel.len(), ("p", &self.pressure));
         if let Some(v) = field_health(fields) {
             return Some(StepFailure::FieldHealth(v));
         }
@@ -784,51 +799,6 @@ impl NsSolver {
         None
     }
 
-    /// Capture everything an attempt can modify.
-    fn snapshot(&mut self) -> StepSnapshot {
-        StepSnapshot {
-            vel: self.vel.clone(),
-            pressure: self.pressure.clone(),
-            temp: self.temp.clone(),
-            time: self.time,
-            step_index: self.step_index,
-            vel_hist: self.vel_hist.clone(),
-            time_hist: self.time_hist.clone(),
-            conv_hist: self.conv_hist.clone(),
-            temp_hist: self.temp_hist.clone(),
-            temp_conv_hist: self.temp_conv_hist.clone(),
-            scalars: self
-                .scalars
-                .iter()
-                .map(|sc| (sc.field.clone(), sc.hist.clone(), sc.conv_hist.clone()))
-                .collect(),
-            projection: self.pressure_solver.projection_snapshot(),
-            kinetic: kinetic_energy(&self.ops, &self.vel),
-        }
-    }
-
-    /// Roll the solver back to a snapshot (the Helmholtz caches are
-    /// kept — they depend only on `h2` and rebuild deterministically).
-    fn restore(&mut self, snap: &StepSnapshot) {
-        self.vel = snap.vel.clone();
-        self.pressure = snap.pressure.clone();
-        self.temp = snap.temp.clone();
-        self.time = snap.time;
-        self.step_index = snap.step_index;
-        self.vel_hist = snap.vel_hist.clone();
-        self.time_hist = snap.time_hist.clone();
-        self.conv_hist = snap.conv_hist.clone();
-        self.temp_hist = snap.temp_hist.clone();
-        self.temp_conv_hist = snap.temp_conv_hist.clone();
-        for (sc, (field, hist, conv_hist)) in self.scalars.iter_mut().zip(snap.scalars.iter()) {
-            sc.field = field.clone();
-            sc.hist = hist.clone();
-            sc.conv_hist = conv_hist.clone();
-        }
-        self.pressure_solver
-            .restore_projection(snap.projection.clone());
-    }
-
     /// Drop the successive-RHS pressure projection basis. The recovery
     /// ladder's first rung, exposed for the run supervisor's hard
     /// watchdog: a step that blew its wall-clock budget most often did
@@ -836,21 +806,6 @@ impl NsSolver {
     /// rebuilding the basis is cheap insurance before the next step.
     pub fn clear_projection_history(&mut self) {
         self.pressure_solver.clear_history();
-    }
-
-    /// Forget all multistep history: the next step restarts at
-    /// BDF1/EXT1 (required whenever Δt changes, since the BDF/EXT
-    /// coefficients assume uniform spacing).
-    fn clear_multistep_history(&mut self) {
-        self.vel_hist.clear();
-        self.time_hist.clear();
-        self.conv_hist.clear();
-        self.temp_hist.clear();
-        self.temp_conv_hist.clear();
-        for sc in self.scalars.iter_mut() {
-            sc.hist.clear();
-            sc.conv_hist.clear();
-        }
     }
 
     /// Post-commit Δt bookkeeping: schedule a restoration after a
@@ -873,7 +828,9 @@ impl NsSolver {
                 if r.clean_steps_left == 0 {
                     self.cfg.dt = r.original_dt;
                     self.dt_restore = None;
-                    self.clear_multistep_history();
+                    // The BDF/EXT coefficients assume uniform spacing:
+                    // restart at BDF1/EXT1.
+                    self.ring.clear();
                     sem_obs::trace::note("recovery_dt_restored", self.cfg.dt);
                 }
             }
@@ -881,7 +838,8 @@ impl NsSolver {
     }
 
     /// Capture the full time-loop state as a [`Checkpoint`] (see
-    /// [`crate::checkpoint`] for what is and is not included).
+    /// [`crate::checkpoint`] for what is and is not included). The
+    /// guarded step's rollback snapshot is this same value.
     pub fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
             dim: self.ops.geo.dim as u32,
@@ -893,33 +851,33 @@ impl NsSolver {
             vel: self.vel.clone(),
             pressure: self.pressure.clone(),
             temp: self.temp.clone(),
-            vel_hist: self.vel_hist.iter().cloned().collect(),
-            time_hist: self.time_hist.iter().copied().collect(),
-            conv_hist: self.conv_hist.iter().cloned().collect(),
-            temp_hist: self.temp_hist.iter().cloned().collect(),
-            temp_conv_hist: self.temp_conv_hist.iter().cloned().collect(),
-            scalars: self
-                .scalars
-                .iter()
-                .map(|sc| crate::checkpoint::ScalarState {
-                    name: sc.name.clone(),
-                    kappa: sc.kappa,
-                    field: sc.field.clone(),
-                    hist: sc.hist.iter().cloned().collect(),
-                    conv_hist: sc.conv_hist.iter().cloned().collect(),
-                })
-                .collect(),
-            projection: self
-                .pressure_solver
-                .projection()
-                .basis()
-                .to_vec(),
+            scalars: self.scalars.clone(),
+            levels: self.ring.clone(),
+            projection: self.pressure_solver.projection().basis().to_vec(),
         }
+    }
+
+    /// Assign a checkpoint's state: the one restore path, shared by
+    /// [`NsSolver::restore_checkpoint`] (after validation) and the
+    /// guarded step's rollback. The projection basis goes back into the
+    /// live projection.
+    fn assign(&mut self, ck: &Checkpoint) {
+        self.vel.clone_from(&ck.vel);
+        self.pressure.clone_from(&ck.pressure);
+        self.temp.clone_from(&ck.temp);
+        self.scalars.clone_from(&ck.scalars);
+        self.ring.clone_from(&ck.levels);
+        self.time = ck.time;
+        self.step_index = ck.step_index as usize;
+        self.cfg.dt = ck.dt;
+        self.pressure_solver.restore_projection(&ck.projection);
     }
 
     /// Restore the time-loop state from a checkpoint taken on an
     /// identically built solver (same mesh, order, and configuration).
     /// Continuing the run is bitwise-identical to never having stopped.
+    /// The recovery ladder's transients (Jacobi fallback, pending Δt
+    /// restoration) are deliberately dropped.
     ///
     /// # Errors
     ///
@@ -945,6 +903,15 @@ impl NsSolver {
                 self.scalars.len()
             ));
         }
+        // Every ring level must hold every transported field.
+        let fields = self.fields().count();
+        if ck
+            .levels
+            .iter()
+            .any(|l| l.values.len() != fields || l.conv.len() != fields)
+        {
+            return Err("checkpoint history does not hold every transported field".into());
+        }
         if ck.projection.len() > self.cfg.pressure_lmax {
             return Err(format!(
                 "checkpoint projection basis ({}) exceeds pressure_lmax ({})",
@@ -952,34 +919,7 @@ impl NsSolver {
                 self.cfg.pressure_lmax
             ));
         }
-        self.vel = ck.vel.clone();
-        self.pressure = ck.pressure.clone();
-        self.temp = ck.temp.clone();
-        self.time = ck.time;
-        self.step_index = ck.step_index as usize;
-        self.cfg.dt = ck.dt;
-        self.vel_hist = ck.vel_hist.iter().cloned().collect();
-        self.time_hist = ck.time_hist.iter().copied().collect();
-        self.conv_hist = ck.conv_hist.iter().cloned().collect();
-        self.temp_hist = ck.temp_hist.iter().cloned().collect();
-        self.temp_conv_hist = ck.temp_conv_hist.iter().cloned().collect();
-        for (sc, st) in self.scalars.iter_mut().zip(ck.scalars.iter()) {
-            sc.name = st.name.clone();
-            sc.kappa = st.kappa;
-            sc.field = st.field.clone();
-            sc.hist = st.hist.iter().cloned().collect();
-            sc.conv_hist = st.conv_hist.iter().cloned().collect();
-        }
-        let mut proj = sem_solvers::projection::RhsProjection::with_rtol(
-            np,
-            self.cfg.pressure_lmax,
-            self.cfg.pressure_cg.dependence_rtol,
-        );
-        for (x, ex) in &ck.projection {
-            proj.push_raw(x.clone(), ex.clone());
-        }
-        self.pressure_solver.restore_projection(proj);
-        // Recovery-ladder transients are deliberately not checkpointed.
+        self.assign(ck);
         self.pressure_solver.set_jacobi_fallback(false);
         self.dt_restore = None;
         Ok(())
@@ -998,71 +938,14 @@ impl NsSolver {
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 
-    fn step_temperature(
-        &mut self,
-        b: Boussinesq,
-        k: usize,
-        h2: f64,
-        t_new: f64,
-    ) -> (usize, Option<sem_solvers::cg::CgBreakdown>) {
-        let n = self.ops.n_velocity();
-        let bm = self.ops.geo.bm.clone();
-        let mut rhs = vec![0.0; n];
-        for (j, coeff) in bdf_coeffs(k)
-            .1
-            .iter()
-            .enumerate()
-            .take(self.temp_hist.len())
-        {
-            for i in 0..n {
-                rhs[i] += (coeff / self.cfg.dt) * bm[i] * self.temp_hist[j][i];
-            }
-        }
-        let mut cx = vec![0.0; n];
-        let hist: Vec<Vec<f64>> = self.temp_conv_hist.iter().cloned().collect();
-        ext_convection(k, &hist, &mut cx);
-        for i in 0..n {
-            rhs[i] += bm[i] * cx[i];
-        }
-        self.ops.dssum_mask(&mut rhs);
-        // Lifting for temperature boundary values.
-        let temp = self.temp.as_ref().unwrap();
-        let mut tb = temp.clone();
-        if let Some(f) = &self.temp_bc {
-            let geo = &self.ops.geo;
-            for i in 0..n {
-                if self.ops.mask[i] == 0.0 {
-                    tb[i] = f(geo.x[i], geo.y[i], geo.z[i], t_new);
-                }
-            }
-        }
-        let mut htb = vec![0.0; n];
-        helmholtz_local(&self.ops, &tb, &mut htb, b.kappa, h2);
-        self.ops.dssum_mask(&mut htb);
-        for i in 0..n {
-            rhs[i] -= htb[i];
-        }
-        let mut t0: Vec<f64> = temp
-            .iter()
-            .zip(tb.iter())
-            .zip(self.ops.mask.iter())
-            .map(|((&u, &l), &m)| (u - l) * m)
-            .collect();
-        self.ensure_helmholtz_t(b.kappa, h2);
-        let solver = &self.helmholtz_t.as_ref().unwrap().1;
-        let _helm_span = sem_obs::span(sem_obs::Phase::Helmholtz);
-        let res = solver.solve(&self.ops, &mut t0, &rhs);
-        let tfield = self.temp.as_mut().unwrap();
-        for i in 0..n {
-            tfield[i] = t0[i] + tb[i];
-        }
-        (res.iterations, res.breakdown)
-    }
-
     /// Register an additional passively transported species (the paper's
     /// "multiple-species transport"): advected by the velocity, diffused
     /// with diffusivity `kappa`, no back-coupling to the momentum
     /// equations. Returns the scalar's index.
+    ///
+    /// The species joins the ring every transported field shares, so a
+    /// registration after the first step restarts the multistep history:
+    /// the next step runs BDF1/EXT1, as after a Δt change.
     pub fn add_scalar(
         &mut self,
         name: impl Into<String>,
@@ -1070,29 +953,27 @@ impl NsSolver {
         init: impl Fn(f64, f64, f64) -> f64 + Sync,
     ) -> usize {
         let n = self.ops.n_velocity();
-        let field: Vec<f64> = (0..n)
+        let values: Vec<f64> = (0..n)
             .map(|i| init(self.ops.geo.x[i], self.ops.geo.y[i], self.ops.geo.z[i]))
             .collect();
-        self.scalars.push(PassiveScalar {
+        self.scalars.push(Species {
             name: name.into(),
             kappa,
-            field,
-            hist: VecDeque::new(),
-            conv_hist: VecDeque::new(),
-            bc: None,
-            solver: None,
+            values,
         });
+        self.scalar_bc.push(None);
+        self.ring.clear();
         self.scalars.len() - 1
     }
 
     /// Set the Dirichlet boundary values of passive scalar `idx`.
     pub fn set_scalar_bc(&mut self, idx: usize, f: ScalarFn) {
-        self.scalars[idx].bc = Some(f);
+        self.scalar_bc[idx] = Some(f);
     }
 
     /// Read access to passive scalar `idx`.
     pub fn scalar(&self, idx: usize) -> &[f64] {
-        &self.scalars[idx].field
+        &self.scalars[idx].values
     }
 
     /// Name of passive scalar `idx`.
@@ -1104,112 +985,6 @@ impl NsSolver {
     pub fn num_scalars(&self) -> usize {
         self.scalars.len()
     }
-
-    /// Advance all passive scalars one step (called from `step`).
-    fn step_scalars(
-        &mut self,
-        k: usize,
-        h2: f64,
-        t_new: f64,
-    ) -> (usize, Option<sem_solvers::cg::CgBreakdown>) {
-        let n = self.ops.n_velocity();
-        let dim = self.ops.geo.dim;
-        let dt = self.cfg.dt;
-        let order_next = self.cfg.torder;
-        let bm = self.ops.geo.bm.clone();
-        let mut total_iters = 0;
-        let mut first_breakdown = None;
-        // Histories were not yet pushed for scalars this step: push now
-        // using the *previous* velocity stored at the front of vel_hist.
-        let vel_refs: Vec<&[f64]> = self.vel_hist[0].iter().map(|c| c.as_slice()).collect();
-        let mut scalars = std::mem::take(&mut self.scalars);
-        for sc in scalars.iter_mut() {
-            let mut conv = vec![0.0; n];
-            let mut grad = vec![vec![0.0; n]; dim];
-            convect(&self.ops, &vel_refs, &sc.field, &mut conv, &mut grad);
-            sc.conv_hist.push_front(conv);
-            sc.conv_hist.truncate(order_next);
-            sc.hist.push_front(sc.field.clone());
-            sc.hist.truncate(order_next);
-
-            let mut rhs = vec![0.0; n];
-            for (j, coeff) in bdf_coeffs(k).1.iter().enumerate().take(sc.hist.len()) {
-                for i in 0..n {
-                    rhs[i] += (coeff / dt) * bm[i] * sc.hist[j][i];
-                }
-            }
-            let mut cx = vec![0.0; n];
-            let hist: Vec<Vec<f64>> = sc.conv_hist.iter().cloned().collect();
-            ext_convection(k, &hist, &mut cx);
-            for i in 0..n {
-                rhs[i] += bm[i] * cx[i];
-            }
-            self.ops.dssum_mask(&mut rhs);
-            let mut tb = sc.field.clone();
-            if let Some(f) = &sc.bc {
-                let geo = &self.ops.geo;
-                for i in 0..n {
-                    if self.ops.mask[i] == 0.0 {
-                        tb[i] = f(geo.x[i], geo.y[i], geo.z[i], t_new);
-                    }
-                }
-            }
-            let mut htb = vec![0.0; n];
-            helmholtz_local(&self.ops, &tb, &mut htb, sc.kappa, h2);
-            self.ops.dssum_mask(&mut htb);
-            for i in 0..n {
-                rhs[i] -= htb[i];
-            }
-            let mut t0: Vec<f64> = sc
-                .field
-                .iter()
-                .zip(tb.iter())
-                .zip(self.ops.mask.iter())
-                .map(|((&u, &l), &m)| (u - l) * m)
-                .collect();
-            let rebuild = match &sc.solver {
-                Some((cached, _)) => (cached - h2).abs() > 1e-14 * h2.abs(),
-                None => true,
-            };
-            if rebuild {
-                sc.solver = Some((
-                    h2,
-                    HelmholtzSolver::new(&self.ops, sc.kappa, h2, self.cfg.helmholtz_cg),
-                ));
-            }
-            let res = {
-                let _helm_span = sem_obs::span(sem_obs::Phase::Helmholtz);
-                sc.solver.as_ref().unwrap().1.solve(&self.ops, &mut t0, &rhs)
-            };
-            total_iters += res.iterations;
-            if first_breakdown.is_none() {
-                first_breakdown = res.breakdown;
-            }
-            for i in 0..n {
-                sc.field[i] = t0[i] + tb[i];
-            }
-            if let Some(f) = &self.filter {
-                let _filter_span = sem_obs::span(sem_obs::Phase::Filter);
-                f.apply(&self.ops, &mut sc.field);
-            }
-        }
-        self.scalars = scalars;
-        (total_iters, first_breakdown)
-    }
-}
-
-/// A passively transported species field.
-pub struct PassiveScalar {
-    /// Display name (used by output writers).
-    pub name: String,
-    /// Diffusivity.
-    pub kappa: f64,
-    /// Current nodal values.
-    pub field: Vec<f64>,
-    hist: VecDeque<Vec<f64>>,
-    conv_hist: VecDeque<Vec<f64>>,
-    bc: Option<ScalarFn>,
-    solver: Option<(f64, HelmholtzSolver)>,
 }
 
 #[cfg(test)]
@@ -1475,6 +1250,66 @@ mod tests {
             }
             assert!(err < 1e-4, "scalar {idx} decay error {err}");
         }
+    }
+
+    #[test]
+    fn scalar_registered_after_the_first_step_restarts_the_history() {
+        // A constant species on a periodic box at rest stays constant.
+        // Registered after two BDF2 steps, it has no past levels in the
+        // ring, so the next step must restart at BDF1 (BDF2 weights over
+        // one level would grow it 1.0 → 1.333 → 1.444 → …).
+        let mesh = box2d(2, 2, [0.0, TWO_PI], [0.0, TWO_PI], true, true);
+        let mut s = NsSolver::new(SemOps::new(mesh, 6), taylor_green_cfg(1e-2));
+        for _ in 0..2 {
+            s.step().unwrap();
+        }
+        let idx = s.add_scalar("late", 0.1, |_, _, _| 1.0);
+        for _ in 0..4 {
+            s.step().unwrap();
+            let drift = s
+                .scalar(idx)
+                .iter()
+                .fold(0.0_f64, |m, v| m.max((v - 1.0).abs()));
+            assert!(drift < 1e-12, "step {}: drift {drift}", s.step_index);
+        }
+    }
+
+    #[test]
+    fn scalar_dirichlet_data_is_imposed_on_the_boundary() {
+        // Walls at y = 0 and y = 1: a species that starts at zero takes
+        // its boundary values from `set_scalar_bc` at the first step,
+        // while a twin without boundary data keeps its own.
+        let mesh = box2d(2, 2, [0.0, 1.0], [0.0, 1.0], true, false);
+        let mut s = NsSolver::new(SemOps::new(mesh, 5), taylor_green_cfg(1e-2));
+        let held = s.add_scalar("held", 0.1, |_, _, _| 0.0);
+        let free = s.add_scalar("free", 0.1, |_, _, _| 0.0);
+        s.set_scalar_bc(held, Box::new(|_, y, _, _| 1.0 + y));
+        s.step().unwrap();
+        let walls: Vec<usize> = (0..s.ops.n_velocity())
+            .filter(|&i| s.ops.mask[i] == 0.0)
+            .collect();
+        assert!(!walls.is_empty());
+        for &i in &walls {
+            assert_eq!(s.scalar(held)[i], 1.0 + s.ops.geo.y[i]);
+            assert_eq!(s.scalar(free)[i], 0.0);
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_ring_level_missing_a_field() {
+        let mut s = taylor_green_solver(2, 4, 1e-2);
+        s.add_scalar("dye", 0.1, |x, _, _| x.sin());
+        s.step().unwrap();
+        let before = s.checkpoint();
+        let mut ck = before.clone();
+        ck.levels[0].values.pop();
+        let err = s.restore_checkpoint(&ck).unwrap_err();
+        assert!(err.contains("history"), "{err}");
+        assert_eq!(
+            s.checkpoint(),
+            before,
+            "a rejected restore leaves the solver as it was"
+        );
     }
 
     #[test]

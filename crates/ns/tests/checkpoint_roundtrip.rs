@@ -135,7 +135,7 @@ fn file_round_trip_preserves_every_field() {
         s.step().unwrap();
     }
     let ck = s.checkpoint();
-    assert!(!ck.vel_hist.is_empty(), "history must be exercised");
+    assert!(!ck.levels.is_empty(), "history must be exercised");
     assert!(!ck.projection.is_empty(), "projection basis must be exercised");
     ck.save(&path).unwrap();
     let loaded = Checkpoint::load(&path).unwrap();

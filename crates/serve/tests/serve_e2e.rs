@@ -199,9 +199,22 @@ fn protocol_basics_and_drain_request_exits_clean() {
 
 #[test]
 fn overload_is_a_structured_rejection_and_backoff_eventually_admits() {
+    // Every job's wall budget: a long job ends through a checkpoint
+    // (terminal `failed`) after at most this long, whatever the host's
+    // step rate, so the queue opens within a known bound.
+    const JOB_SECS: u64 = 5;
     let mut d = Daemon::start(
         "overload",
-        &["--workers", "2", "--queue", "2", "--retries", "0"],
+        &[
+            "--workers",
+            "2",
+            "--queue",
+            "2",
+            "--retries",
+            "0",
+            "--job-secs",
+            &JOB_SECS.to_string(),
+        ],
     );
     let mut c = d.connect();
     // Two long jobs occupy both workers...
@@ -236,9 +249,12 @@ fn overload_is_a_structured_rejection_and_backoff_eventually_admits() {
     let kv = c.stats().unwrap();
     assert!(stat_u64(&kv, "rejected") >= 1);
     // Honoring the hint with jittered backoff eventually admits: the
-    // long jobs finish, the queue opens.
+    // long jobs finish or exhaust their budget, the queue opens. Every
+    // attempt waits at least the 25 ms minimum hint, so this many
+    // attempts outlast four job budgets.
+    let attempts = (4 * JOB_SECS * 1000 / 25) as u32;
     let id = match c
-        .submit_with_backoff(&spec("steps=4 name=patient"), 200, 42)
+        .submit_with_backoff(&spec("steps=4 name=patient"), attempts, 42)
         .unwrap()
     {
         Ok(id) => id,

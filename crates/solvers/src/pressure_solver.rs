@@ -88,14 +88,11 @@ impl PressureSolver {
         self.projection.clear();
     }
 
-    /// Clone of the projection history (step snapshot / checkpoint).
-    pub fn projection_snapshot(&self) -> RhsProjection {
-        self.projection.clone()
-    }
-
-    /// Replace the projection history (rollback restore).
-    pub fn restore_projection(&mut self, projection: RhsProjection) {
-        self.projection = projection;
+    /// Replace the projection basis with stored `(x, E x)` pairs
+    /// (checkpoint restore and step rollback; see
+    /// [`RhsProjection::restore`]).
+    pub fn restore_projection(&mut self, basis: &[(Vec<f64>, Vec<f64>)]) {
+        self.projection.restore(basis);
     }
 
     /// Read access to the projection history.

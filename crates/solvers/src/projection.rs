@@ -145,15 +145,17 @@ impl RhsProjection {
         &self.basis
     }
 
-    /// Append a basis pair verbatim, skipping orthonormalization — for
-    /// checkpoint restore only, where the pair was stored from an
-    /// already-orthonormal basis. Panics on length mismatch or capacity
-    /// overflow.
-    pub fn push_raw(&mut self, x: Vec<f64>, ex: Vec<f64>) {
-        assert_eq!(x.len(), self.n, "push_raw: x length");
-        assert_eq!(ex.len(), self.n, "push_raw: ex length");
-        assert!(self.basis.len() < self.lmax, "push_raw: capacity");
-        self.basis.push((x, ex));
+    /// Replace the basis with stored pairs verbatim, skipping
+    /// orthonormalization — for checkpoint restore and step rollback,
+    /// where the pairs come from an already-orthonormal basis. Panics on
+    /// length mismatch or capacity overflow.
+    pub fn restore(&mut self, basis: &[(Vec<f64>, Vec<f64>)]) {
+        assert!(basis.len() <= self.lmax, "restore: capacity");
+        for (x, ex) in basis {
+            assert_eq!(x.len(), self.n, "restore: x length");
+            assert_eq!(ex.len(), self.n, "restore: ex length");
+        }
+        self.basis = basis.to_vec();
     }
 
     /// Fault-injection hook

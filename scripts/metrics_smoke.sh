@@ -14,6 +14,10 @@
 # a Chrome trace export (TERASEM_TRACE=<path>), replay the file through
 # sem-report, and assert its per-phase/per-step tables are non-empty and
 # the trace export is valid JSON.
+#
+# Stage 3: an experiment binary that is not a smoke mode honours
+# TERASEM_METRICS too — fig4_projection (quick scale: two 60-step runs)
+# writes exactly one step record per step to the file sink.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,10 +26,11 @@ OUT=$(mktemp)
 SINKFILE=$(mktemp)
 TRACEFILE=$(mktemp)
 REPORT=$(mktemp)
-trap 'rm -f "$OUT" "$SINKFILE" "$TRACEFILE" "$REPORT"' EXIT
+FIG4SINK=$(mktemp)
+trap 'rm -f "$OUT" "$SINKFILE" "$TRACEFILE" "$REPORT" "$FIG4SINK"' EXIT
 
 cargo build -q --release --offline -p sem-bench \
-    --bin fig3_shear_layer --bin sem-report
+    --bin fig3_shear_layer --bin fig4_projection --bin sem-report
 FIG3=target/release/fig3_shear_layer
 SEMREPORT=target/release/sem-report
 
@@ -166,4 +171,28 @@ EOF
 fi
 rm -f "$REPORT.chrome"
 
-echo "metrics_smoke: OK (stdout sink, file sink, sem-report, chrome export)"
+# ---- stage 3: TERASEM_METRICS in a full experiment binary --------------
+FIG4_RUNS=2
+FIG4_STEPS=60
+TERASEM_METRICS=1 TERASEM_METRICS_SINK="file:$FIG4SINK" \
+    target/release/fig4_projection >/dev/null 2>&1
+FIG4LINES=$(grep -c '"type":"terasem.step"' "$FIG4SINK" || true)
+if [ "$FIG4LINES" -ne $((FIG4_RUNS * FIG4_STEPS)) ]; then
+    echo "metrics_smoke: FAIL — fig4_projection wrote $FIG4LINES step records," \
+        "want $((FIG4_RUNS * FIG4_STEPS))" >&2
+    exit 1
+fi
+if command -v python3 >/dev/null 2>&1; then
+    python3 - "$FIG4SINK" "$FIG4_RUNS" "$FIG4_STEPS" <<'EOF'
+import json, sys
+path, runs, steps = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+records = [json.loads(l) for l in open(path)]
+records = [r for r in records if r.get("type") == "terasem.step"]
+got = [r["step"] for r in records]
+want = list(range(1, steps + 1)) * runs
+assert got == want, f"fig4 step sequence {got[:5]}... is not one record per step"
+print(f"metrics_smoke: fig4_projection wrote one step record per step ({len(got)})")
+EOF
+fi
+
+echo "metrics_smoke: OK (stdout sink, file sink, sem-report, chrome export, fig4 records)"
