@@ -1,6 +1,9 @@
 //! Microbench of the matrix-free operator evaluations (§3): the
 //! deformed-element Laplacian (Eq. 4 — `12N⁴ + 15N³` work per element),
-//! the Helmholtz operator, and the consistent Poisson operator `E`.
+//! the Helmholtz operator, the consistent Poisson operator `E`, and the
+//! convection operator — whole (`convect`) and its per-field kernel
+//! against a precomputed contravariant velocity
+//! (`convect_contravariant`, what each OIFS stage applies).
 //! Runs on the in-repo harness ([`sem_bench::timing`]).
 //!
 //! Each operator is measured under both operator backends — `scalar`
@@ -14,6 +17,7 @@ use sem_bench::snapshot::Snapshot;
 use sem_bench::timing::BenchGroup;
 use sem_linalg::backend::{set_backend, Backend};
 use sem_mesh::generators::{box2d, box3d};
+use sem_ops::convect::{contravariant, convect, convect_contravariant};
 use sem_ops::laplace::{helmholtz_local, stiffness_flops_per_elem, stiffness_local};
 use sem_ops::pressure::EOperator;
 use sem_ops::SemOps;
@@ -60,9 +64,32 @@ fn main() {
                 std::hint::black_box(&mut ep);
             });
             medians.push(("consistent_poisson_e", bname, s.median));
+            let c: Vec<Vec<f64>> = (0..ops.geo.dim)
+                .map(|d| (0..n).map(|i| (i as f64 * 0.07 + d as f64).cos()).collect())
+                .collect();
+            let refs: Vec<&[f64]> = c.iter().map(Vec::as_slice).collect();
+            let mut work = vec![vec![0.0; n]; ops.geo.dim];
+            let s = group.bench("convect", || {
+                convect(ops, &refs, &u, &mut out, &mut work);
+                std::hint::black_box(&mut out);
+            });
+            medians.push(("convect", bname, s.median));
+            work.clone_from(&c);
+            contravariant(ops, &mut work);
+            let s = group.bench("convect_contravariant", || {
+                convect_contravariant(ops, &work, &u, &mut out);
+                std::hint::black_box(&mut out);
+            });
+            medians.push(("convect_contravariant", bname, s.median));
         }
         set_backend(Backend::Auto);
-        for op in ["stiffness", "helmholtz", "consistent_poisson_e"] {
+        for op in [
+            "stiffness",
+            "helmholtz",
+            "consistent_poisson_e",
+            "convect",
+            "convect_contravariant",
+        ] {
             let get = |bname: &str| {
                 medians
                     .iter()
@@ -74,7 +101,7 @@ fn main() {
             let e = snap.entry(&format!("{label}/{op}"));
             e.num("std_median_s", std_s).num("perf_median_s", perf_s);
             e.num("speedup", std_s / perf_s);
-            if op != "consistent_poisson_e" {
+            if op == "stiffness" || op == "helmholtz" {
                 e.num("std_gflops", flops as f64 / std_s / 1e9);
                 e.num("perf_gflops", flops as f64 / perf_s / 1e9);
             }

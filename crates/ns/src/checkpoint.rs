@@ -62,9 +62,9 @@ pub struct Level {
     pub time: f64,
     /// Every transported field's values at `time`.
     pub values: Vec<Vec<f64>>,
-    /// `(u·∇)φ` at `time`, per field: empty for a field whose scheme
-    /// does not extrapolate its convection (velocity under OIFS or
-    /// none). A field's convective levels are a prefix of the ring.
+    /// `(u·∇)φ` at `time`, per field: stored under EXT only, empty under
+    /// OIFS or no convection. A field's convective levels are a prefix of
+    /// the ring.
     pub conv: Vec<Vec<f64>>,
 }
 

@@ -6,14 +6,18 @@ use sem_solvers::schwarz::SchwarzConfig;
 /// Treatment of the convective term (§4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConvectionScheme {
-    /// No convection (Stokes flow) — for verification problems.
+    /// No convection of any field (Stokes flow) — for verification
+    /// problems.
     None,
-    /// Explicit extrapolation (EXTk matching the BDF order): standard,
-    /// CFL-limited to ≲ 0.5–0.7.
+    /// Explicit extrapolation (EXTk matching the BDF order) of every
+    /// transported field's convection: standard, CFL-limited to
+    /// ≲ 0.5–0.7.
     Ext,
-    /// Operator-integration-factor splitting: the BDF history fields are
-    /// advected to the current time level by `substeps` RK4 stages per
-    /// Δt, permitting convective CFL of 1–5.
+    /// Operator-integration-factor splitting: the BDF history levels of
+    /// every transported field — velocity, temperature and species — are
+    /// advected to the new time level along the characteristics by one
+    /// nested sweep with `substeps` RK4 steps per Δt, permitting
+    /// convective CFL of 1–5.
     Oifs {
         /// RK4 substeps per Δt of characteristic subintegration.
         substeps: usize,

@@ -2,40 +2,53 @@
 //!
 //! The OIFS (operator-integration-factor splitting / characteristics)
 //! scheme of §4 expresses the convective term as a material derivative:
-//! each BDF history field `u^{n−j}` is replaced by `ũ^{n−j}`, the
-//! solution at `tⁿ` of the pure advection problem
+//! each BDF history field `φ^{n+1−j}` is replaced by `φ̃^{n+1−j}`, the
+//! solution at `t^{n+1}` of the pure advection problem
 //!
-//! `∂ũ/∂s = −(w(s)·∇) ũ,   ũ(t^{n−j}) = u^{n−j}`
+//! `∂φ̃/∂s = −(w(s)·∇) φ̃,   φ̃(t^{n+1−j}) = φ^{n+1−j}`
 //!
-//! where `w(s)` is the (extrapolated/interpolated) velocity field at time
-//! `s`. Subintegration uses RK4 with a substep chosen so its *advective*
-//! CFL stays small even when the overall Δt corresponds to CFL 1–5 —
-//! "significantly reducing the number of (expensive) Stokes solves".
+//! where `w(s)` is the velocity interpolated (or extrapolated) in time
+//! from the ring's levels. Subintegration uses RK4 with a substep chosen
+//! so its *advective* CFL stays small even when the overall Δt
+//! corresponds to CFL 1–5 — "significantly reducing the number of
+//! (expensive) Stokes solves".
+//!
+//! The BDF right-hand side needs only the weighted sum
+//! `Σ_j b_j S(t^{n+1}←t^{n+1−j}) φ^{n+1−j}`, and the advection operator
+//! `S` is linear in the advected field, so [`oifs_sweep`] builds the sum
+//! in Horner form with one nested sweep: start from `b_k φ^{n+1−k}`,
+//! advect it one Δt, add `b_{k−1} φ^{n+2−k}`, and so on up to `t^{n+1}`.
+//! Each field is subintegrated over `kΔt` rather than `k(k+1)/2·Δt`, on
+//! the same substep grid. Every OIFS-transported field — the velocity
+//! components, the temperature and the species — advances together in
+//! each RK4 stage, so the advecting velocity is interpolated and put in
+//! contravariant form once per distinct stage time.
 
 use crate::checkpoint::Level;
 use crate::config::ext_coeffs;
-use sem_ops::convect::convect;
+use sem_ops::convect::{contravariant, convect_contravariant};
 use sem_ops::SemOps;
 
-/// Reusable OIFS scratch storage.
+/// Reusable OIFS sweep storage, sized by the first sweep (a solver that
+/// never runs OIFS allocates none).
+#[derive(Default)]
 pub struct OifsScratch {
-    k: [Vec<f64>; 4],
-    tmp: Vec<f64>,
-    wvel: Vec<Vec<f64>>,
-    grad: Vec<Vec<f64>>,
+    /// Per swept field: the RK stage argument.
+    stage: Vec<Vec<f64>>,
+    /// Per swept field: the substep's accumulated update.
+    acc: Vec<Vec<f64>>,
+    /// The advecting velocity at the current stage time, in
+    /// contravariant form.
+    cc: Vec<Vec<f64>>,
+    /// One field's rate at one stage.
+    rate: Vec<f64>,
 }
 
-impl OifsScratch {
-    /// Allocate for a discretization.
-    pub fn new(ops: &SemOps) -> Self {
-        let n = ops.n_velocity();
-        let dim = ops.geo.dim;
-        OifsScratch {
-            k: [vec![0.0; n], vec![0.0; n], vec![0.0; n], vec![0.0; n]],
-            tmp: vec![0.0; n],
-            wvel: vec![vec![0.0; n]; dim],
-            grad: vec![vec![0.0; n]; dim],
-        }
+/// Make `bufs` hold `count` vectors of length `n`.
+fn fit(bufs: &mut Vec<Vec<f64>>, count: usize, n: usize) {
+    bufs.resize_with(count, Vec::new);
+    for b in bufs.iter_mut() {
+        b.resize(n, 0.0);
     }
 }
 
@@ -63,60 +76,112 @@ fn interp_velocity(levels: &[Level], s: f64, out: &mut [Vec<f64>]) {
     }
 }
 
-/// One advection rate evaluation: `rate = −(w(at)·∇)u`, averaged across
-/// shared nodes to stay in the C⁰ space.
-fn advection_rate(
-    ops: &SemOps,
-    u: &[f64],
-    at: f64,
-    levels: &[Level],
-    rate: &mut Vec<f64>,
-    wvel: &mut [Vec<f64>],
-    grad: &mut [Vec<f64>],
-) {
-    interp_velocity(levels, at, wvel);
-    let refs: Vec<&[f64]> = wvel.iter().map(|c| c.as_slice()).collect();
-    convect(ops, &refs, u, rate, grad);
-    for v in rate.iter_mut() {
-        *v = -*v;
-    }
-    ops.gs.gs_avg(rate);
+/// The advecting velocity at time `s`, in contravariant form.
+fn advecting_field(ops: &SemOps, levels: &[Level], s: f64, cc: &mut [Vec<f64>]) {
+    interp_velocity(levels, s, cc);
+    contravariant(ops, cc);
 }
 
-/// Advect `field` from `t0` to `t1` by RK4 subintegration with `steps`
-/// stages; the advecting velocity is interpolated in time from the
-/// ring's `levels`.
-pub fn advect_field(
+/// `out = (w·∇)φ` for the advecting field `cc`, averaged across shared
+/// nodes to stay in the C⁰ space (the RK rate is its negative).
+fn rate(ops: &SemOps, cc: &[Vec<f64>], phi: &[f64], out: &mut [f64]) {
+    convect_contravariant(ops, cc, phi, out);
+    ops.gs.gs_avg(out);
+}
+
+/// The OIFS history sum of every field in the ring: on return
+/// `out[f] = Σ_j coeffs[j]·S(t_new←levels[j].time) levels[j].values[f]`,
+/// where `S` advects along the velocity interpolated from all `levels`
+/// (newest first; the velocity is their first fields).
+///
+/// One nested sweep builds the sum in Horner form from the oldest
+/// weighted level up to `t_new`, adding each level's term as it passes
+/// the level's time; each interval between consecutive times gets
+/// `substeps` classical RK4 steps. All fields advance together, so the
+/// velocity is interpolated once per distinct stage time:
+/// `1 + 2·substeps·coeffs.len()` times per sweep.
+///
+/// # Panics
+/// Panics without coefficients, with more coefficients than levels, on
+/// zero `substeps`, or when `out` does not hold one vector per field.
+pub fn oifs_sweep(
     ops: &SemOps,
-    field: &mut [f64],
-    t0: f64,
-    t1: f64,
     levels: &[Level],
-    steps: usize,
+    coeffs: &[f64],
+    t_new: f64,
+    substeps: usize,
     scratch: &mut OifsScratch,
+    out: &mut [Vec<f64>],
 ) {
-    assert!(steps >= 1, "need at least one RK substep");
-    let n = field.len();
-    let h = (t1 - t0) / steps as f64;
-    let OifsScratch { k, tmp, wvel, grad } = scratch;
-    let [k1, k2, k3, k4] = k;
-    for step in 0..steps {
-        let s = t0 + h * step as f64;
-        advection_rate(ops, field, s, levels, k1, wvel, grad);
-        for i in 0..n {
-            tmp[i] = field[i] + 0.5 * h * k1[i];
+    let m = coeffs.len();
+    assert!(
+        (1..=levels.len()).contains(&m),
+        "need 1..=levels coefficients"
+    );
+    assert!(substeps >= 1, "need at least one RK substep");
+    assert_eq!(out.len(), levels[0].values.len(), "one output per field");
+    let n = ops.n_velocity();
+    let OifsScratch {
+        stage,
+        acc,
+        cc,
+        rate: k,
+    } = scratch;
+    fit(stage, out.len(), n);
+    fit(acc, out.len(), n);
+    fit(cc, ops.geo.dim, n);
+    k.resize(n, 0.0);
+    for (o, phi) in out.iter_mut().zip(&levels[m - 1].values) {
+        o.clear();
+        o.extend(phi.iter().map(|&v| coeffs[m - 1] * v));
+    }
+    advecting_field(ops, levels, levels[m - 1].time, cc);
+    for j in (0..m).rev() {
+        let t0 = levels[j].time;
+        let t1 = if j == 0 { t_new } else { levels[j - 1].time };
+        let h = (t1 - t0) / substeps as f64;
+        for step in 0..substeps {
+            let s = t0 + h * step as f64;
+            let s1 = if step + 1 == substeps {
+                t1
+            } else {
+                t0 + h * (step + 1) as f64
+            };
+            // `cc` holds the advecting field at `s`.
+            for ((u, a), t) in out.iter().zip(acc.iter_mut()).zip(stage.iter_mut()) {
+                rate(ops, cc, u, k);
+                for i in 0..n {
+                    a[i] = u[i] - h / 6.0 * k[i];
+                    t[i] = u[i] - 0.5 * h * k[i];
+                }
+            }
+            advecting_field(ops, levels, s + 0.5 * h, cc);
+            for ((u, a), t) in out.iter().zip(acc.iter_mut()).zip(stage.iter_mut()) {
+                rate(ops, cc, t, k);
+                for i in 0..n {
+                    a[i] -= h / 3.0 * k[i];
+                    t[i] = u[i] - 0.5 * h * k[i];
+                }
+                rate(ops, cc, t, k);
+                for i in 0..n {
+                    a[i] -= h / 3.0 * k[i];
+                    t[i] = u[i] - h * k[i];
+                }
+            }
+            advecting_field(ops, levels, s1, cc);
+            for ((u, a), t) in out.iter_mut().zip(acc.iter()).zip(stage.iter()) {
+                rate(ops, cc, t, k);
+                for i in 0..n {
+                    u[i] = a[i] - h / 6.0 * k[i];
+                }
+            }
         }
-        advection_rate(ops, tmp, s + 0.5 * h, levels, k2, wvel, grad);
-        for i in 0..n {
-            tmp[i] = field[i] + 0.5 * h * k2[i];
-        }
-        advection_rate(ops, tmp, s + 0.5 * h, levels, k3, wvel, grad);
-        for i in 0..n {
-            tmp[i] = field[i] + h * k3[i];
-        }
-        advection_rate(ops, tmp, s + h, levels, k4, wvel, grad);
-        for i in 0..n {
-            field[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+        if j > 0 {
+            for (o, phi) in out.iter_mut().zip(&levels[j - 1].values) {
+                for (ov, &v) in o.iter_mut().zip(phi) {
+                    *ov += coeffs[j - 1] * v;
+                }
+            }
         }
     }
 }
@@ -169,15 +234,31 @@ mod tests {
         }
     }
 
+    /// Sweep the fields of `levels` (velocity first) to `t_new`.
+    fn sweep(
+        ops: &SemOps,
+        levels: &[Level],
+        coeffs: &[f64],
+        t_new: f64,
+        substeps: usize,
+    ) -> Vec<Vec<f64>> {
+        let mut out = vec![Vec::new(); levels[0].values.len()];
+        let mut scratch = OifsScratch::default();
+        oifs_sweep(ops, levels, coeffs, t_new, substeps, &mut scratch, &mut out);
+        out
+    }
+
     #[test]
     fn advection_of_constant_is_invariant() {
         let ops = ops_periodic(2, 5);
         let n = ops.n_velocity();
-        let vel = [level(0.0, vec![vec![0.7; n], vec![-0.3; n]], vec![])];
-        let mut field = vec![2.5; n];
-        let mut scratch = OifsScratch::new(&ops);
-        advect_field(&ops, &mut field, 0.0, 0.1, &vel, 4, &mut scratch);
-        for &v in &field {
+        let vel = [level(
+            0.0,
+            vec![vec![0.7; n], vec![-0.3; n], vec![2.5; n]],
+            vec![],
+        )];
+        let field = &sweep(&ops, &vel, &[1.0], 0.1, 4)[2];
+        for &v in field {
             assert!((v - 2.5).abs() < 1e-12);
         }
     }
@@ -189,11 +270,10 @@ mod tests {
         let ops = ops_periodic(4, 8);
         let n = ops.n_velocity();
         let two_pi = 2.0 * std::f64::consts::PI;
-        let mut field = eval_on_nodes(&ops, |x, _, _| (two_pi * x).sin());
-        let vel = [level(0.0, vec![vec![1.0; n], vec![0.0; n]], vec![])];
+        let field = eval_on_nodes(&ops, |x, _, _| (two_pi * x).sin());
+        let vel = [level(0.0, vec![vec![1.0; n], vec![0.0; n], field], vec![])];
         let t = 0.25;
-        let mut scratch = OifsScratch::new(&ops);
-        advect_field(&ops, &mut field, 0.0, t, &vel, 40, &mut scratch);
+        let field = &sweep(&ops, &vel, &[1.0], t, 40)[2];
         let want = eval_on_nodes(&ops, |x, _, _| (two_pi * (x - t)).sin());
         let err = field
             .iter()
@@ -209,14 +289,13 @@ mod tests {
         let ops = ops_periodic(3, 7);
         let n = ops.n_velocity();
         let two_pi = 2.0 * std::f64::consts::PI;
-        let vel = [level(0.0, vec![vec![1.0; n], vec![0.0; n]], vec![])];
+        let field = eval_on_nodes(&ops, |x, _, _| (two_pi * x).sin());
+        let vel = [level(0.0, vec![vec![1.0; n], vec![0.0; n], field], vec![])];
         let t = 0.2;
         let want = eval_on_nodes(&ops, |x, _, _| (two_pi * (x - t)).sin());
         let mut errs = Vec::new();
         for steps in [5, 10, 20] {
-            let mut field = eval_on_nodes(&ops, |x, _, _| (two_pi * x).sin());
-            let mut scratch = OifsScratch::new(&ops);
-            advect_field(&ops, &mut field, 0.0, t, &vel, steps, &mut scratch);
+            let field = &sweep(&ops, &vel, &[1.0], t, steps)[2];
             let err = field
                 .iter()
                 .zip(want.iter())
@@ -225,6 +304,79 @@ mod tests {
             errs.push(err);
         }
         assert!(errs[1] < errs[0] && errs[2] < errs[1], "{errs:?}");
+    }
+
+    /// `k` uniformly spaced levels (newest first, Δt = 0.05) of a
+    /// time-varying velocity and one scalar.
+    fn moving_levels(ops: &SemOps, k: usize) -> Vec<Level> {
+        let two_pi = 2.0 * std::f64::consts::PI;
+        (0..k)
+            .map(|j| {
+                let a = 1.0 + 0.3 * j as f64;
+                let values = vec![
+                    eval_on_nodes(ops, |_, y, _| a * (two_pi * y).sin() + 0.5),
+                    eval_on_nodes(ops, |x, _, _| (2.0 - a) * (two_pi * x).cos()),
+                    eval_on_nodes(ops, |x, y, _| {
+                        (two_pi * (x + 0.1 * j as f64)).sin() * (two_pi * y).cos()
+                    }),
+                ];
+                level(1.0 - 0.05 * j as f64, values, vec![])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn nested_sweep_equals_the_weighted_single_level_sweeps() {
+        let ops = ops_periodic(3, 6);
+        for k in [2, 3] {
+            let levels = moving_levels(&ops, k);
+            let b = crate::config::bdf_coeffs(k).1;
+            let t_new = 1.05;
+            let nested = sweep(&ops, &levels, &b, t_new, 3);
+            // Level j alone: coefficient 1 on it, 0 on the newer levels.
+            let mut summed = vec![vec![0.0; ops.n_velocity()]; 3];
+            for (j, bj) in b.iter().enumerate() {
+                let mut unit = vec![0.0; j + 1];
+                unit[j] = 1.0;
+                let single = sweep(&ops, &levels, &unit, t_new, 3);
+                for (s, f) in summed.iter_mut().zip(&single) {
+                    for (sv, &v) in s.iter_mut().zip(f) {
+                        *sv += bj * v;
+                    }
+                }
+            }
+            for (f, (a, b)) in nested.iter().zip(&summed).enumerate() {
+                let scale = a.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+                let diff = a
+                    .iter()
+                    .zip(b)
+                    .fold(0.0_f64, |m, (x, y)| m.max((x - y).abs()));
+                assert!(
+                    diff <= 1e-12 * scale,
+                    "BDF{k} field {f}: {diff:e} of {scale:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_evaluates_the_velocity_once_per_stage_time() {
+        // SemOps flops = velocity evaluations × `contravariant` + field
+        // stages × `convect_contravariant`: BDF2 with 4 substeps makes
+        // 1 + 2·4·2 = 17 evaluations and 4·4·2 stages per field.
+        let ops = ops_periodic(2, 4);
+        let levels = moving_levels(&ops, 2);
+        let b = crate::config::bdf_coeffs(2).1;
+        let n = ops.n_velocity() as u64;
+        let k = ops.k() as u64;
+        let per_eval = 2 * 3 * n;
+        let per_stage = k * sem_ops::convect::ref_derivative_flops_per_elem(2, 4) + 3 * n;
+        let before = ops.flops_so_far();
+        sweep(&ops, &levels, &b, 1.05, 4);
+        assert_eq!(
+            ops.flops_so_far() - before,
+            17 * per_eval + 3 * 32 * per_stage
+        );
     }
 
     #[test]

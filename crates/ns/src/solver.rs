@@ -3,29 +3,30 @@
 //!
 //! Every transported field — the velocity components, the Boussinesq
 //! temperature and each passive species — keeps its past values in one
-//! ring of time levels ([`Level`]; an EXT-convected field also keeps its
-//! past `(u·∇)φ` there), and every field advances through one transport
-//! routine: explicit BDF/EXT right-hand side, Dirichlet lift, a
-//! Jacobi-PCG Helmholtz solve `H = κA + (β₀/Δt)B` (one cached solver per
-//! diffusivity κ), unlift, filter. Each step performs, in order:
+//! ring of time levels ([`Level`]; under EXT every field also keeps its
+//! past `(u·∇)φ` there), every field is convected by the scheme
+//! `cfg.convection` names, and every field advances through one
+//! transport routine: explicit BDF/EXT right-hand side, Dirichlet lift,
+//! a Jacobi-PCG Helmholtz solve `H = κA + (β₀/Δt)B` (one cached solver
+//! per diffusivity κ), unlift, filter. Each step performs, in order:
 //!
 //! 1. the ring push: the current fields become the newest level;
-//! 2. the velocity right-hand side — BDF history terms (advected to `tⁿ`
-//!    by characteristics when OIFS is active), extrapolated convection
-//!    (EXT mode), forcing, Boussinesq buoyancy, and the previous pressure
-//!    gradient (incremental form) — and one Helmholtz solve per
-//!    component;
-//! 3. the pressure-increment solve `E δp = −(β₀/Δt) D u*` through the
+//! 2. the BDF history terms of every field — under OIFS advected to
+//!    `t^{n+1}` by characteristics in one nested sweep over all fields
+//!    ([`crate::convection::oifs_sweep`]), under EXT plus the
+//!    extrapolated convection;
+//! 3. the velocity's own terms — forcing, Boussinesq buoyancy, and the
+//!    previous pressure gradient (incremental form) — and one Helmholtz
+//!    solve per component;
+//! 4. the pressure-increment solve `E δp = −(β₀/Δt) D u*` through the
 //!    projection + Schwarz-PCG pressure solver, followed by the velocity
 //!    correction `uⁿ = u* + (Δt/β₀) B̄⁻¹ Dᵀ δp`;
-//! 4. the velocity filter;
-//! 5. the temperature, then each species, through the same routine.
+//! 5. the velocity filter;
+//! 6. the temperature, then each species, through the same routine.
 //!
-//! The temperature and the species are EXT-convected whatever
-//! `cfg.convection` says, so under OIFS they stay CFL-limited: above a
-//! convective CFL of about 1 a transported scalar can blow up while the
-//! OIFS velocity stays bounded (advecting the scalars along
-//! characteristics too is open work).
+//! Under OIFS the temperature and the species ride the velocity's
+//! characteristics, so they stay stable at the convective CFL of 1–5
+//! the velocity is run at.
 //!
 //! The guarded step's rollback snapshot is the [`Checkpoint`] value the
 //! run supervisor writes: [`NsSolver::checkpoint`] is the one capture,
@@ -34,13 +35,13 @@
 
 use crate::checkpoint::{Checkpoint, Level, Slot, Species};
 use crate::config::{bdf_coeffs, ext_coeffs, Boussinesq, ConvectionScheme, NsConfig};
-use crate::convection::{advect_field, ext_convection, OifsScratch};
+use crate::convection::{ext_convection, oifs_sweep, OifsScratch};
 use crate::diagnostics::{cfl, field_health, kinetic_energy, HealthViolation, StepStats};
 use crate::fault::{FaultKind, FieldTarget};
 use crate::recovery::{RecoveryAttempt, RecoveryStage, SolveKind, StepError, StepFailure};
 use sem_obs::fault::{self as obs_fault, FaultSite};
 use sem_obs::Phase;
-use sem_ops::convect::convect;
+use sem_ops::convect::{contravariant, convect_contravariant};
 use sem_ops::filter::ElementFilter;
 use sem_ops::laplace::helmholtz_local;
 use sem_ops::pressure::{divergence, gradient_weak};
@@ -158,7 +159,6 @@ impl NsSolver {
             PressureSolver::with_schwarz(&ops, cfg.schwarz, cfg.pressure_lmax, cfg.pressure_cg);
         let filter = (cfg.filter_alpha > 0.0).then(|| ElementFilter::new(&ops, cfg.filter_alpha));
         let temp = cfg.boussinesq.map(|_| vec![0.0; n]);
-        let oifs_scratch = OifsScratch::new(&ops);
         NsSolver {
             vel: vec![vec![0.0; n]; dim],
             pressure: vec![0.0; np],
@@ -174,7 +174,7 @@ impl NsSolver {
             force: None,
             temp_bc: None,
             scalar_bc: Vec::new(),
-            oifs_scratch,
+            oifs_scratch: OifsScratch::default(),
             dt_restore: None,
             ops,
             cfg,
@@ -310,10 +310,12 @@ impl NsSolver {
         // first step runs BDF1, the second BDF2, ….
         let k = self.cfg.torder.min(self.ring.len()).max(1);
         let cfl_now = cfl(&self.ops, &self.vel, self.cfg.dt);
-        let (helm_iters, pstats) = self.transport(0..dim, k, t_new, &mut failure);
+        let mut rhs = self.history_rhs(k, t_new);
+        let scalars = rhs.split_off(dim);
+        let (helm_iters, pstats) = self.transport(0..dim, rhs, k, t_new, &mut failure);
         let mut temp_iters = 0;
-        for f in dim..self.fields().count() {
-            temp_iters += self.transport(f..f + 1, k, t_new, &mut failure).0[0];
+        for (f, r) in (dim..).zip(scalars) {
+            temp_iters += self.transport(f..f + 1, vec![r], k, t_new, &mut failure).0[0];
         }
         let pstats = pstats.expect("the velocity transport runs the pressure correction");
         self.time = t_new;
@@ -334,13 +336,12 @@ impl NsSolver {
     }
 
     /// Push the current fields as the ring's newest level (recycling the
-    /// oldest level's buffers once the ring is `torder` deep), with
-    /// `(u·∇)φ` of every EXT-convected field: the velocity under EXT,
-    /// the temperature and the species always. Other fields store no
-    /// convective history.
+    /// oldest level's buffers once the ring is `torder` deep). Under EXT
+    /// every field stores its `(u·∇)φ`, from one contravariant velocity;
+    /// under any other scheme no field keeps convective history, stale
+    /// entries of older levels included.
     fn push_level(&mut self) {
         let n = self.ops.n_velocity();
-        let dim = self.vel.len();
         let depth = self.cfg.torder;
         let mut level = if self.ring.len() >= depth {
             self.ring.pop().unwrap_or_default()
@@ -354,44 +355,50 @@ impl NsSolver {
         for (values, phi) in level.values.iter_mut().zip(&fields) {
             values.clone_from(phi);
         }
-        let ext_vel = matches!(self.cfg.convection, ConvectionScheme::Ext);
-        let refs: Vec<&[f64]> = self.vel.iter().map(Vec::as_slice).collect();
-        let mut grad = vec![vec![0.0; n]; dim];
-        // The Convection span times the velocity's convection; the
-        // scalars' convection is step self-time.
-        let mut conv_span = ext_vel.then(|| sem_obs::span(Phase::Convection));
-        for (f, (conv, phi)) in level.conv.iter_mut().zip(fields).enumerate() {
-            conv_span = conv_span.filter(|_| f < dim);
-            if ext_vel || f >= dim {
+        if matches!(self.cfg.convection, ConvectionScheme::Ext) {
+            let dim = self.vel.len();
+            // The Convection span times the velocity's convection; the
+            // scalars' convection is step self-time.
+            let mut conv_span = Some(sem_obs::span(Phase::Convection));
+            let mut cc = self.vel.clone();
+            contravariant(&self.ops, &mut cc);
+            for (f, (conv, phi)) in level.conv.iter_mut().zip(fields).enumerate() {
+                conv_span = conv_span.filter(|_| f < dim);
                 conv.resize(n, 0.0);
-                convect(&self.ops, &refs, phi, conv, &mut grad);
-            } else {
+                convect_contravariant(&self.ops, &cc, phi, conv);
+            }
+        } else {
+            for conv in self
+                .ring
+                .iter_mut()
+                .chain([&mut level])
+                .flat_map(|l| &mut l.conv)
+            {
                 *conv = Vec::new();
             }
         }
-        drop(conv_span);
         self.ring.insert(0, level);
         self.ring.truncate(depth);
     }
 
     /// Advance the fields `fs` (the velocity components, or one scalar)
-    /// one step: explicit BDF/EXT right-hand side → Dirichlet lift →
-    /// Helmholtz solve → unlift → filter. The velocity adds its forcing,
-    /// buoyancy and pressure-gradient terms before the solves and runs
-    /// the pressure correction between its solves and its filter. The
-    /// first breakdown is recorded in `failure`. Returns the Helmholtz
-    /// iterations per field, and the pressure statistics for the
-    /// velocity.
+    /// one step from their explicit history right-hand side `rhs`:
+    /// Dirichlet lift → Helmholtz solve → unlift → filter. The velocity
+    /// adds its forcing, buoyancy and pressure-gradient terms before the
+    /// solves and runs the pressure correction between its solves and
+    /// its filter. The first breakdown is recorded in `failure`. Returns
+    /// the Helmholtz iterations per field, and the pressure statistics
+    /// for the velocity.
     fn transport(
         &mut self,
         fs: Range<usize>,
+        mut rhs: Vec<Vec<f64>>,
         k: usize,
         t_new: f64,
         failure: &mut Option<StepFailure>,
     ) -> (Vec<usize>, Option<PressureSolveStats>) {
         let velocity = fs.start == 0;
         let h2 = bdf_coeffs(k).0 / self.cfg.dt;
-        let mut rhs = self.history_rhs(fs.clone(), k, t_new);
         if velocity {
             self.momentum_terms(&mut rhs, k, t_new);
         }
@@ -426,52 +433,45 @@ impl NsSolver {
         (iters, pstats)
     }
 
-    /// Explicit BDF/EXT right-hand side of the fields `fs` from the
-    /// ring: `Σ_j (b_j/Δt) B φ^{n−j}` — the velocity levels advected to
-    /// `t_new` along characteristics under OIFS — plus
-    /// `B · EXTk[−(u·∇)φ]` for an EXT-convected field.
-    fn history_rhs(&mut self, fs: Range<usize>, k: usize, t_new: f64) -> Vec<Vec<f64>> {
+    /// Explicit BDF/EXT right-hand side of every transported field from
+    /// the ring: `Σ_j (b_j/Δt) B φ^{n−j}` — under OIFS with every level
+    /// advected to `t_new` along characteristics by one nested sweep —
+    /// plus `B · EXTk[−(u·∇)φ]` for an EXT-convected field.
+    fn history_rhs(&mut self, k: usize, t_new: f64) -> Vec<Vec<f64>> {
         let bj = bdf_coeffs(k).1;
         let n = self.ops.n_velocity();
         let dt = self.cfg.dt;
         let bm = &self.ops.geo.bm;
-        let mut rhs = vec![vec![0.0; n]; fs.len()];
-        let substeps = match self.cfg.convection {
-            ConvectionScheme::Oifs { substeps } if fs.start == 0 => Some(substeps.max(1)),
-            _ => None,
-        };
-        let conv_span = substeps.map(|_| sem_obs::span(Phase::Convection));
-        let mut advected = Vec::new();
-        for (j, coeff) in bj.iter().enumerate().take(self.ring.len()) {
-            let level = &self.ring[j];
-            let _oifs_span = substeps.map(|_| sem_obs::span(Phase::Oifs));
-            for (r, f) in rhs.iter_mut().zip(fs.clone()) {
-                let past = match substeps {
-                    Some(s) => {
-                        advected.clone_from(&level.values[f]);
-                        let scratch = &mut self.oifs_scratch;
-                        let steps = s * (j + 1);
-                        advect_field(
-                            &self.ops,
-                            &mut advected,
-                            level.time,
-                            t_new,
-                            &self.ring,
-                            steps,
-                            scratch,
-                        );
-                        &advected
-                    }
-                    None => &level.values[f],
-                };
+        let mut rhs = vec![vec![0.0; n]; self.ring[0].values.len()];
+        if let ConvectionScheme::Oifs { substeps } = self.cfg.convection {
+            let _conv_span = sem_obs::span(Phase::Convection);
+            let _oifs_span = sem_obs::span(Phase::Oifs);
+            let scratch = &mut self.oifs_scratch;
+            oifs_sweep(
+                &self.ops,
+                &self.ring,
+                &bj,
+                t_new,
+                substeps.max(1),
+                scratch,
+                &mut rhs,
+            );
+            for r in rhs.iter_mut() {
+                for i in 0..n {
+                    r[i] *= bm[i] / dt;
+                }
+            }
+            return rhs;
+        }
+        for (coeff, level) in bj.iter().zip(&self.ring) {
+            for (r, past) in rhs.iter_mut().zip(&level.values) {
                 for i in 0..n {
                     r[i] += (coeff / dt) * bm[i] * past[i];
                 }
             }
         }
-        drop(conv_span);
         let mut cx = vec![0.0; n];
-        for (r, f) in rhs.iter_mut().zip(fs) {
+        for (f, r) in rhs.iter_mut().enumerate() {
             let m = self
                 .ring
                 .iter()
@@ -1122,6 +1122,28 @@ mod tests {
         let ke = kinetic_energy(&s.ops, &s.vel);
         let ke0 = 0.5 * (TWO_PI * TWO_PI) / 2.0; // ½∫|u|² = (2π)²/2 at t=0
         assert!(ke < ke0 * 1.01, "energy grew: {ke} vs {ke0}");
+    }
+
+    #[test]
+    fn oifs_scalar_stays_bounded_above_cfl_one() {
+        // The dye rides the velocity's characteristics sweep, so at CFL
+        // ≈ 1.2 and 2.3 its L² norm only decays (advection conserves it,
+        // diffusion and the BDF damping shrink it).
+        for dt in [0.1, 0.2] {
+            let mut s = taylor_green_solver(4, 8, dt);
+            s.cfg.nu = 0.01;
+            s.cfg.convection = ConvectionScheme::Oifs { substeps: 4 };
+            let dye = s.add_scalar("dye", 1e-3, |x, y, _| (x + 0.3).sin() * (2.0 * y).cos());
+            let l2 = |s: &NsSolver| sem_ops::fields::norm_l2(&s.ops, s.scalar(dye));
+            let initial = l2(&s);
+            let mut max_cfl = 0.0_f64;
+            for _ in 0..23 {
+                max_cfl = max_cfl.max(s.step().unwrap().cfl);
+            }
+            assert!(max_cfl > 1.0, "Δt = {dt}: CFL only {max_cfl}");
+            let last = l2(&s);
+            assert!(last <= initial, "Δt = {dt}: dye L² grew {initial} → {last}");
+        }
     }
 
     #[test]

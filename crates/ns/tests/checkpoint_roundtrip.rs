@@ -7,6 +7,7 @@ use std::path::PathBuf;
 
 use sem_mesh::generators::box2d;
 use sem_ns::checkpoint::Checkpoint;
+use sem_ns::config::Boussinesq;
 use sem_ns::{ConvectionScheme, NsConfig, NsSolver};
 use sem_ops::SemOps;
 use sem_solvers::cg::CgOptions;
@@ -32,6 +33,35 @@ fn taylor_green(order: usize) -> NsSolver {
     s
 }
 
+/// The same vortex under OIFS BDF2 with a buoyant temperature and one
+/// dye: every field rides the characteristics sweep.
+fn taylor_green_oifs_boussinesq_dye(order: usize) -> NsSolver {
+    let two_pi = 2.0 * std::f64::consts::PI;
+    let mesh = box2d(3, 3, [0.0, two_pi], [0.0, two_pi], true, true);
+    let ops = SemOps::new(mesh, order);
+    let cfg = NsConfig {
+        dt: 2e-3,
+        nu: 0.01,
+        torder: 2,
+        convection: ConvectionScheme::Oifs { substeps: 2 },
+        boussinesq: Some(Boussinesq {
+            g_beta: [0.0, 0.5, 0.0],
+            kappa: 0.02,
+        }),
+        pressure_lmax: 8,
+        pressure_cg: CgOptions {
+            tol: 1e-9,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let mut s = NsSolver::new(ops, cfg);
+    s.set_velocity(|x, y, _| [x.sin() * y.cos(), -x.cos() * y.sin(), 0.0]);
+    s.set_temperature(|x, y, _| 0.5 * x.cos() * y.sin());
+    s.add_scalar("dye", 1e-3, |x, y, _| x.sin() * y.cos());
+    s
+}
+
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("terasem_ckpt_{}_{name}", std::process::id()))
 }
@@ -50,6 +80,12 @@ fn assert_fields_bitwise(a: &NsSolver, b: &NsSolver, label: &str) {
     for (i, (p, q)) in a.pressure.iter().zip(b.pressure.iter()).enumerate() {
         assert_eq!(p.to_bits(), q.to_bits(), "{label}: pressure node {i}");
     }
+    let scalars = |s: &NsSolver| -> Vec<u64> {
+        let temp = s.temp.iter().flatten();
+        let species = (0..s.num_scalars()).flat_map(|k| s.scalar(k));
+        temp.chain(species).map(|v| v.to_bits()).collect()
+    };
+    assert!(scalars(a) == scalars(b), "{label}: temperature or species");
 }
 
 /// The headline contract: run 4 steps, checkpoint, run 4 more; a fresh
@@ -84,9 +120,14 @@ fn resume_is_bitwise_identical_to_uninterrupted_run() {
 /// thread count reproduces the single-thread continuation bitwise.
 #[test]
 fn checkpoint_and_resume_are_pinned_across_thread_counts() {
-    let reference_path = tmp("threads_ref");
+    pinned_across_thread_counts("ext", taylor_green);
+    pinned_across_thread_counts("oifs_boussinesq_dye", taylor_green_oifs_boussinesq_dye);
+}
+
+fn pinned_across_thread_counts(input: &str, build: fn(usize) -> NsSolver) {
+    let reference_path = tmp(&format!("{input}_threads_ref"));
     let full = sem_comm::par::with_threads(1, || {
-        let mut s = taylor_green(6);
+        let mut s = build(6);
         for _ in 0..3 {
             s.step().unwrap();
         }
@@ -99,14 +140,14 @@ fn checkpoint_and_resume_are_pinned_across_thread_counts() {
     let reference_bytes = std::fs::read(&reference_path).unwrap();
 
     for t in [2usize, 4] {
-        let path = tmp(&format!("threads_{t}"));
+        let path = tmp(&format!("{input}_threads_{t}"));
         let resumed = sem_comm::par::with_threads(t, || {
-            let mut s = taylor_green(6);
+            let mut s = build(6);
             for _ in 0..3 {
                 s.step().unwrap();
             }
             s.write_checkpoint(&path).unwrap();
-            let mut r = taylor_green(6);
+            let mut r = build(6);
             r.read_checkpoint(&reference_path).unwrap();
             for _ in 0..3 {
                 r.step().unwrap();
@@ -116,9 +157,9 @@ fn checkpoint_and_resume_are_pinned_across_thread_counts() {
         assert_eq!(
             std::fs::read(&path).unwrap(),
             reference_bytes,
-            "{t}-thread checkpoint bytes differ from the 1-thread file"
+            "{input}: {t}-thread checkpoint bytes differ from the 1-thread file"
         );
-        assert_fields_bitwise(&full, &resumed, &format!("{t}-thread resume"));
+        assert_fields_bitwise(&full, &resumed, &format!("{input}: {t}-thread resume"));
         let _ = std::fs::remove_file(&path);
     }
     let _ = std::fs::remove_file(&reference_path);

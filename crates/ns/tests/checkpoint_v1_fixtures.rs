@@ -2,7 +2,8 @@
 //! the solver kept its multistep history in one ring: each fixture
 //! re-serializes byte for byte, restores into an identically built
 //! solver, and that solver's own capture serializes to the same bytes
-//! again. Nothing is stepped, so the files hold on any host.
+//! again. Nothing is stepped there, so the files hold on any host; the
+//! one stepping test compares two restored copies with each other.
 //!
 //! - `v1_ext_bdf3_temp_two_species.ckpt`: 2D Taylor–Green, 2×2
 //!   elements, N = 4, EXT, BDF3, Boussinesq temperature and two species,
@@ -10,7 +11,9 @@
 //! - `v1_oifs_bdf2_one_species.ckpt`: the same vortex under OIFS, BDF2,
 //!   with one dye species, after 3 steps — the velocity stores no
 //!   convective history while the species does (the `shear-service`
-//!   shape).
+//!   shape). The species' entries date from when scalars were
+//!   EXT-convected under OIFS; the solver now advects them along
+//!   characteristics and ignores those entries.
 
 use std::f64::consts::PI;
 use std::path::PathBuf;
@@ -114,4 +117,26 @@ fn oifs_bdf2_fixture_with_one_species_round_trips() {
         assert!(level.conv[..2].iter().all(Vec::is_empty));
         assert_eq!(level.conv[2].len(), level.values[2].len());
     }
+}
+
+/// Under OIFS the dye rides the characteristics sweep, so the convective
+/// history the fixture stores for it is stale: a copy restored with
+/// those entries cleared steps to the same bits.
+#[test]
+fn stale_species_convection_in_an_oifs_fixture_is_ignored() {
+    let ck = Checkpoint::load(fixture("v1_oifs_bdf2_one_species.ckpt")).unwrap();
+    let mut cleared = ck.clone();
+    for level in &mut cleared.levels {
+        level.conv[2].clear();
+    }
+    let stepped = |ck: &Checkpoint| {
+        let mut s = oifs_bdf2_one_species();
+        s.restore_checkpoint(ck).unwrap();
+        s.step().unwrap();
+        bytes_of(&s.checkpoint())
+    };
+    assert!(
+        stepped(&ck) == stepped(&cleared),
+        "the stale dye convection changed the step"
+    );
 }

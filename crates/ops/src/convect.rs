@@ -3,20 +3,60 @@
 //! The convective term is evaluated in nonconservative (advective) form
 //! `(c·∇)u` pointwise on the GLL grid — this is the operator the OIFS
 //! subintegration (§4) applies repeatedly inside its explicit RK stages.
-//! Stabilization against the aliasing this introduces at high Reynolds
-//! number is exactly the job of the §2 filter.
+//! It is split in two: [`contravariant`] folds the geometric factors into
+//! the advecting field once (`C_d = Σ_c c_c ∂r_d/∂x_c`), and
+//! [`convect_contravariant`] dots `C` with the reference derivatives of
+//! each convected field, so fields sharing an advecting velocity share
+//! the `drdx` pass. Stabilization against the aliasing this introduces
+//! at high Reynolds number is exactly the job of the §2 filter.
 
 use crate::space::SemOps;
 use sem_comm::par;
 use sem_linalg::tensor::{apply_x, apply_y_2d, apply_y_3d, apply_z_3d};
 
-/// Per-element flop estimate of one full physical gradient.
-pub fn grad_flops_per_elem(dim: usize, n: usize) -> u64 {
+/// Per-element flop count of the reference derivatives `∂u/∂r_d`: the
+/// `mxm` share of [`gradient`] and [`convect_contravariant`].
+pub fn ref_derivative_flops_per_elem(dim: usize, n: usize) -> u64 {
     let n1 = (n + 1) as u64;
     if dim == 2 {
-        4 * n1.pow(3) + 6 * n1.pow(2)
+        4 * n1.pow(3)
     } else {
-        6 * n1.pow(4) + 15 * n1.pow(3)
+        6 * n1.pow(4)
+    }
+}
+
+/// Per-element flop estimate of one full physical gradient.
+pub fn grad_flops_per_elem(dim: usize, n: usize) -> u64 {
+    let d = dim as u64;
+    ref_derivative_flops_per_elem(dim, n) + d * (2 * d - 1) * ((n + 1) as u64).pow(dim as u32)
+}
+
+/// Split flat fields into per-element groups holding each field's
+/// `npts`-node chunk of that element.
+fn per_element(fields: &mut [Vec<f64>], npts: usize, k: usize) -> Vec<Vec<&mut [f64]>> {
+    let mut per_elem: Vec<Vec<&mut [f64]>> =
+        (0..k).map(|_| Vec::with_capacity(fields.len())).collect();
+    for field in fields.iter_mut() {
+        for (e, ch) in field.chunks_mut(npts).enumerate() {
+            per_elem[e].push(ch);
+        }
+    }
+    per_elem
+}
+
+/// The reference derivatives of element `ue` into `dr`, `ds` and (3D)
+/// `dt`, the consecutive `npts`-node parts of `scratch`.
+fn ref_derivatives(ops: &SemOps, ue: &[f64], scratch: &mut [f64]) {
+    let (geo, nx, npts) = (&ops.geo, ops.geo.nx, ops.geo.npts);
+    let (dr, rest) = scratch.split_at_mut(npts);
+    let (ds, dt) = rest.split_at_mut(npts);
+    if geo.dim == 2 {
+        apply_x(&geo.d1t, nx, ue, dr);
+        apply_y_2d(&geo.d1, nx, ue, ds);
+    } else {
+        apply_x(&geo.d1t, nx * nx, ue, dr);
+        apply_y_3d(&geo.d1, nx, nx, ue, ds);
+        apply_z_3d(&geo.d1, nx * nx, ue, dt);
     }
 }
 
@@ -32,32 +72,16 @@ pub fn gradient(ops: &SemOps, u: &[f64], out: &mut [Vec<f64>]) {
         assert_eq!(c.len(), ops.n_velocity(), "gradient: component length");
     }
     let npts = ops.geo.npts;
-    let nx = ops.geo.nx;
     let geo = &ops.geo;
-    let k = ops.k();
-    let mut outs: Vec<_> = out.iter_mut().map(|c| c.chunks_mut(npts)).collect();
-    let mut per_elem: Vec<Vec<&mut [f64]>> = (0..k).map(|_| Vec::with_capacity(dim)).collect();
-    for chunks in outs.iter_mut() {
-        for (e, ch) in chunks.by_ref().enumerate() {
-            per_elem[e].push(ch);
-        }
-    }
+    let mut per_elem = per_element(out, npts, ops.k());
     par::par_for_each_init(
         &mut per_elem,
         // One derivative buffer per direction (dt is empty in 2D).
         || vec![0.0; dim * npts],
         |scratch, e, comps| {
-            let (dr, rest) = scratch.split_at_mut(npts);
-            let (ds, dt) = rest.split_at_mut(npts);
-            let ue = &u[e * npts..(e + 1) * npts];
-            if dim == 2 {
-                apply_x(&geo.d1t, nx, ue, dr);
-                apply_y_2d(&geo.d1, nx, ue, ds);
-            } else {
-                apply_x(&geo.d1t, nx * nx, ue, dr);
-                apply_y_3d(&geo.d1, nx, nx, ue, ds);
-                apply_z_3d(&geo.d1, nx * nx, ue, dt);
-            }
+            ref_derivatives(ops, &u[e * npts..(e + 1) * npts], scratch);
+            let (dr, rest) = scratch.split_at(npts);
+            let (ds, dt) = rest.split_at(npts);
             let dd = dim * dim;
             let base = e * npts * dd;
             for (c, oc) in comps.iter_mut().enumerate() {
@@ -75,23 +99,114 @@ pub fn gradient(ops: &SemOps, u: &[f64], out: &mut [Vec<f64>]) {
     ops.charge_flops(ops.k() as u64 * grad_flops_per_elem(dim, ops.geo.n));
 }
 
-/// Convection `out = (c·∇)u` with advecting field `c = [cx, cy(, cz)]`.
+/// Turn an advecting field `c = [cx, cy(, cz)]` into its contravariant
+/// form in place: `c_d ← C_d = Σ_c c_c ∂r_d/∂x_c` at every node, so that
+/// `(c·∇)u = Σ_d C_d ∂u/∂r_d`. One pass over the geometric factors,
+/// shared by every field convected with `c`.
 ///
-/// `work` must hold `dim` velocity-space vectors (gradient scratch).
-pub fn convect(ops: &SemOps, c: &[&[f64]], u: &[f64], out: &mut [f64], work: &mut [Vec<f64>]) {
+/// # Panics
+/// Panics on length mismatches.
+pub fn contravariant(ops: &SemOps, c: &mut [Vec<f64>]) {
     let dim = ops.geo.dim;
-    assert_eq!(c.len(), dim, "convect: one advecting component per dim");
-    assert_eq!(out.len(), ops.n_velocity(), "convect: out length");
-    gradient(ops, u, work);
-    let n = out.len();
-    par::par_fill(out, |i| {
-        let mut acc = c[0][i] * work[0][i] + c[1][i] * work[1][i];
-        if dim == 3 {
-            acc += c[2][i] * work[2][i];
-        }
-        acc
-    });
-    ops.charge_flops((2 * dim as u64 - 1) * n as u64);
+    let n = ops.n_velocity();
+    assert_eq!(c.len(), dim, "contravariant: one component per dim");
+    for v in c.iter() {
+        assert_eq!(v.len(), n, "contravariant: component length");
+    }
+    let npts = ops.geo.npts;
+    let dd = dim * dim;
+    let mut per_elem = per_element(c, npts, ops.k());
+    par::par_for_each_init(
+        &mut per_elem,
+        || (),
+        |_, e, comps| {
+            let d = &ops.geo.drdx[e * npts * dd..(e + 1) * npts * dd];
+            // Each node's components are read before any is written.
+            match &mut comps[..] {
+                [c0, c1] => {
+                    for (i, d) in d.chunks_exact(4).enumerate() {
+                        let (x, y) = (c0[i], c1[i]);
+                        c0[i] = x * d[0] + y * d[1];
+                        c1[i] = x * d[2] + y * d[3];
+                    }
+                }
+                [c0, c1, c2] => {
+                    for (i, d) in d.chunks_exact(9).enumerate() {
+                        let (x, y, z) = (c0[i], c1[i], c2[i]);
+                        c0[i] = x * d[0] + y * d[1] + z * d[2];
+                        c1[i] = x * d[3] + y * d[4] + z * d[5];
+                        c2[i] = x * d[6] + y * d[7] + z * d[8];
+                    }
+                }
+                _ => unreachable!("2D or 3D"),
+            }
+        },
+    );
+    // dim products and dim − 1 sums per output component.
+    ops.charge_flops((dim * (2 * dim - 1) * n) as u64);
+}
+
+/// Convection in contravariant form: `out = Σ_d C_d ∂u/∂r_d`, i.e.
+/// `(c·∇)u` for `C` the [`contravariant`] form of `c`. Element by
+/// element, the reference derivatives stay in per-element scratch and
+/// are dotted with `C` directly; no physical-gradient arrays are
+/// written.
+///
+/// # Panics
+/// Panics on length mismatches.
+pub fn convect_contravariant(ops: &SemOps, cc: &[Vec<f64>], u: &[f64], out: &mut [f64]) {
+    let dim = ops.geo.dim;
+    let n = ops.n_velocity();
+    assert_eq!(
+        cc.len(),
+        dim,
+        "convect_contravariant: one C component per dim"
+    );
+    assert_eq!(u.len(), n, "convect_contravariant: u length");
+    assert_eq!(out.len(), n, "convect_contravariant: out length");
+    let npts = ops.geo.npts;
+    par::par_chunks_init(
+        out,
+        npts,
+        || vec![0.0; dim * npts],
+        |scratch, e, oe| {
+            ref_derivatives(ops, &u[e * npts..(e + 1) * npts], scratch);
+            let (dr, rest) = scratch.split_at(npts);
+            let (ds, dt) = rest.split_at(npts);
+            let nodes = e * npts..(e + 1) * npts;
+            let (c0, c1) = (&cc[0][nodes.clone()], &cc[1][nodes.clone()]);
+            if dim == 2 {
+                for i in 0..npts {
+                    oe[i] = c0[i] * dr[i] + c1[i] * ds[i];
+                }
+            } else {
+                let c2 = &cc[2][nodes];
+                for i in 0..npts {
+                    oe[i] = c0[i] * dr[i] + c1[i] * ds[i] + c2[i] * dt[i];
+                }
+            }
+        },
+    );
+    ops.charge_flops(
+        ops.k() as u64 * ref_derivative_flops_per_elem(dim, ops.geo.n) + ((2 * dim - 1) * n) as u64,
+    );
+}
+
+/// Convection `out = (c·∇)u` with advecting field `c = [cx, cy(, cz)]`:
+/// [`contravariant`] then [`convect_contravariant`].
+///
+/// `work` must hold `dim` velocity-space vectors (it receives `C`).
+pub fn convect(ops: &SemOps, c: &[&[f64]], u: &[f64], out: &mut [f64], work: &mut [Vec<f64>]) {
+    assert_eq!(
+        c.len(),
+        work.len(),
+        "convect: one work vector per component"
+    );
+    for (w, ci) in work.iter_mut().zip(c) {
+        w.copy_from_slice(ci);
+    }
+    contravariant(ops, work);
+    convect_contravariant(ops, work, u, out);
 }
 
 /// Pointwise vorticity ω = ∂v/∂x − ∂u/∂y of a 2D velocity field
@@ -158,6 +273,42 @@ mod tests {
         convect(&ops, &[&cx, &cy], &u, &mut out, &mut work);
         for &v in &out {
             assert!((v + 11.0).abs() < 1e-10, "{v}");
+        }
+    }
+
+    #[test]
+    fn convect_equals_velocity_dot_physical_gradient() {
+        // Deformed 3D box: the contravariant form agrees with c·∇u from
+        // the physical gradient up to rounding.
+        use sem_mesh::generators::{bump_channel3d, BumpChannelParams};
+        let params = BumpChannelParams {
+            k: [2, 2, 2],
+            l: [2.0, 1.0, 1.0],
+            bump_height: 0.3,
+            bump_center: [1.0, 0.5],
+            bump_radius: 0.4,
+            wall_growth: 0.8,
+        };
+        let (mesh, geo) = bump_channel3d(params, 4);
+        let ops = SemOps::with_geometry(mesh, geo);
+        let n = ops.n_velocity();
+        let u = eval_on_nodes(&ops, |x, y, z| (x + 0.3 * y).sin() * (z - y).cos());
+        let c: Vec<Vec<f64>> = (0..3)
+            .map(|k| eval_on_nodes(&ops, |x, y, z| (k as f64 + 1.0) * (x * y + 0.2 * z).cos()))
+            .collect();
+        let refs: Vec<&[f64]> = c.iter().map(Vec::as_slice).collect();
+        let mut out = vec![0.0; n];
+        let mut work = vec![vec![0.0; n]; 3];
+        convect(&ops, &refs, &u, &mut out, &mut work);
+        let mut g = vec![vec![0.0; n]; 3];
+        gradient(&ops, &u, &mut g);
+        for i in 0..n {
+            let want = c[0][i] * g[0][i] + c[1][i] * g[1][i] + c[2][i] * g[2][i];
+            assert!(
+                (out[i] - want).abs() < 1e-11 * (1.0 + want.abs()),
+                "{i}: {} vs {want}",
+                out[i]
+            );
         }
     }
 

@@ -8,7 +8,7 @@
 use sem_comm::par::with_threads;
 use sem_linalg::rng::SplitMix64;
 use sem_mesh::generators::{box2d, box3d};
-use sem_ops::convect::gradient;
+use sem_ops::convect::{convect, gradient};
 use sem_ops::fields::dot_weighted;
 use sem_ops::filter::ElementFilter;
 use sem_ops::laplace::{helmholtz_local, stiffness_local};
@@ -94,6 +94,20 @@ fn gradient_and_pressure_ops_bitwise_identical() {
         flat
     });
     let v = SplitMix64::new(0xdef0_0003).vec(ops.n_velocity(), -1.0, 1.0);
+    let convected = || {
+        let mut out = vec![0.0; ops.n_velocity()];
+        let mut work = vec![vec![0.0; ops.n_velocity()]; 2];
+        convect(&ops, &[&u, &v], &v, &mut out, &mut work);
+        out
+    };
+    let want = with_threads(1, convected);
+    for nt in [2, 3] {
+        assert_eq!(
+            bits(&want),
+            bits(&with_threads(nt, convected)),
+            "convect: thread count {nt} changed the result"
+        );
+    }
     assert_bitwise_identical("divergence", || {
         let mut d = vec![0.0; ops.n_pressure()];
         divergence(&ops, &[&u, &v], &mut d);

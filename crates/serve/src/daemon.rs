@@ -29,7 +29,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::process::{Child, Command};
+use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -223,10 +223,15 @@ impl Shared {
     }
 }
 
-/// Spawn the worker subprocess for one attempt of `job`.
+/// Spawn the worker subprocess for one attempt of `job`. Its stdin is a
+/// pipe whose write end only this process holds (std opens it
+/// close-on-exec, so no other worker inherits it): the worker exits when
+/// the pipe reaches EOF, so a daemon that dies, however it dies, leaves
+/// no worker behind.
 fn spawn_worker(opts: &ServeOpts, id: u64, job: &Job) -> std::io::Result<Child> {
     let exe = std::env::current_exe()?;
     Command::new(exe)
+        .stdin(Stdio::piped())
         .env(worker::ENV_WORKER, "1")
         .env(worker::ENV_DIR, &job.dir)
         .env(worker::ENV_SPEC, job.spec.to_line())
@@ -365,9 +370,14 @@ fn self_journal_preempt(shared: &Shared, id: u64, g: &Inner) {
 }
 
 /// Wait for a child; `Some(code)` for a normal exit, `None` for a
-/// signal death.
+/// signal death. The child's stdin pipe stays open until it has exited
+/// (`Child::wait` would close it first, which a worker reads as the
+/// daemon's death).
 fn wait_child(mut child: Child) -> Option<i32> {
-    match child.wait() {
+    let lifeline = child.stdin.take();
+    let status = child.wait();
+    drop(lifeline);
+    match status {
         Ok(status) => status.code(),
         Err(_) => None,
     }

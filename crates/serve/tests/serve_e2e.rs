@@ -343,6 +343,56 @@ fn sigterm_drain_checkpoints_in_flight_jobs_and_exits_zero() {
     );
 }
 
+/// Pids of the live processes whose environment holds `entry`
+/// (`NAME=value`); processes this user cannot inspect are skipped.
+fn pids_with_env(entry: &str) -> Vec<u32> {
+    let mut pids = Vec::new();
+    for proc_entry in std::fs::read_dir("/proc").expect("/proc") {
+        let path = proc_entry.expect("/proc entry").path();
+        let Some(pid) = path.file_name().and_then(|n| n.to_str()?.parse().ok()) else {
+            continue;
+        };
+        if let Ok(env) = std::fs::read(path.join("environ")) {
+            if env.split(|&b| b == 0).any(|kv| kv == entry.as_bytes()) {
+                pids.push(pid);
+            }
+        }
+    }
+    pids
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn sigkilled_daemon_leaves_no_worker_behind() {
+    let mut d = Daemon::start("orphans", &["--workers", "1", "--retries", "0"]);
+    let mut c = d.connect();
+    let id = match c.submit(&spec("steps=50000 every=1000 name=orphan")).unwrap() {
+        Submit::Admitted(id) => id,
+        other => panic!("expected admission, got {other:?}"),
+    };
+    poll_running(&mut c, 1, Duration::from_secs(30));
+    // The daemon canonicalizes its state directory; the worker's
+    // environment names the job directory under it.
+    let job_dir = d.dir.canonicalize().unwrap().join(format!("job_{id:06}"));
+    let entry = format!("{}={}", worker::ENV_DIR, job_dir.display());
+    assert!(!pids_with_env(&entry).is_empty(), "the worker is not running");
+    d.child.kill().expect("SIGKILL the daemon");
+    d.child.wait().expect("reap the daemon");
+    // The deadline only detects a hang: an orphan would run for hours.
+    let t0 = Instant::now();
+    loop {
+        let left = pids_with_env(&entry);
+        if left.is_empty() {
+            break;
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(60),
+            "worker(s) {left:?} outlived the SIGKILLed daemon"
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    }
+}
+
 #[test]
 fn seeded_chaos_soak_completes_all_jobs_byte_equal() {
     let mut d = Daemon::start(

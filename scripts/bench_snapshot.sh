@@ -7,8 +7,9 @@
 #
 # Full-length regeneration of the committed snapshots is a manual step:
 #   target/release/table3_mxm --emit-table --json results/BENCH_mxm.json
-#   TERASEM_BENCH_JSON=results/BENCH_operators.json \
+#   TERASEM_THREADS=1 TERASEM_BENCH_JSON=$PWD/results/BENCH_operators.json \
 #       cargo bench --offline -p sem-bench --bench operators
+# (an absolute path: cargo runs the bench from crates/bench).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -16,5 +16,9 @@ scripts/net_smoke.sh
 scripts/net_fault_smoke.sh
 scripts/serve_smoke.sh
 scripts/bench_snapshot.sh
+# The fixed-workload benchmark builds against the workspace crates: an
+# API change that breaks its build, its gate or its mirrored inputs
+# fails here.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "verify: OK"
