@@ -1,10 +1,10 @@
 //! Microbench of the gather-scatter kernel (§6): scalar vs vector mode,
-//! and the distributed form's per-op cost over the simulated machine.
+//! and the distributed form's per-op cost with all ranks in one process
+//! (pack, in-process delivery, fold).
 //! Runs on the in-repo harness ([`sem_bench::timing`]).
 
 use sem_bench::timing::BenchGroup;
-use sem_comm::SimComm;
-use sem_gs::{GsHandle, GsOp, ParGs};
+use sem_gs::{exchange_in_process, GsHandle, GsOp, RankGs};
 use sem_mesh::generators::box2d;
 use sem_mesh::partition::partition_rsb;
 use sem_mesh::{Geometry, GlobalNumbering};
@@ -28,22 +28,29 @@ fn main() {
         gs.gs_vec(&mut uv, 3, GsOp::Add);
         std::hint::black_box(&mut uv);
     });
-    // Distributed over 8 simulated ranks (RSB partition).
+    // Distributed over 8 ranks in one process (RSB partition).
     let p = 8;
     let part = partition_rsb(&mesh, p);
     let npts = geo.npts;
     let mut ids_per_rank: Vec<Vec<usize>> = vec![Vec::new(); p];
-    for e in 0..mesh.num_elems() {
-        ids_per_rank[part[e]].extend_from_slice(&num.ids[e * npts..(e + 1) * npts]);
+    let mut canon_per_rank: Vec<Vec<u64>> = vec![Vec::new(); p];
+    for (e, &r) in part.iter().enumerate() {
+        ids_per_rank[r].extend_from_slice(&num.ids[e * npts..(e + 1) * npts]);
+        canon_per_rank[r].extend((e * npts..(e + 1) * npts).map(|c| c as u64));
     }
-    let pargs = ParGs::new(&ids_per_rank);
+    let pats: Vec<RankGs> = (0..p)
+        .map(|r| RankGs::new(&ids_per_rank, &canon_per_rank, r))
+        .collect();
     let mut fields: Vec<Vec<f64>> = ids_per_rank
         .iter()
         .map(|ids| ids.iter().map(|&g| g as f64).collect())
         .collect();
     group.bench("distributed_add_p8", || {
-        let mut comm = SimComm::new(p);
-        pargs.gs(&mut fields, GsOp::Add, &mut comm);
+        let outboxes = pats.iter().zip(&fields).map(|(g, u)| g.pack(u)).collect();
+        let inboxes = exchange_in_process(outboxes);
+        for ((g, u), inbox) in pats.iter().zip(fields.iter_mut()).zip(&inboxes) {
+            g.fold(u, inbox, GsOp::Add);
+        }
         std::hint::black_box(&mut fields);
     });
 }

@@ -1,27 +1,22 @@
 //! # sem-comm
 //!
-//! The parallel substrate. The paper ran on real message-passing hardware
-//! (ASCI-Red via NX/MPI); this workspace reproduces the *algorithms'*
-//! communication behaviour on a simulated `P`-rank machine:
+//! The parallel substrate: what the paper's machine provided besides the
+//! gather-scatter exchange itself (that lives in `sem-gs`, and its socket
+//! transport in `sem-net`).
 //!
-//! * [`SimComm`] executes genuine rank-to-rank exchanges (synchronous
-//!   rounds, deterministic) while recording per-rank message counts and
-//!   volumes — the gather-scatter library and the coarse-grid solvers
-//!   route their exchanges through it.
-//! * [`MachineModel`] converts measured counts (messages, bytes, flops)
-//!   into predicted wall-clock using the standard α–β (latency/bandwidth)
+//! * [`MachineModel`] converts message counts, bytes and flops into
+//!   predicted wall-clock using the standard α–β (latency/bandwidth)
 //!   model plus a sustained flop rate, with an ASCI-Red-333 preset
-//!   calibrated to the paper's §6–§7 numbers. This is what regenerates the
-//!   *shape* of Fig. 6 and Table 4 at up to 2048 nodes on a laptop.
-//! * [`RankLedger`] accumulates per-rank costs and reports the
-//!   critical-path (max-over-ranks) time estimate.
+//!   calibrated to the paper's §6–§7 numbers; [`CostBreakdown`] splits a
+//!   prediction into its compute, latency and bandwidth terms, and
+//!   [`fit_alpha_beta`] fits α and β to measured ping-pong timings. This
+//!   is what regenerates the *shape* of Fig. 6 and Table 4 at up to 2048
+//!   nodes on a laptop.
 //! * [`par`] is the intranode half: a deterministic chunked parallel-for
 //!   over elements (std threads only, `TERASEM_THREADS` override) — the
 //!   modern form of the paper's dual-processor `-Mconcur` mode.
 
 pub mod model;
 pub mod par;
-pub mod sim;
 
-pub use model::{fit_alpha_beta, CostBreakdown, MachineModel, RankLedger};
-pub use sim::{CommStats, SimComm};
+pub use model::{fit_alpha_beta, CostBreakdown, MachineModel};

@@ -94,29 +94,6 @@ impl MachineModel {
         self.tree_fan_in_out(p, bytes)
     }
 
-    /// All-gather where each of `p` ranks contributes `bytes_each`
-    /// (recursive doubling: `⌈log₂ P⌉` stages, each exchanging the data
-    /// accumulated so far). The held payload doubles per stage but is
-    /// capped at the `p · bytes_each` total actually gathered, so for
-    /// non-power-of-two `p` the modeled volume is `(p − 1) · bytes_each`
-    /// per rank — the true amount received — instead of the
-    /// `(2^⌈log₂ P⌉ − 1) · bytes_each` the uncapped doubling charges.
-    pub fn allgather_time(&self, p: usize, bytes_each: u64) -> f64 {
-        if p <= 1 {
-            return 0.0;
-        }
-        let stages = (p as f64).log2().ceil() as u32;
-        let total = p as f64 * bytes_each as f64;
-        let mut t = 0.0;
-        let mut held = bytes_each as f64;
-        for _ in 0..stages {
-            let next = (2.0 * held).min(total);
-            t += self.latency + self.inv_bandwidth * (next - held);
-            held = next;
-        }
-        t
-    }
-
     /// The paper's Fig. 6 lower-bound curve: `latency · 2 log₂ P`.
     pub fn latency_lower_bound(&self, p: usize) -> f64 {
         if p <= 1 {
@@ -182,87 +159,6 @@ impl CostBreakdown {
     }
 }
 
-/// Per-rank cost ledger: algorithms charge messages/bytes/flops to ranks
-/// while executing, then the critical path (maximum over ranks, summed per
-/// category) is converted into a time estimate.
-#[derive(Clone, Debug)]
-pub struct RankLedger {
-    msgs: Vec<u64>,
-    bytes: Vec<u64>,
-    flops: Vec<u64>,
-    /// Additional synchronization stages (e.g. tree depths) charged
-    /// globally, in units of one latency each.
-    sync_stages: u64,
-}
-
-impl RankLedger {
-    /// Ledger for a `p`-rank machine.
-    pub fn new(p: usize) -> Self {
-        assert!(p >= 1, "ledger needs at least one rank");
-        RankLedger {
-            msgs: vec![0; p],
-            bytes: vec![0; p],
-            flops: vec![0; p],
-            sync_stages: 0,
-        }
-    }
-
-    /// Number of ranks.
-    pub fn ranks(&self) -> usize {
-        self.msgs.len()
-    }
-
-    /// Charge one message of `bytes` sent by `rank`.
-    pub fn charge_msg(&mut self, rank: usize, bytes: u64) {
-        self.msgs[rank] += 1;
-        self.bytes[rank] += bytes;
-    }
-
-    /// Charge `flops` to `rank`.
-    pub fn charge_flops(&mut self, rank: usize, flops: u64) {
-        self.flops[rank] += flops;
-    }
-
-    /// Charge `stages` global synchronization stages (one latency each).
-    pub fn charge_sync_stages(&mut self, stages: u64) {
-        self.sync_stages += stages;
-    }
-
-    /// Total messages across ranks.
-    pub fn total_msgs(&self) -> u64 {
-        self.msgs.iter().sum()
-    }
-
-    /// Total bytes across ranks.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes.iter().sum()
-    }
-
-    /// Total flops across ranks.
-    pub fn total_flops(&self) -> u64 {
-        self.flops.iter().sum()
-    }
-
-    /// Maximum per-rank values `(msgs, bytes, flops)` — the critical path.
-    pub fn critical_path(&self) -> (u64, u64, u64) {
-        (
-            self.msgs.iter().copied().max().unwrap_or(0),
-            self.bytes.iter().copied().max().unwrap_or(0),
-            self.flops.iter().copied().max().unwrap_or(0),
-        )
-    }
-
-    /// Convert the critical path into a predicted time under `model`.
-    pub fn estimate(&self, model: &MachineModel) -> CostBreakdown {
-        let (msgs, bytes, flops) = self.critical_path();
-        CostBreakdown {
-            compute: model.compute_time(flops),
-            latency: (msgs + self.sync_stages) as f64 * model.latency,
-            bandwidth: bytes as f64 * model.inv_bandwidth,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,38 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn allgather_total_volume_dominates_at_large_payload() {
-        let m = MachineModel::asci_red_333_single();
-        // Gathering n doubles over p ranks moves ~n*8 bytes through the
-        // last stage alone: check monotonicity in payload.
-        assert!(m.allgather_time(64, 1 << 14) > m.allgather_time(64, 1 << 10));
-    }
-
-    /// Regression: for non-power-of-two P the per-stage doubling used to
-    /// overshoot the `P·bytes_each` total actually gathered. The modeled
-    /// volume — time minus the latency stages, divided by β — must equal
-    /// the `(P−1)·bytes_each` each rank really receives.
-    #[test]
-    fn allgather_volume_is_capped_at_total_gathered() {
-        let m = MachineModel::asci_red_333_single();
-        let bytes_each = 1 << 12;
-        for p in [3usize, 5, 6] {
-            let stages = (p as f64).log2().ceil();
-            let t = m.allgather_time(p, bytes_each);
-            let volume = (t - stages * m.latency) / m.inv_bandwidth;
-            let want = ((p - 1) as u64 * bytes_each) as f64;
-            assert!(
-                (volume - want).abs() < 1e-6 * want,
-                "P={p}: modeled volume {volume} != {want}"
-            );
-        }
-        // Power-of-two case unchanged: stage payloads b, 2b, 4b, ...
-        let t8 = m.allgather_time(8, bytes_each);
-        let volume8 = (t8 - 3.0 * m.latency) / m.inv_bandwidth;
-        assert!((volume8 - (7 * bytes_each) as f64).abs() < 1e-6);
-    }
-
-    #[test]
     fn fit_alpha_beta_recovers_exact_affine_samples() {
         let (alpha, beta) = (20e-6, 1.0 / 310e6);
         let samples: Vec<(u64, f64)> = [0u64, 64, 1024, 65536, 1 << 20]
@@ -359,35 +223,5 @@ mod tests {
         // Noise driving the fit negative is clamped, not propagated.
         let (a, b) = fit_alpha_beta(&[(0, 5e-6), (1000, 4e-6)]).unwrap();
         assert!(b >= 0.0 && a >= 0.0);
-    }
-
-    #[test]
-    fn ledger_critical_path_and_estimate() {
-        let m = MachineModel::asci_red_333_single();
-        let mut l = RankLedger::new(4);
-        l.charge_msg(0, 100);
-        l.charge_msg(0, 100);
-        l.charge_msg(1, 5000);
-        l.charge_flops(2, 1_000_000);
-        l.charge_sync_stages(3);
-        let (msgs, bytes, flops) = l.critical_path();
-        assert_eq!(msgs, 2);
-        assert_eq!(bytes, 5000);
-        assert_eq!(flops, 1_000_000);
-        let est = l.estimate(&m);
-        assert!((est.latency - 5.0 * m.latency).abs() < 1e-12);
-        assert!((est.compute - 1_000_000.0 / m.flop_rate).abs() < 1e-9);
-        assert!(est.total() > 0.0);
-    }
-
-    #[test]
-    fn ledger_totals() {
-        let mut l = RankLedger::new(2);
-        l.charge_msg(0, 8);
-        l.charge_msg(1, 16);
-        l.charge_flops(0, 10);
-        assert_eq!(l.total_msgs(), 2);
-        assert_eq!(l.total_bytes(), 24);
-        assert_eq!(l.total_flops(), 10);
     }
 }

@@ -218,7 +218,7 @@ pub fn par_fill(out: &mut [f64], f: impl Fn(usize) -> f64 + Sync) {
 
 /// Deterministic parallel reduction `Σ_{i<n} f(i)`.
 ///
-/// Partial sums are taken over fixed-size chunks ([`SUM_CHUNK`]) and
+/// Partial sums are taken over fixed-size chunks (`SUM_CHUNK` = 4096 terms) and
 /// combined sequentially in chunk order, so the floating-point result is
 /// bitwise identical for every thread count (including 1).
 pub fn par_sum(n: usize, f: impl Fn(usize) -> f64 + Sync) -> f64 {

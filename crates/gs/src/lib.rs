@@ -1,6 +1,6 @@
 //! # sem-gs
 //!
-//! The gather-scatter library (§6 of Tufo & Fischer SC'99; ref [27]).
+//! The gather-scatter library (§6 of Tufo & Fischer SC'99; ref \[27\]).
 //!
 //! Spectral element data is stored element-by-element with no overlap, so
 //! residual assembly (direct stiffness summation) needs nodal values
@@ -12,19 +12,21 @@
 //! ierr   = gs_op(u, op, handle)
 //! ```
 //!
-//! [`GsHandle`] reproduces that interface for the shared-memory case (one
-//! address space, element loops run through `sem_comm::par`), including the **vector
-//! mode** for multiple degrees of freedom per node and the general set of
+//! [`GsHandle`] reproduces that interface for one address space (element
+//! loops run through `sem_comm::par`), including the **vector mode** for
+//! multiple degrees of freedom per node and the general set of
 //! commutative/associative reduction operations.
 //!
-//! [`ParGs`] is the distributed form: local node arrays per rank, one
-//! aggregated pairwise message per neighbouring rank pair per `gs_op` —
-//! "a single local-to-local transformation, rather than separate gather
-//! and scatter phases" — executed over the simulated communicator so the
-//! message counts and volumes of the real algorithm are measured.
+//! [`RankGs`] is the distributed form: one rank's local node array, one
+//! aggregated message per neighbouring rank per `gs_op`, split into
+//! [`RankGs::pack`] and [`RankGs::fold`] so the caller owns the
+//! transport (`sem-net`'s sockets, or [`exchange_in_process`] when all
+//! ranks share one process). It folds every shared node's copies in
+//! serial order through [`GsHandle`]'s own loop, so its results are
+//! bitwise-equal to [`GsHandle::gs`] at any rank count.
 
 pub mod local;
-pub mod parallel;
+pub mod rank;
 
 pub use local::{GsHandle, GsOp};
-pub use parallel::ParGs;
+pub use rank::{exchange_in_process, RankGs};

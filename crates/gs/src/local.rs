@@ -58,7 +58,7 @@ pub struct GsHandle {
     /// Local length the handle was built for.
     n_local: usize,
     /// Concatenated local indices of all shared groups.
-    idx: Vec<u32>,
+    pub(crate) idx: Vec<u32>,
     /// Group boundaries into `idx` (CSR-style offsets).
     offsets: Vec<u32>,
 }
@@ -107,6 +107,22 @@ impl GsHandle {
         }
     }
 
+    /// Handle over `n_local` slots with explicit groups, each listed in
+    /// fold order.
+    pub(crate) fn from_groups(n_local: usize, groups: &[Vec<u32>]) -> Self {
+        let mut offsets = vec![0u32];
+        let mut acc = 0u32;
+        for g in groups {
+            acc += g.len() as u32;
+            offsets.push(acc);
+        }
+        GsHandle {
+            n_local,
+            idx: groups.concat(),
+            offsets,
+        }
+    }
+
     /// Local vector length this handle serves.
     pub fn n_local(&self) -> usize {
         self.n_local
@@ -132,6 +148,16 @@ impl GsHandle {
             return;
         }
         self.charge_exchange(1);
+        self.fold(u, op);
+    }
+
+    /// The gather-scatter fold loop, shared by [`GsHandle::gs`] and
+    /// [`crate::RankGs::fold`]: each group's copies are combined with `op`
+    /// from its identity in stored order, and the result is written back
+    /// to every copy. Both store a group's copies in ascending canonical
+    /// (serial) position, which is what makes a distributed fold
+    /// bitwise-equal to the serial one.
+    pub(crate) fn fold(&self, u: &mut [f64], op: GsOp) {
         for g in 0..self.num_groups() {
             let lo = self.offsets[g] as usize;
             let hi = self.offsets[g + 1] as usize;
@@ -176,7 +202,7 @@ impl GsHandle {
     /// copy touched is one word read+combined per dof component — the
     /// communication volume the paper's RSB partitioning minimizes.
     #[inline]
-    fn charge_exchange(&self, stride: usize) {
+    pub(crate) fn charge_exchange(&self, stride: usize) {
         sem_obs::counters::add(
             sem_obs::Counter::GsWords,
             (self.idx.len() * stride) as u64,

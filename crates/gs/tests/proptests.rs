@@ -1,12 +1,12 @@
 //! Property-based tests of the gather-scatter library: algebraic laws of
-//! `gs_op` on arbitrary id maps, equivalence of the distributed form with
-//! the serial one under arbitrary partitions, and conservation laws.
+//! `gs_op` on arbitrary id maps, bitwise equivalence of the distributed
+//! form with the serial one under arbitrary partitions, and conservation
+//! laws.
 //!
 //! Properties run as explicit seeded loops over [`sem_linalg::rng`]'s
 //! SplitMix64 generator; a failure message prints the exact case seed.
 
-use sem_comm::SimComm;
-use sem_gs::{GsHandle, GsOp, ParGs};
+use sem_gs::{exchange_in_process, GsHandle, GsOp, RankGs};
 use sem_linalg::rng::{forall, SplitMix64};
 
 const CASES: usize = 100;
@@ -93,83 +93,59 @@ fn gs_vector_mode_equivalence() {
     });
 }
 
-/// Distributed gs over an arbitrary partition matches the serial gs,
-/// for every reduction op.
+/// Distributed gs over an arbitrary slot partition (1–5 ranks, empty
+/// ranks allowed), run with all ranks in one process, matches the serial
+/// gs *bit for bit* on real-valued data for every reduction op; and a
+/// rebuilt pattern gives identical bits (no map iteration order leaks
+/// into the combine order).
 #[test]
-fn distributed_matches_serial() {
-    forall("distributed_matches_serial", 0x65c0_0004, CASES, |rng| {
+fn distributed_matches_serial_bitwise() {
+    let name = "distributed_matches_serial_bitwise";
+    forall(name, 0x65c0_0004, CASES, |rng| {
         let ids = random_ids(rng);
-        let p = rng.range(1, 5);
+        let p = rng.range(1, 6);
         let data = rng.vec(ids.len(), -5.0, 5.0);
-        // Partition local slots by a seeded pattern.
-        let n = ids.len();
+        // Scatter the serial slots over ranks; a slot's canonical
+        // position is its serial index, ascending within each rank.
         let mut ids_per_rank: Vec<Vec<usize>> = vec![Vec::new(); p];
-        let mut slot_of: Vec<(usize, usize)> = Vec::with_capacity(n);
-        for &g in ids.iter() {
+        let mut canon_per_rank: Vec<Vec<u64>> = vec![Vec::new(); p];
+        let mut fields: Vec<Vec<f64>> = vec![Vec::new(); p];
+        let mut slot_of: Vec<(usize, usize)> = Vec::with_capacity(ids.len());
+        for (i, &g) in ids.iter().enumerate() {
             let r = rng.index(p);
             slot_of.push((r, ids_per_rank[r].len()));
             ids_per_rank[r].push(g);
+            canon_per_rank[r].push(i as u64);
+            fields[r].push(data[i]);
         }
-        for op in [GsOp::Add, GsOp::Min, GsOp::Max, GsOp::Mul] {
-            let u0 = data.clone();
-            // Serial.
-            let h = GsHandle::new(&ids);
-            let mut want = u0.clone();
-            h.gs(&mut want, op);
-            // Distributed.
-            let mut fields: Vec<Vec<f64>> = vec![Vec::new(); p];
-            for (i, &(r, _)) in slot_of.iter().enumerate() {
-                fields[r].push(u0[i]);
+        // Build every rank's pattern, pack, deliver, fold.
+        let distributed = |op: GsOp| -> Vec<Vec<f64>> {
+            let pats: Vec<RankGs> = (0..p)
+                .map(|r| RankGs::new(&ids_per_rank, &canon_per_rank, r))
+                .collect();
+            let mut u = fields.clone();
+            let outboxes = pats.iter().zip(&u).map(|(g, f)| g.pack(f)).collect();
+            let inboxes = exchange_in_process(outboxes);
+            for ((g, f), inbox) in pats.iter().zip(u.iter_mut()).zip(&inboxes) {
+                g.fold(f, inbox, op);
             }
-            let pargs = ParGs::new(&ids_per_rank);
-            let mut comm = SimComm::new(p);
-            pargs.gs(&mut fields, op, &mut comm);
+            u
+        };
+        let bits =
+            |u: &[Vec<f64>]| -> Vec<u64> { u.concat().iter().map(|v| v.to_bits()).collect() };
+        for op in [GsOp::Add, GsOp::Min, GsOp::Max, GsOp::Mul] {
+            let mut want = data.clone();
+            GsHandle::new(&ids).gs(&mut want, op);
+            let got = distributed(op);
             for (i, &(r, off)) in slot_of.iter().enumerate() {
-                assert!(
-                    (fields[r][off] - want[i]).abs() < 1e-10,
+                assert_eq!(
+                    got[r][off].to_bits(),
+                    want[i].to_bits(),
                     "op {op:?} slot {i}"
                 );
             }
-        }
-    });
-}
-
-/// Determinism audit (`sem-net` depends on this): building the same
-/// distributed pattern twice from the same id maps and exchanging the
-/// same data must produce *byte-identical* results, across rank counts —
-/// no HashMap iteration order may leak into the `nbrs`/`ext_slot`
-/// ordering and hence into floating-point combine order.
-#[test]
-fn par_gs_build_is_deterministic() {
-    forall("par_gs_build_is_deterministic", 0x65c0_0006, CASES, |rng| {
-        let p = rng.range(1, 6);
-        let mut ids_per_rank: Vec<Vec<usize>> = Vec::with_capacity(p);
-        for _ in 0..p {
-            // Small gid universe relative to slot count => heavy sharing,
-            // including multiplicity ≥ 3 "corners" across many ranks.
-            let len = rng.range(0, 30);
-            ids_per_rank.push((0..len).map(|_| rng.index(15)).collect());
-        }
-        let data: Vec<Vec<f64>> = ids_per_rank
-            .iter()
-            .map(|ids| rng.vec(ids.len(), -5.0, 5.0))
-            .collect();
-        for op in [GsOp::Add, GsOp::Min, GsOp::Max, GsOp::Mul] {
-            let mut runs: Vec<Vec<u64>> = Vec::new();
-            for _ in 0..2 {
-                let pargs = ParGs::new(&ids_per_rank);
-                let mut comm = SimComm::new(p);
-                let mut fields = data.clone();
-                pargs.gs(&mut fields, op, &mut comm);
-                runs.push(
-                    fields
-                        .iter()
-                        .flatten()
-                        .map(|v| v.to_bits())
-                        .collect::<Vec<u64>>(),
-                );
-            }
-            assert_eq!(runs[0], runs[1], "op {op:?}: rebuild changed bits");
+            let again = distributed(op);
+            assert_eq!(bits(&again), bits(&got), "op {op:?}: rebuild changed bits");
         }
     });
 }

@@ -42,13 +42,6 @@ impl BandedCholesky {
         Self::factor(n, kd, band)
     }
 
-    /// Factor from band storage directly (entry `A[i, i-d]` at
-    /// `band[i*(kd+1)+d]`).
-    pub fn from_band(n: usize, kd: usize, band: Vec<f64>) -> Self {
-        assert_eq!(band.len(), n * (kd + 1), "band storage length");
-        Self::factor(n, kd, band)
-    }
-
     fn factor(n: usize, kd: usize, mut band: Vec<f64>) -> Self {
         let w = kd + 1;
         for j in 0..n {

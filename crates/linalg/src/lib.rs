@@ -7,7 +7,7 @@
 //! * [`Matrix`] — a small, row-major dense matrix used for the 1D operators
 //!   (stiffness, mass, derivative, interpolation) of the tensor-product
 //!   spectral element bases.
-//! * [`mxm`] — the matrix–matrix product kernel family of the paper's
+//! * [`mxm`](mod@mxm) — the matrix–matrix product kernel family of the paper's
 //!   Table 3 (`lkm`/`ghm`/`csm`/`f3`/`f2` become `naive`/`blocked`/
 //!   `unroll4`/`f3`/`f2`), plus a per-shape dispatcher mirroring the
 //!   paper's "perf." kernel selection.

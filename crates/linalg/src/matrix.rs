@@ -4,7 +4,7 @@
 //! one-dimensional stiffness/mass/derivative operators are of order `N+1`
 //! with `N` typically 7–16. A simple contiguous row-major layout with
 //! panic-on-mismatch semantics is the right tool; everything
-//! performance-critical goes through the [`crate::mxm`] kernels instead of
+//! performance-critical goes through the [`crate::mxm`](mod@crate::mxm) kernels instead of
 //! generic operator overloading.
 
 use std::fmt;

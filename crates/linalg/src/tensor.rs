@@ -3,7 +3,7 @@
 //! Spectral element fields on one element are logically `d`-dimensional
 //! arrays `u[k][j][i]` (the `x` index `i` fastest). A separable operator
 //! `A_z ⊗ A_y ⊗ A_x` is applied as a short sequence of small dense
-//! matrix–matrix products through the [`crate::mxm`] kernels — this is the
+//! matrix–matrix products through the [`crate::mxm`](mod@crate::mxm) kernels — this is the
 //! transformation that recasts `O(N^{2d})` mat-vecs as `O(N^{d+1})` mat-mats
 //! and is "central to the efficiency of spectral element methods".
 //!

@@ -3,7 +3,7 @@
 //! * [`box2d`] / [`box3d`] — tensor-product boxes (shear layer roll-up,
 //!   Rayleigh–Bénard convection, Orr–Sommerfeld channel).
 //! * [`annulus`] — deformed elements around a cylinder, the Table 2
-//!   substitute for the start-up cylinder flow of ref [9]; supports
+//!   substitute for the start-up cylinder flow of ref \[9\]; supports
 //!   geometric radial grading and exact circular arcs, and quad-refines
 //!   into the paper's `K = 93/372/1488`-class family (`96/384/1536`).
 //! * [`bump_channel3d`] — a 3D boundary-layer box with a Gaussian bump on

@@ -64,15 +64,6 @@ pub struct Geometry {
 }
 
 impl Geometry {
-    /// Number of G components per node (3 in 2D, 6 in 3D).
-    pub fn ng(&self) -> usize {
-        if self.dim == 2 {
-            3
-        } else {
-            6
-        }
-    }
-
     /// Isoparametric geometry with the default multilinear vertex mapping.
     pub fn new(mesh: &Mesh, n: usize) -> Self {
         let verts = mesh.verts.clone();

@@ -1,12 +1,11 @@
-//! Rank-level communication built on the [`Transport`] mesh: the real
-//! counterpart of `sem_comm::SimComm`.
+//! Rank-level communication built on the [`Transport`] mesh.
 //!
 //! [`NetComm`] provides the three patterns the solver stack needs —
 //! symmetric neighbor exchange (gather-scatter), binary-tree allgather
-//! (and the allreduce/barrier built on it) — with the *same accounting
-//! semantics* as the simulator: messages and bytes actually sent by this
-//! rank, and `2·⌈log₂ P⌉` critical-path rounds per tree collective with
-//! a single-rank machine charged nothing. It additionally records
+//! (and the allreduce/barrier built on it) — and accounts for them:
+//! messages and bytes actually sent by this rank, and `2·⌈log₂ P⌉`
+//! critical-path rounds per tree collective with a single-rank machine
+//! charged nothing ([`NetComm::global_stats`]). It additionally records
 //! `(bytes, seconds)` timing samples per operation class, which is what
 //! the α–β machine model is fitted against (`terasem-launch
 //! --bench-comm`).
@@ -18,7 +17,6 @@
 use crate::transport::{
     bytes_to_f64s, bytes_to_u64s, f64s_to_bytes, u64s_to_bytes, NetError, Transport,
 };
-use sem_comm::CommStats;
 use std::time::Instant;
 
 /// Protocol classes (folded into frame tags with per-pair sequencing).
@@ -49,6 +47,21 @@ impl CommTimings {
         }
         Some(samples.iter().map(|&(_, t)| t).sum::<f64>() / samples.len() as f64)
     }
+}
+
+/// Machine-wide communication statistics ([`NetComm::global_stats`]).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct CommStats {
+    /// Total messages sent.
+    pub messages: u64,
+    /// Total payload bytes sent.
+    pub bytes: u64,
+    /// Exchange rounds on the critical path (maximum over ranks).
+    pub rounds: u64,
+    /// Maximum messages sent by any single rank.
+    pub max_msgs_per_rank: u64,
+    /// Maximum bytes sent by any single rank.
+    pub max_bytes_per_rank: u64,
 }
 
 /// A `P`-rank communicator over real sockets.
@@ -112,7 +125,7 @@ impl NetComm {
     /// Symmetric neighbor exchange: send `outbox[i].1` to peer
     /// `outbox[i].0` and return the payloads received from the same
     /// peers, in the same order. Destinations must be strictly
-    /// ascending (the deterministic neighbor order `NetGs` uses) and
+    /// ascending (the neighbor order `sem_gs::RankGs::pack` produces) and
     /// the pattern must be symmetric — every addressed peer is
     /// simultaneously sending to us. All sends complete before any
     /// receive, which cannot deadlock because every link has a reader
@@ -261,9 +274,8 @@ impl NetComm {
         Ok(Some(blobs))
     }
 
-    /// Aggregate machine-wide statistics with the same meaning as
-    /// `SimComm::stats()`: totals across ranks plus per-rank maxima.
-    /// Collective — every rank must call it; the gather it performs is
+    /// Aggregate machine-wide statistics: totals across ranks plus
+    /// per-rank maxima. Collective — every rank must call it; the gather it performs is
     /// excluded from the snapshot it returns.
     pub fn global_stats(&mut self) -> Result<CommStats, NetError> {
         let (m, b, r) = self.local_counts();
@@ -351,10 +363,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The fixed `SimComm` accounting semantics carry over: a one-rank
-    /// machine exchanges nothing and is charged nothing — zero messages,
-    /// zero bytes, zero rounds — while multi-rank collectives charge
-    /// `2·⌈log₂ P⌉` rounds.
+    /// A one-rank machine exchanges nothing and is charged nothing —
+    /// zero messages, zero bytes, zero rounds — while multi-rank
+    /// collectives charge `2·⌈log₂ P⌉` rounds.
     #[test]
     fn single_rank_is_silent_and_trees_charge_stage_rounds() {
         let dir = scratch("acct");

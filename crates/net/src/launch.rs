@@ -26,7 +26,6 @@
 //! invariant end-to-end: the final checkpoint files of all ranks must be
 //! byte-identical.
 
-use crate::gs::NetGs;
 use crate::layout::{rank_ckpt_dir, RankLayout};
 use crate::rank::{
     ENV_EPOCH, ENV_KILL, ENV_RANK, ENV_RESUME_STEP, ENV_SIZE, ENV_SOCK_DIR, EXIT_CHAOS_KILL,
@@ -225,7 +224,7 @@ fn validate_partition(opts: &LaunchOpts) -> Result<RankLayout, String> {
         .map_err(|e| e.to_string())?;
     let adj = ops.mesh.adjacency();
     let traffic: Vec<(u64, u64)> = (0..opts.ranks)
-        .map(|r| NetGs::from_ids(&layout.ids_per_rank, &layout.canon_per_rank, r).traffic_per_call())
+        .map(|r| layout.gs(r).traffic_per_call())
         .collect();
     println!(
         "terasem-launch: K={} elements over {} rank(s) (RSB): sizes {:?}, \

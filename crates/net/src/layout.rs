@@ -9,12 +9,13 @@
 //! and derives per-rank local→global id maps plus each local slot's
 //! *canonical position* — its flat index in the serial layout. Canonical
 //! positions are the total order the distributed combine folds in (see
-//! [`crate::gs::NetGs`]), which is what makes the distributed result
+//! [`RankGs`]), which is what makes the distributed result
 //! bitwise-identical to the serial `GsHandle`.
 //!
 //! Each rank owns its elements in ascending element order, so canonical
 //! positions are strictly increasing within a rank by construction.
 
+use sem_gs::RankGs;
 use std::path::Path;
 
 /// A partition assigned some rank zero elements. The launcher treats
@@ -113,6 +114,11 @@ impl RankLayout {
     /// Local vector length of `rank`.
     pub fn n_local(&self, rank: usize) -> usize {
         self.ids_per_rank[rank].len()
+    }
+
+    /// `rank`'s gather-scatter exchange pattern.
+    pub fn gs(&self, rank: usize) -> RankGs {
+        RankGs::new(&self.ids_per_rank, &self.canon_per_rank, rank)
     }
 
     /// Gather `rank`'s owned-element block out of a serial field.

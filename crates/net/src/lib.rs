@@ -17,11 +17,12 @@
 //!   decomposition of a solver whose data distribution is still
 //!   simulated, and a continuously-checked invariant: ranks cross-check
 //!   field hashes every validation interval.
-//! * The gather-scatter really is distributed: [`gs::NetGs`] partitions
-//!   the element set with RSB ([`layout::RankLayout`]), exchanges shared
-//!   dof copies over the sockets with `ParGs`'s neighbor pattern, and
-//!   folds in canonical order so its result is bitwise-identical to the
-//!   serial `GsHandle` — validated against the live solver fields every
+//! * The gather-scatter really is distributed: [`layout::RankLayout`]
+//!   partitions the element set with RSB, and each rank runs its
+//!   `sem_gs::RankGs` pattern as `pack` → [`NetComm::exchange`] → `fold`,
+//!   sending shared dof copies over the sockets and folding them in
+//!   canonical order, so the result is bitwise-identical to the serial
+//!   `GsHandle` — validated against the live solver fields every
 //!   interval.
 //! * Rank death is a *recoverable fault*: each rank checkpoints
 //!   independently ([`sem_ns::supervisor`]); when a rank dies the
@@ -33,12 +34,11 @@
 //!   [`comm::NetComm`] records per-op timing samples,
 //!   `terasem-launch --bench-comm` fits `sem_comm::fit_alpha_beta` from
 //!   ping-pongs and compares measured neighbor-exchange and allreduce
-//!   times against the fitted model and the ASCI-Red preset, with the
-//!   same `CostBreakdown` reporting the simulator uses.
+//!   times against the fitted model and the ASCI-Red preset, reported
+//!   as `sem_comm::CostBreakdown`s.
 
 pub mod comm;
 pub mod fault;
-pub mod gs;
 pub mod launch;
 pub mod layout;
 pub mod rank;
@@ -47,7 +47,6 @@ pub mod transport;
 
 pub use comm::{CommTimings, NetComm};
 pub use fault::{NetFaultKind, NetFaultPlan};
-pub use gs::NetGs;
 pub use launch::LaunchOpts;
 pub use layout::{EmptyRankError, RankLayout};
 pub use transport::{NetError, NetTuning, Transport};

@@ -20,13 +20,12 @@
 //! (first life only), mirroring the soak harness's kill semantics.
 
 use crate::comm::{CommTimings, NetComm, CLASS_PING};
-use crate::gs::NetGs;
 use crate::launch::LaunchOpts;
 use crate::layout::{rank_ckpt_dir, RankLayout};
 use crate::telemetry::{self, RankTelemetry};
 use crate::transport::{NetError, Transport};
-use sem_comm::{fit_alpha_beta, MachineModel, RankLedger};
-use sem_gs::GsOp;
+use sem_comm::{fit_alpha_beta, CostBreakdown, MachineModel};
+use sem_gs::{GsOp, RankGs};
 use sem_mesh::partition::partition_rsb;
 use sem_ns::{GiveUpReason, NsSolver, RunPolicy, RunReport, RunSupervisor};
 use std::time::Duration;
@@ -124,7 +123,7 @@ fn rejoinable(why: &str) -> bool {
 fn validate(
     s: &NsSolver,
     layout: &RankLayout,
-    netgs: &NetGs,
+    gs: &RankGs,
     comm: &mut NetComm,
 ) -> Result<(), String> {
     let rank = comm.rank();
@@ -144,16 +143,17 @@ fn validate(
     }
     // 2. Distributed gather-scatter vs serial assembly, on live data.
     let mut dist = layout.extract(rank, &s.vel[0]);
-    netgs
-        .gs(&mut dist, GsOp::Add, comm)
+    let inbox = comm
+        .exchange(&gs.pack(&dist))
         .map_err(|e| format!("{}: gs exchange at step {step}: {e}", comm_prefix(&e)))?;
+    gs.fold(&mut dist, &inbox, GsOp::Add);
     let mut full = s.vel[0].clone();
     s.ops.gs.gs(&mut full, GsOp::Add);
     let want = layout.extract(rank, &full);
     for (slot, (d, w)) in dist.iter().zip(want.iter()).enumerate() {
         if d.to_bits() != w.to_bits() {
             return Err(format!(
-                "diverged: NetGs result differs from serial assembly at step {step}, \
+                "diverged: distributed gather-scatter differs from serial assembly at step {step}, \
                  rank {rank} slot {slot}: {d:e} vs {w:e}"
             ));
         }
@@ -271,7 +271,7 @@ pub fn rank_main(opts: &LaunchOpts, rank: usize, size: usize) -> i32 {
             return EXIT_USAGE;
         }
     };
-    let netgs = NetGs::new(&layout, rank);
+    let gs = layout.gs(rank);
     let mut sup = RunSupervisor::new(solver);
     if let Ok(step) = std::env::var(ENV_RESUME_STEP) {
         let step: u64 = match step.parse() {
@@ -307,7 +307,7 @@ pub fn rank_main(opts: &LaunchOpts, rank: usize, size: usize) -> i32 {
             epoch,
             allow_rejoin,
             &layout,
-            &netgs,
+            &gs,
             &mut sup,
             &kill_steps,
             &mut barrier_ns,
@@ -340,7 +340,7 @@ fn run_epoch(
     epoch: u64,
     allow_rejoin: bool,
     layout: &RankLayout,
-    netgs: &NetGs,
+    gs: &RankGs,
     sup: &mut RunSupervisor,
     kill_steps: &[u64],
     barrier_ns: &mut Option<u64>,
@@ -397,7 +397,7 @@ fn run_epoch(
             "terasem-net rank {rank}: epoch {epoch}: holding at frontier step {frontier} \
              for the rejoining rank"
         );
-        if let Err(why) = validate(sup.solver(), layout, netgs, &mut comm) {
+        if let Err(why) = validate(sup.solver(), layout, gs, &mut comm) {
             eprintln!("terasem-net rank {rank}: rejoin prologue: {why}");
             return abort_outcome(&mut comm, epoch, allow_rejoin, &why);
         }
@@ -413,7 +413,7 @@ fn run_epoch(
             std::process::exit(EXIT_CHAOS_KILL);
         }
         if (step % every == 0 || step == target) && step >= validate_floor {
-            validate(s, layout, netgs, &mut comm)?;
+            validate(s, layout, gs, &mut comm)?;
         }
         Ok(())
     });
@@ -423,7 +423,7 @@ fn run_epoch(
             rank,
             size,
             layout,
-            netgs,
+            gs,
             &mut comm,
             &report,
             target,
@@ -462,7 +462,7 @@ fn finish_run(
     rank: usize,
     size: usize,
     layout: &RankLayout,
-    netgs: &NetGs,
+    gs: &RankGs,
     comm: &mut NetComm,
     report: &RunReport,
     target: u64,
@@ -470,13 +470,13 @@ fn finish_run(
 ) -> EpochOutcome {
     // Snapshot telemetry before any end-of-run collective so the
     // shipped comm samples describe the solve, not the shutdown.
-    let tel = opts.telemetry.then(|| {
-        RankTelemetry::capture(comm, netgs, target, report.steps.len() as u64, barrier_ns)
-    });
+    let tel = opts
+        .telemetry
+        .then(|| RankTelemetry::capture(comm, gs, target, report.steps.len() as u64, barrier_ns));
     let exchange_mean = CommTimings::mean_secs(&comm.timings.exchange);
     match comm.global_stats() {
         Ok(stats) if rank == 0 => {
-            let (msgs_call, words_call) = netgs.traffic_per_call();
+            let (msgs_call, words_call) = gs.traffic_per_call();
             println!(
                 "terasem-net: {size} rank(s) reached step {target} \
                  ({} step(s) this life{})",
@@ -498,16 +498,7 @@ fn finish_run(
             if let Some(mean) = exchange_mean {
                 // The α–β model of the validated exchange, under the
                 // ASCI-Red preset for scale reference.
-                let model = MachineModel::asci_red_333_single();
-                let mut ledger = RankLedger::new(size);
-                for r in 0..size {
-                    let g = NetGs::from_ids(&layout.ids_per_rank, &layout.canon_per_rank, r);
-                    let (m, w) = g.traffic_per_call();
-                    for _ in 0..m {
-                        ledger.charge_msg(r, 8 * w / m.max(1));
-                    }
-                }
-                let est = ledger.estimate(&model);
+                let est = exchange_cost(layout, &MachineModel::asci_red_333_single());
                 println!(
                     "terasem-net: neighbor exchange ({msgs_call} msgs, {words_call} words \
                      per call): measured mean {:.1} us, ASCI-Red model {:.1} us",
@@ -543,6 +534,20 @@ fn finish_run(
         }
     }
     EpochOutcome::Exit(EXIT_OK)
+}
+
+/// The α–β cost of one neighbor exchange on `layout` under `model`: the
+/// critical path over ranks, one latency per message and one inverse
+/// bandwidth per byte (8 per word) that the busiest rank sends.
+fn exchange_cost(layout: &RankLayout, model: &MachineModel) -> CostBreakdown {
+    let (msgs, words) = (0..layout.size)
+        .map(|r| layout.gs(r).traffic_per_call())
+        .fold((0, 0), |(m, w), (rm, rw)| (m.max(rm), w.max(rw)));
+    CostBreakdown {
+        compute: 0.0,
+        latency: msgs as f64 * model.latency,
+        bandwidth: (8 * words) as f64 * model.inv_bandwidth,
+    }
 }
 
 /// Ping-pong sizes for the α–β fit (payload bytes).
@@ -599,7 +604,7 @@ fn bench_comm_main(opts: &LaunchOpts, comm: &mut NetComm) -> i32 {
             return EXIT_USAGE;
         }
     };
-    let netgs = NetGs::new(&layout, rank);
+    let gs = layout.gs(rank);
     let mut field = layout.extract(rank, &solver.vel[0]);
     if let Err(e) = comm.barrier() {
         eprintln!("terasem-net rank {rank}: {e}");
@@ -607,9 +612,12 @@ fn bench_comm_main(opts: &LaunchOpts, comm: &mut NetComm) -> i32 {
     }
     comm.timings = CommTimings::default();
     for _ in 0..OP_REPS {
-        if let Err(e) = netgs.gs(&mut field, GsOp::Add, comm) {
-            eprintln!("terasem-net rank {rank}: bench exchange failed: {e}");
-            return EXIT_PEER_LOST;
+        match comm.exchange(&gs.pack(&field)) {
+            Ok(inbox) => gs.fold(&mut field, &inbox, GsOp::Add),
+            Err(e) => {
+                eprintln!("terasem-net rank {rank}: bench exchange failed: {e}");
+                return EXIT_PEER_LOST;
+            }
         }
     }
     let exchange_mean = CommTimings::mean_secs(&comm.timings.exchange);
@@ -650,7 +658,7 @@ fn bench_comm_main(opts: &LaunchOpts, comm: &mut NetComm) -> i32 {
             None
         }
     };
-    let (msgs_call, words_call) = netgs.traffic_per_call();
+    let (msgs_call, words_call) = gs.traffic_per_call();
     if let Some(mean) = exchange_mean {
         println!(
             "  neighbor exchange (shear layer K={}, N={}, {} nbr msgs / {} words per call):",
@@ -661,17 +669,7 @@ fn bench_comm_main(opts: &LaunchOpts, comm: &mut NetComm) -> i32 {
         );
         println!("    measured mean: {:>9.2} us", mean * 1e6);
         for model in [measured.as_ref(), Some(&asci)].into_iter().flatten() {
-            // CostBreakdown of one exchange call on this rank's pattern.
-            let mut ledger = RankLedger::new(size);
-            for r in 0..size {
-                let g = NetGs::from_ids(&layout.ids_per_rank, &layout.canon_per_rank, r);
-                let (m, w) = g.traffic_per_call();
-                let per_msg = if m > 0 { 8 * w / m } else { 0 };
-                for _ in 0..m {
-                    ledger.charge_msg(r, per_msg);
-                }
-            }
-            let est = ledger.estimate(model);
+            let est = exchange_cost(&layout, model);
             println!(
                 "    {:<22} {:>9.2} us  (latency {:.2} us + bandwidth {:.3} us)",
                 format!("model [{}]:", model.name),
@@ -698,6 +696,46 @@ fn bench_comm_main(opts: &LaunchOpts, comm: &mut NetComm) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sem_mesh::generators::box2d;
+    use sem_ops::SemOps;
+
+    /// The `scripts/net_smoke.sh` layout: box2d 3×3, periodic, N=4,
+    /// RSB-partitioned over `p` ranks.
+    fn smoke_layout(p: usize) -> RankLayout {
+        let mesh = box2d(3, 3, [0.0, 1.0], [0.0, 1.0], true, true);
+        let part = partition_rsb(&mesh, p);
+        let ops = SemOps::new(mesh, 4);
+        RankLayout::new(&ops.num.ids, ops.geo.npts, &part, p).unwrap()
+    }
+
+    /// Each rank's `(messages, words)` per gather-scatter call on the
+    /// smoke layout. Neither the pattern construction nor RSB may drift
+    /// silently: the launcher banner and the cost model report these.
+    #[test]
+    fn exchange_pattern_of_the_smoke_layout_is_pinned() {
+        let want: [&[(u64, u64)]; 3] = [
+            &[(1, 40), (1, 40)],
+            &[(2, 38), (2, 40), (2, 40)],
+            &[(3, 34), (3, 30), (3, 30), (3, 38)],
+        ];
+        for (p, want) in (2..=4).zip(want) {
+            let layout = smoke_layout(p);
+            let got: Vec<(u64, u64)> = (0..p).map(|r| layout.gs(r).traffic_per_call()).collect();
+            assert_eq!(got, want, "P={p}");
+        }
+    }
+
+    /// The exchange is charged at its critical path with exact bytes: at
+    /// P=4 the busiest ranks send 3 messages, and rank 3 sends 38 words
+    /// (304 bytes, not rounded to a whole number of bytes per message).
+    #[test]
+    fn exchange_cost_charges_exact_bytes() {
+        let model = MachineModel::asci_red_333_single();
+        let est = exchange_cost(&smoke_layout(4), &model);
+        assert_eq!(est.compute, 0.0);
+        assert_eq!(est.latency, 3.0 * model.latency);
+        assert_eq!(est.bandwidth, 304.0 * model.inv_bandwidth);
+    }
 
     #[test]
     fn solution_hash_is_sensitive_to_every_field() {

@@ -27,8 +27,8 @@
 //! `--telemetry` takes none of these paths.
 
 use crate::comm::{CommTimings, NetComm, CLASS_TELEMETRY};
-use crate::gs::NetGs;
 use crate::transport::{bytes_to_u64s, NetError};
+use sem_gs::RankGs;
 use sem_obs::counters::{self, CounterSnapshot};
 use sem_obs::hist::{self, HistSnapshot};
 use sem_obs::json::{fmt_f64, Json, JsonObj};
@@ -85,12 +85,12 @@ impl RankTelemetry {
     /// `global_stats()` or any other end-of-run collective.
     pub fn capture(
         comm: &NetComm,
-        netgs: &NetGs,
+        gs: &RankGs,
         steps: u64,
         steps_this_life: u64,
         barrier_ns: u64,
     ) -> RankTelemetry {
-        let (gs_msgs, gs_words) = netgs.traffic_per_call();
+        let (gs_msgs, gs_words) = gs.traffic_per_call();
         RankTelemetry {
             rank: comm.rank(),
             size: comm.size(),
@@ -324,8 +324,7 @@ mod tests {
             let part = partition_rsb(&mesh, size);
             let ops = sem_ops::SemOps::new(mesh, 3);
             let layout = RankLayout::new(&ops.num.ids, ops.geo.npts, &part, size).unwrap();
-            let netgs = NetGs::new(&layout, r);
-            let tel = RankTelemetry::capture(&comm, &netgs, 7, 7, 1_000 * (r as u64 + 1));
+            let tel = RankTelemetry::capture(&comm, &layout.gs(r), 7, 7, 1_000 * (r as u64 + 1));
             ship_and_write(&mut comm, &tel, &jobdir).unwrap()
         });
         for (r, res) in got.iter().enumerate() {

@@ -119,7 +119,7 @@ pub enum FrameError {
         /// Bytes actually available.
         have: usize,
     },
-    /// Declared payload length exceeds [`MAX_FRAME`] — a corrupt
+    /// Declared payload length exceeds `MAX_FRAME` (1 GiB) — a corrupt
     /// header, not an allocation request.
     Oversize {
         /// The absurd declared length.

@@ -5,9 +5,9 @@
 //! count. Ranks run as threads, each with its own `Transport` over a
 //! shared socket directory, exactly as the spawned processes do.
 
-use sem_gs::{GsHandle, GsOp};
+use sem_gs::{GsHandle, GsOp, RankGs};
 use sem_linalg::rng::{forall, SplitMix64};
-use sem_net::{NetComm, NetGs, Transport};
+use sem_net::{NetComm, Transport};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -42,9 +42,10 @@ fn run_distributed(
                 let t = Transport::bootstrap(&dir, r, p, Duration::from_secs(20))
                     .unwrap_or_else(|e| panic!("rank {r}: {e}"));
                 let mut comm = NetComm::new(t);
-                let gs = NetGs::from_ids(&ids, &canon, r);
+                let gs = RankGs::new(&ids, &canon, r);
                 let mut u = fields[r].clone();
-                gs.gs(&mut u, op, &mut comm).unwrap();
+                let inbox = comm.exchange(&gs.pack(&u)).unwrap();
+                gs.fold(&mut u, &inbox, op);
                 u.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
             })
         })
@@ -72,7 +73,7 @@ fn random_partition(
     let mut slot_of = Vec::with_capacity(n);
     for (i, &g) in ids.iter().enumerate() {
         // Random rank per serial slot: canon stays ascending per rank
-        // because i is. Some ranks may end up empty — NetGs tolerates
+        // because i is. Some ranks may end up empty — RankGs tolerates
         // that (the launcher-level layout is the one that rejects it).
         let r = rng.index(p);
         slot_of.push((r, ids_per_rank[r].len()));

@@ -1,6 +1,6 @@
 //! Field output: legacy VTK (unstructured quad/hex) and CSV writers for
 //! post-processing the simulations (the paper's production runs fed an
-//! immersive visualization pipeline, ref [26]; we emit standard formats).
+//! immersive visualization pipeline, ref \[26\]; we emit standard formats).
 
 use crate::solver::NsSolver;
 use sem_ops::SemOps;

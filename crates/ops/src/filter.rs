@@ -21,20 +21,13 @@ pub struct ElementFilter {
 impl ElementFilter {
     /// Build the filter of strength `alpha` for `ops`, using the
     /// **interpolation-based** construction `(1−α)I + αΠ_{N−1}` of ref
-    /// [11]. This form preserves element-boundary values exactly (its
+    /// \[11\]. This form preserves element-boundary values exactly (its
     /// endpoint rows are unit vectors), so filtering keeps fields in the
     /// C⁰ space — pure modal truncation would introduce interface jumps
     /// every step and destabilize exactly the flows the filter is meant
     /// to save.
     pub fn new(ops: &SemOps, alpha: f64) -> Self {
         let f = sem_poly::filter::filter_matrix_interp(ops.geo.nx, alpha);
-        let ft = f.transpose();
-        ElementFilter { f, ft, alpha }
-    }
-
-    /// Build from an arbitrary per-mode transfer function.
-    pub fn with_transfer(ops: &SemOps, sigma: impl Fn(usize) -> f64, alpha: f64) -> Self {
-        let f = sem_poly::filter::filter_matrix_with(ops.geo.nx, sigma);
         let ft = f.transpose();
         ElementFilter { f, ft, alpha }
     }

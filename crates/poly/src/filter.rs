@@ -65,7 +65,7 @@ pub fn filter_matrix(n_points: usize, alpha: f64) -> Matrix {
     filter_matrix_with(n_points, |n| if n == top { 1.0 - alpha } else { 1.0 })
 }
 
-/// The interpolation-based construction `(1−α) I + α Π_{N−1}` of ref [11]:
+/// The interpolation-based construction `(1−α) I + α Π_{N−1}` of ref \[11\]:
 /// interpolate to the `N`-point (degree `N−1`) GLL grid and back, blended
 /// with the identity. Not identical to [`filter_matrix`]: interpolation at
 /// `N` points maps `P_N` to its degree-`N−1` interpolant rather than to

@@ -7,7 +7,7 @@
 //! `û_n = (1/γ̃_n) Σ_i w_i P_n(ξ_i) u_i`, where `γ̃_n` is the *discrete*
 //! norm ([`crate::legendre::legendre_norm_gll`]) that differs from the
 //! continuous one only in the top mode. The stabilization filter (§2,
-//! ref [11]) acts in this modal basis.
+//! ref \[11\]) acts in this modal basis.
 
 use crate::legendre::{legendre, legendre_norm_gll};
 use crate::quad::gauss_lobatto;

@@ -1,8 +1,9 @@
 //! One-dimensional reference operators.
 //!
 //! Tensor products of these build every multidimensional operator in the
-//! code (Eq. 2 of the paper): the GLL spectral stiffness `Â` and
-//! (diagonal) mass `B̂` on `[-1, 1]`, and the low-order piecewise-linear
+//! code (Eq. 2 of the paper): the GLL spectral stiffness `Â` on
+//! `[-1, 1]` (the diagonal mass `B̂` is the GLL weights,
+//! `gauss_lobatto(n).weights`), and the low-order piecewise-linear
 //! finite element stiffness/mass pairs used by the overlapping Schwarz
 //! preconditioner's local problems (§5, Fig. 5) — including the
 //! one-point-extended subdomains of the FDM construction.
@@ -10,16 +11,6 @@
 use crate::lagrange::deriv_matrix;
 use crate::quad::gauss_lobatto;
 use sem_linalg::Matrix;
-
-/// GLL diagonal mass matrix `B̂ = diag(w)` on the reference interval.
-///
-/// GLL quadrature of the mass integrand (degree `2N`) is inexact but
-/// spectrally accurate; the resulting *diagonal* mass matrix is the
-/// standard SEM choice and what makes `B` trivially invertible in
-/// `E = D B⁻¹ Dᵀ`.
-pub fn gll_mass(n_points: usize) -> Vec<f64> {
-    gauss_lobatto(n_points).weights
-}
 
 /// GLL spectral stiffness matrix
 /// `Â_ij = Σ_k w_k D_ki D_kj = ∫ h'_i h'_j dx` (exact: integrand degree

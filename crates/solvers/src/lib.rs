@@ -14,10 +14,10 @@
 //!   (Table 2's comparison matrix).
 //! * [`coarse`] — the element-vertex coarse space: bilinear restriction
 //!   `R₀`, the assembled coarse operator `A₀`, and direct solves.
-//! * [`projection`] — successive right-hand-side projection (ref [7]):
+//! * [`projection`] — successive right-hand-side projection (ref \[7\]):
 //!   solve only for the perturbation from the span of previous solutions.
 //! * [`sparse`] — CSR symmetric sparse matrices for coarse operators.
-//! * [`xxt`] — the XXᵀ sparse-inverse coarse-grid solver (ref [24]) with
+//! * [`xxt`] — the XXᵀ sparse-inverse coarse-grid solver (ref \[24\]) with
 //!   nested-dissection ordering and the Fig. 6 communication model,
 //!   plus the redundant banded-LU and row-distributed-inverse baselines.
 //! * [`pressure_solver`] — the packaged two-stage pressure solve:

@@ -1,4 +1,4 @@
-//! Successive right-hand-side projection (Fischer 1998; §5, ref [7]).
+//! Successive right-hand-side projection (Fischer 1998; §5, ref \[7\]).
 //!
 //! Unsteady flows solve a sequence of closely related systems
 //! `E pⁿ = gⁿ`. Before iterating, project the answer onto the span of up
@@ -89,7 +89,7 @@ impl RhsProjection {
     /// `ex = E x`) into the basis: Gram–Schmidt against the stored
     /// directions in the `E` inner product, normalize, append. When the
     /// history is full, it is restarted from the current solution alone
-    /// (the standard restart policy of ref [7]).
+    /// (the standard restart policy of ref \[7\]).
     pub fn update(&mut self, x: &[f64], ex: &[f64]) {
         assert_eq!(x.len(), self.n, "update: x length");
         assert_eq!(ex.len(), self.n, "update: ex length");

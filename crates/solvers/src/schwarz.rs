@@ -33,7 +33,7 @@ pub enum LocalKind {
     /// Fast diagonalization (tensor eigenbases) — the paper's FDM column.
     Fdm,
     /// Direct Cholesky factorization of the assembled local operator —
-    /// stands in for the unstructured-FEM local solves of ref [9].
+    /// stands in for the unstructured-FEM local solves of ref \[9\].
     Fem,
 }
 

@@ -1,4 +1,4 @@
-//! The XXᵀ coarse-grid solver (Tufo & Fischer, ref [24]; §5).
+//! The XXᵀ coarse-grid solver (Tufo & Fischer, ref \[24\]; §5).
 //!
 //! The coarse problem `A₀ x = b` is communication-bound: `A₀⁻¹` is full
 //! and there is almost no work per processor. The XXᵀ method computes a

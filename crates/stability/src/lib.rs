@@ -22,7 +22,6 @@
 //! `ω_i = α·Im(c)` (energy grows at `2ω_i`).
 
 use sem_linalg::complex::{inverse_iteration, CMatrix, Complex};
-use sem_linalg::Matrix;
 use sem_poly::lagrange::{barycentric_weights, deriv_matrix, lagrange_eval};
 use sem_poly::quad::gauss_lobatto;
 
@@ -174,14 +173,6 @@ pub fn table1_reference() -> OrrSommerfeld {
 /// Evaluate the parabolic base flow `U(y) = 1 − y²`.
 pub fn poiseuille(y: f64) -> f64 {
     1.0 - y * y
-}
-
-/// Helper: differentiation matrix reuse for external consumers (e.g.
-/// verifying eigenfunction smoothness in tests and benches).
-pub fn collocation_deriv(n: usize) -> (Vec<f64>, Matrix) {
-    let rule = gauss_lobatto(n + 1);
-    let d = deriv_matrix(&rule.points);
-    (rule.points, d)
 }
 
 #[cfg(test)]

@@ -20,5 +20,8 @@ scripts/bench_snapshot.sh
 # API change that breaks its build, its gate or its mirrored inputs
 # fails here.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
+# Rustdoc must build warning-free, so intra-doc links to renamed or
+# deleted items fail here instead of going stale.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 echo "verify: OK"

@@ -15,14 +15,17 @@
 //! * [`poly`] — orthogonal polynomials, quadrature, interpolation, filters
 //! * [`linalg`] — dense kernels (mxm family), factorizations, eigensolvers
 //! * [`mesh`] — spectral element meshes, geometry, partitioning
-//! * [`gs`] — the gather-scatter (direct stiffness summation) library
-//! * [`comm`] — the simulated message-passing machine and cost models
+//! * [`gs`] — the gather-scatter (direct stiffness summation) library,
+//!   serial and per-rank distributed
+//! * [`comm`] — the α–β machine cost model and deterministic
+//!   element-parallel loops
 //! * [`ops`] — matrix-free spectral element operators
 //! * [`solvers`] — CG, Schwarz/FDM preconditioning, XXᵀ, projection
 //! * [`ns`] — the incompressible Navier–Stokes solver (the paper's code)
 //! * [`stability`] — Orr–Sommerfeld linear-theory reference solutions
 //! * [`net`] — rank-parallel scale-out: Unix-socket transport, the
-//!   distributed gather-scatter, and the `terasem-launch` supervisor
+//!   distributed gather-scatter's exchange, and the `terasem-launch`
+//!   supervisor
 //!
 //! See `README.md` for a quickstart and `DESIGN.md`/`EXPERIMENTS.md` for
 //! the paper-experiment index.

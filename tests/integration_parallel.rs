@@ -1,20 +1,20 @@
 //! Cross-crate integration: the distributed pieces — RSB partitioning,
-//! the distributed gather-scatter over the simulated machine, and the
+//! the distributed gather-scatter with all ranks in one process, and the
 //! XXᵀ coarse solver on a coarse operator assembled from a real mesh.
 
-use terasem::comm::SimComm;
-use terasem::gs::{GsHandle, GsOp, ParGs};
+use terasem::gs::{exchange_in_process, GsHandle, GsOp};
 use terasem::linalg::rng::SplitMix64;
 use terasem::mesh::generators::{box2d, box3d};
 use terasem::mesh::partition::{cut_edges, partition_linear, partition_rsb, shared_vertices};
 use terasem::mesh::{Geometry, GlobalNumbering, VertexNumbering};
+use terasem::net::RankLayout;
 use terasem::ops::SemOps;
 use terasem::solvers::coarse::assemble_vertex_laplacian;
 use terasem::solvers::sparse::Csr;
 use terasem::solvers::xxt::{nested_dissection, XxtSolver};
 
 /// Distributed gather-scatter over an RSB partition reproduces the serial
-/// direct-stiffness summation exactly.
+/// direct-stiffness summation bit for bit, on real-valued data.
 #[test]
 fn distributed_gs_matches_serial_on_partitioned_mesh() {
     let mesh = box2d(6, 4, [0.0, 3.0], [0.0, 2.0], false, false);
@@ -23,49 +23,29 @@ fn distributed_gs_matches_serial_on_partitioned_mesh() {
     let num = GlobalNumbering::new(&mesh, &geo);
     let p = 4;
     let part = partition_rsb(&mesh, p);
-    // Distribute element-local ids by rank.
-    let npts = geo.npts;
-    let mut ids_per_rank: Vec<Vec<usize>> = vec![Vec::new(); p];
-    let mut owner_of_slot: Vec<(usize, usize)> = Vec::new(); // (rank, offset)
-    for e in 0..mesh.num_elems() {
-        let r = part[e];
-        owner_of_slot.push((r, ids_per_rank[r].len()));
-        ids_per_rank[r].extend_from_slice(&num.ids[e * npts..(e + 1) * npts]);
-    }
-    // Field data: seeded, but integer-valued so the sums below are exact
-    // in f64 no matter which order the distributed form adds them in —
-    // the test asserts bitwise equality with the serial reduction.
-    let mut rng = SplitMix64::new(0x1ea7_0001);
-    let serial_field: Vec<f64> = (0..num.ids.len())
-        .map(|_| rng.index(23) as f64 - 11.0)
-        .collect();
-    let mut fields: Vec<Vec<f64>> = vec![Vec::new(); p];
-    for e in 0..mesh.num_elems() {
-        let (r, _) = owner_of_slot[e];
-        fields[r].extend_from_slice(&serial_field[e * npts..(e + 1) * npts]);
-    }
+    let layout = RankLayout::new(&num.ids, geo.npts, &part, p).unwrap();
+    let serial_field = SplitMix64::new(0x1ea7_0001).vec(num.ids.len(), -11.0, 11.0);
     // Serial reference.
-    let gs = GsHandle::new(&num.ids);
     let mut want = serial_field.clone();
-    gs.gs(&mut want, GsOp::Add);
-    // Distributed.
-    let pargs = ParGs::new(&ids_per_rank);
-    let mut comm = SimComm::new(p);
-    pargs.gs(&mut fields, GsOp::Add, &mut comm);
-    for e in 0..mesh.num_elems() {
-        let (r, off) = owner_of_slot[e];
-        for i in 0..npts {
-            assert_eq!(
-                fields[r][off + i],
-                want[e * npts + i],
-                "element {e} node {i}"
-            );
-        }
+    GsHandle::new(&num.ids).gs(&mut want, GsOp::Add);
+    // Distributed: pack, deliver, fold.
+    let pats: Vec<_> = (0..p).map(|r| layout.gs(r)).collect();
+    let mut fields: Vec<Vec<f64>> = (0..p).map(|r| layout.extract(r, &serial_field)).collect();
+    let outboxes = pats.iter().zip(&fields).map(|(g, u)| g.pack(u)).collect();
+    let inboxes = exchange_in_process(outboxes);
+    for ((g, u), inbox) in pats.iter().zip(fields.iter_mut()).zip(&inboxes) {
+        g.fold(u, inbox, GsOp::Add);
     }
-    // Communication actually happened, through aggregated messages.
-    let stats = comm.stats();
-    assert!(stats.messages > 0);
-    assert_eq!(stats.messages as usize, pargs.messages_per_op());
+    let bits = |u: &[f64]| -> Vec<u64> { u.iter().map(|v| v.to_bits()).collect() };
+    for (r, u) in fields.iter().enumerate() {
+        assert_eq!(bits(u), bits(&layout.extract(r, &want)), "rank {r}");
+    }
+    // Communication actually happened, through aggregated messages: one
+    // per neighbour per rank.
+    let delivered: usize = inboxes.iter().map(Vec::len).sum();
+    assert!(delivered > 0);
+    let msgs: u64 = pats.iter().map(|g| g.traffic_per_call().0).sum();
+    assert_eq!(delivered as u64, msgs);
 }
 
 /// RSB communication quality: fewer shared vertices than a naive linear
@@ -131,13 +111,9 @@ fn gs_volume_tracks_partition_quality() {
     let n = 3;
     let geo = Geometry::new(&mesh, n);
     let num = GlobalNumbering::new(&mesh, &geo);
-    let npts = geo.npts;
-    let build = |part: &[usize], p: usize| -> usize {
-        let mut ids_per_rank: Vec<Vec<usize>> = vec![Vec::new(); p];
-        for e in 0..mesh.num_elems() {
-            ids_per_rank[part[e]].extend_from_slice(&num.ids[e * npts..(e + 1) * npts]);
-        }
-        ParGs::new(&ids_per_rank).words_per_op()
+    let build = |part: &[usize], p: usize| -> u64 {
+        let layout = RankLayout::new(&num.ids, geo.npts, part, p).unwrap();
+        (0..p).map(|r| layout.gs(r).traffic_per_call().1).sum()
     };
     let p = 4;
     let rsb_words = build(&partition_rsb(&mesh, p), p);
