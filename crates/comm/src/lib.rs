@@ -13,8 +13,9 @@
 //!   is what regenerates the *shape* of Fig. 6 and Table 4 at up to 2048
 //!   nodes on a laptop.
 //! * [`par`] is the intranode half: a deterministic chunked parallel-for
-//!   over elements (std threads only, `TERASEM_THREADS` override) — the
-//!   modern form of the paper's dual-processor `-Mconcur` mode.
+//!   over elements on one persistent pool of std threads
+//!   (`TERASEM_THREADS` override) — the modern form of the paper's
+//!   dual-processor `-Mconcur` mode.
 
 pub mod model;
 pub mod par;

@@ -3,20 +3,54 @@
 //!
 //! The paper's intranode parallelism was the ASCI-Red dual-processor
 //! `-Mconcur` mode; the modern analogue here is a handful of host threads
-//! sweeping the element loops. This module provides that on `std` alone
-//! (`std::thread::scope`), with three properties the numerical layers
-//! rely on:
+//! sweeping the element loops. This module provides that on `std` alone,
+//! with one persistent pool of worker threads, and with three properties
+//! the numerical layers rely on:
 //!
 //! 1. **Determinism across thread counts.** Every element's work is
 //!    independent and writes to disjoint storage, and reductions
 //!    ([`par_sum`]) accumulate over *fixed-size* chunks combined in index
 //!    order — so results are bitwise identical whether the loop runs on
 //!    1, 2, or 64 threads.
-//! 2. **A serial fast path.** At 1 thread (or trivially small loops) no
-//!    threads are spawned at all.
+//! 2. **A serial fast path.** At 1 thread (or a loop of one item) the
+//!    loop runs on the calling thread and the pool is not touched; a
+//!    process whose loops all run at 1 thread never starts a worker.
 //! 3. **Runtime thread-count control.** `TERASEM_THREADS` overrides the
 //!    default (`std::thread::available_parallelism`), and
 //!    [`with_threads`] scopes an override for benchmarks and tests.
+//!
+//! ## The worker pool
+//!
+//! Every loop splits its `n` items into contiguous blocks of
+//! `n.div_ceil(nt)` items, `nt` = [`current_threads`], and runs them as
+//! one *region*: the calling thread runs block 0 and pool worker `w`
+//! runs block `w + 1`. The pool is process-wide. The first region of
+//! more than one block starts it, and it grows to the largest block
+//! count any region runs; its workers live as long as the process and
+//! wait between regions.
+//!
+//! One region owns the pool at a time. A region started while the pool
+//! is busy — from inside a region body, or by a second caller thread —
+//! runs all its blocks inline on the calling thread, in block order, so
+//! nesting cannot deadlock and the partition (hence the result) is the
+//! same.
+//!
+//! A waiting thread (a worker between regions, or the caller waiting for
+//! the workers' blocks) spins for a fixed short time and then parks. It
+//! spins only while the region's thread count fits the host's cores
+//! (`available_parallelism`, read once per process): an oversubscribed
+//! region parks at once, since a spinning thread would then hold a core
+//! that a thread with work needs.
+//!
+//! A panic in a block is caught; the caller waits until every other
+//! block of the region has finished and then resumes the panic with its
+//! payload (its own block's first). The caller never returns or unwinds
+//! while a block of its region is running, which is what lets the
+//! workers borrow the caller's data.
+//!
+//! Workers are plain threads: they inherit no thread-local state of the
+//! caller (a [`with_threads`] override, a `sem_linalg` backend override),
+//! and each flushes its `sem_obs` trace events at the end of every block.
 //!
 //! ## `TERASEM_THREADS` caching
 //!
@@ -28,15 +62,26 @@
 //! stderr naming the variable, and the machine's available parallelism
 //! is used instead.
 
+use std::any::Any;
 use std::cell::Cell;
-use std::ops::Range;
-use std::sync::OnceLock;
+use std::panic::{self, AssertUnwindSafe};
+use std::ptr;
+use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, TryLockError};
+use std::thread::{self, Thread};
+use std::time::{Duration, Instant};
 
 /// Chunk length (in scalar indices) used by the deterministic reduction
 /// [`par_sum`]. Fixed — never derived from the thread count — so the
 /// grouping of partial sums is identical for every parallel
 /// configuration.
 const SUM_CHUNK: usize = 4096;
+
+/// How long a waiting thread spins before it parks. Long enough to span
+/// the serial gaps between the regions of a solver iteration (a
+/// gather-scatter, a vector update), short enough that an idle pool
+/// gives its cores back at once on the scale of a time step.
+const SPIN: Duration = Duration::from_micros(100);
 
 thread_local! {
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
@@ -52,27 +97,31 @@ fn parse_thread_count(s: &str) -> Option<usize> {
     }
 }
 
+/// The host's available parallelism, read once per process: each
+/// `available_parallelism` call re-reads the cgroup files.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        thread::available_parallelism()
+            .map(|v| v.get())
+            .unwrap_or(1)
+    })
+}
+
 fn env_threads() -> usize {
     static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        let available = || {
-            std::thread::available_parallelism()
-                .map(|v| v.get())
-                .unwrap_or(1)
-        };
-        match std::env::var("TERASEM_THREADS") {
-            Ok(s) => parse_thread_count(&s).unwrap_or_else(|| {
-                // Don't silently serialize a production run over a typo:
-                // warn, naming the variable, and use the machine default.
-                let n = available();
-                eprintln!(
-                    "warning: TERASEM_THREADS={s:?} is not a positive integer; \
-                     using available parallelism ({n} thread(s)) instead"
-                );
-                n
-            }),
-            Err(_) => available(),
-        }
+    *ENV.get_or_init(|| match std::env::var("TERASEM_THREADS") {
+        Ok(s) => parse_thread_count(&s).unwrap_or_else(|| {
+            // Don't silently serialize a production run over a typo:
+            // warn, naming the variable, and use the machine default.
+            let n = cores();
+            eprintln!(
+                "warning: TERASEM_THREADS={s:?} is not a positive integer; \
+                 using available parallelism ({n} thread(s)) instead"
+            );
+            n
+        }),
+        Err(_) => cores(),
     })
 }
 
@@ -102,6 +151,199 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// One parallel region. It lives on the caller's stack, and workers
+/// reach it through their mailboxes until they finish their blocks.
+struct Region<'a> {
+    body: &'a (dyn Fn(usize) + Sync),
+    /// Worker blocks not yet finished. Each worker's `Release` decrement
+    /// pairs with the caller's `Acquire` load that reads zero, so every
+    /// write of every block is visible to the caller when it returns.
+    pending: AtomicUsize,
+    /// Whether waiting threads spin before they park.
+    spin: bool,
+    caller: Thread,
+    /// The first panic payload of a worker block.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+/// A pool worker as its caller sees it.
+struct Worker {
+    thread: Thread,
+    /// The region whose block the worker runs next; null while idle. The
+    /// caller's `Release` store pairs with the worker's `Acquire` load,
+    /// so the worker sees the region fully built.
+    mailbox: Arc<AtomicPtr<Region<'static>>>,
+}
+
+/// The pool. Holding this lock is owning the pool for one region, and
+/// the lock is held until every block of the region has finished.
+static POOL: Mutex<Vec<Worker>> = Mutex::new(Vec::new());
+
+impl Worker {
+    /// Start the worker that runs block `block` of every region. It
+    /// catches every panic of its blocks and never exits, so its handle
+    /// is not kept for a join.
+    fn spawn(block: usize) -> Worker {
+        let mailbox = Arc::new(AtomicPtr::new(ptr::null_mut()));
+        let inbox = Arc::clone(&mailbox);
+        let handle = thread::Builder::new()
+            .name(format!("sem-par-{block}"))
+            .spawn(move || work(block, &inbox))
+            .expect("sem_comm::par: cannot spawn a pool worker thread");
+        Worker {
+            thread: handle.thread().clone(),
+            mailbox,
+        }
+    }
+}
+
+/// A pool worker's loop: wait for a region, run block `block` of it,
+/// report back, repeat.
+fn work(block: usize, mailbox: &AtomicPtr<Region<'static>>) {
+    let mut spin = false;
+    loop {
+        let job = wait(spin, || {
+            let job = mailbox.load(Ordering::Acquire);
+            (!job.is_null()).then_some(job)
+        });
+        // The caller stores the next region only after this worker's
+        // decrement below, which follows this store.
+        mailbox.store(ptr::null_mut(), Ordering::Relaxed);
+        // SAFETY: `run` built the region before its `Release` store of
+        // this pointer and keeps it alive — it neither returns nor
+        // unwinds — until `pending` reads zero, which is after this
+        // worker's decrement. The region is not touched after that
+        // decrement.
+        let region = unsafe { &*job };
+        let result = panic::catch_unwind(AssertUnwindSafe(|| (region.body)(block)));
+        sem_obs::trace::flush_thread();
+        if let Err(payload) = result {
+            // Recovering a poisoned lock is sound: the slot is only ever
+            // filled once, in a single assignment.
+            let mut first = region.panic.lock().unwrap_or_else(|e| e.into_inner());
+            first.get_or_insert(payload);
+        }
+        spin = region.spin;
+        let caller = region.caller.clone();
+        region.pending.fetch_sub(1, Ordering::Release);
+        caller.unpark();
+    }
+}
+
+/// Wait until `ready` yields a value: spin for [`SPIN`] if `spin`, then
+/// park until unparked. Spurious wake-ups just test `ready` again.
+fn wait<T>(spin: bool, mut ready: impl FnMut() -> Option<T>) -> T {
+    if let Some(v) = ready() {
+        return v;
+    }
+    if spin {
+        let start = Instant::now();
+        while start.elapsed() < SPIN {
+            for _ in 0..64 {
+                std::hint::spin_loop();
+                if let Some(v) = ready() {
+                    return v;
+                }
+            }
+        }
+    }
+    loop {
+        if let Some(v) = ready() {
+            return v;
+        }
+        thread::park();
+    }
+}
+
+/// Run `body(b)` once for every block `b < blocks`: block 0 on the
+/// calling thread, block `w + 1` on pool worker `w`, or every block
+/// inline when the pool is busy. Returns once all blocks have finished;
+/// a panic in any block is resumed here after that.
+fn run(blocks: usize, body: &(dyn Fn(usize) + Sync)) {
+    if blocks <= 1 {
+        (0..blocks).for_each(body);
+        return;
+    }
+    let mut workers = match POOL.try_lock() {
+        Ok(workers) => workers,
+        // A spawn failure panics with the lock held; the workers
+        // already pushed are complete, so the pool stays usable.
+        Err(TryLockError::Poisoned(e)) => e.into_inner(),
+        Err(TryLockError::WouldBlock) => {
+            (0..blocks).for_each(body);
+            return;
+        }
+    };
+    while workers.len() < blocks - 1 {
+        let block = workers.len() + 1;
+        workers.push(Worker::spawn(block));
+    }
+    let region = Region {
+        body,
+        pending: AtomicUsize::new(blocks - 1),
+        spin: blocks <= cores(),
+        caller: thread::current(),
+        panic: Mutex::new(None),
+    };
+    let job = &region as *const Region<'_> as *mut Region<'static>;
+    for w in &workers[..blocks - 1] {
+        w.mailbox.store(job, Ordering::Release);
+        w.thread.unpark();
+    }
+    let mine = panic::catch_unwind(AssertUnwindSafe(|| body(0)));
+    wait(region.spin, || {
+        (region.pending.load(Ordering::Acquire) == 0).then_some(())
+    });
+    drop(workers);
+    if let Err(payload) = mine {
+        panic::resume_unwind(payload);
+    }
+    if let Some(payload) = region.panic.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        panic::resume_unwind(payload);
+    }
+}
+
+/// The base of a slice whose disjoint blocks go to different threads.
+struct Items<T>(*mut T);
+
+// SAFETY: the only field is the base pointer; `par_blocks` derives
+// disjoint blocks from it, each used by one thread at a time, and
+// `T: Send` lets those items be mutated (and their contents moved) on
+// the thread that runs the block.
+unsafe impl<T: Send> Sync for Items<T> {}
+
+impl<T> Items<T> {
+    /// A method rather than a field access, so a closure captures the
+    /// whole (`Sync`) wrapper and not the bare pointer.
+    fn base(&self) -> *mut T {
+        self.0
+    }
+}
+
+/// The dispatch of every loop: split `items` into `n` groups of `unit`
+/// items, partition the groups into contiguous blocks of `n.div_ceil(nt)`
+/// groups, and run `f(first_group, block_items)` once per block through
+/// [`run`].
+fn par_blocks<T: Send>(items: &mut [T], unit: usize, f: impl Fn(usize, &mut [T]) + Sync) {
+    let n = items.len() / unit;
+    if n == 0 {
+        return;
+    }
+    let per = n.div_ceil(current_threads().min(n));
+    let base = Items(items.as_mut_ptr());
+    run(n.div_ceil(per), &|b| {
+        let lo = b * per;
+        let hi = (lo + per).min(n);
+        // SAFETY: block `b` covers items `lo * unit .. hi * unit`, inside
+        // `items` (`hi <= n`, `n * unit <= items.len()`); `run` calls each
+        // block exactly once, so the slices are disjoint, and it returns
+        // only after every block has finished, so `items` outlives them.
+        let block =
+            unsafe { std::slice::from_raw_parts_mut(base.base().add(lo * unit), (hi - lo) * unit) };
+        f(lo, block);
+    });
+}
+
 /// Parallel mutable for-each over `items` with per-thread scratch state.
 ///
 /// `init` builds one scratch value per worker; `f(scratch, i, item)` runs
@@ -115,29 +357,10 @@ pub fn par_for_each_init<T, S>(
 ) where
     T: Send,
 {
-    let n = items.len();
-    let nt = current_threads().min(n);
-    if nt <= 1 {
+    par_blocks(items, 1, |first, block| {
         let mut s = init();
-        for (i, item) in items.iter_mut().enumerate() {
-            f(&mut s, i, item);
-        }
-        return;
-    }
-    let block = n.div_ceil(nt);
-    std::thread::scope(|scope| {
-        for (b, chunk) in items.chunks_mut(block).enumerate() {
-            let (f, init) = (&f, &init);
-            scope.spawn(move || {
-                let mut s = init();
-                for (j, item) in chunk.iter_mut().enumerate() {
-                    f(&mut s, b * block + j, item);
-                }
-                // Hand any trace events recorded by this worker to the
-                // global registry before the scope joins (the TLS drop
-                // would also do it; this makes the flush deterministic).
-                sem_obs::trace::flush_thread();
-            });
+        for (j, item) in block.iter_mut().enumerate() {
+            f(&mut s, first + j, item);
         }
     });
 }
@@ -163,50 +386,19 @@ pub fn par_chunks_init<S>(
         0,
         "par_chunks_init: data not a whole number of chunks"
     );
-    let mut chunks: Vec<&mut [f64]> = data.chunks_mut(chunk_len).collect();
-    par_for_each_init(&mut chunks, init, |s, e, ch| f(s, e, ch));
-}
-
-/// Parallel index-range sweep: `f(range)` is called on disjoint subranges
-/// covering `0..n` exactly once. Used by the pointwise wrappers below.
-fn par_ranges(n: usize, f: impl Fn(Range<usize>) + Sync) {
-    let nt = current_threads().min(n);
-    if nt <= 1 {
-        if n > 0 {
-            f(0..n);
-        }
-        return;
-    }
-    let block = n.div_ceil(nt);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let mut start = 0;
-        while start < n {
-            let end = (start + block).min(n);
-            scope.spawn(move || {
-                f(start..end);
-                sem_obs::trace::flush_thread();
-            });
-            start = end;
+    par_blocks(data, chunk_len, |first, block| {
+        let mut s = init();
+        for (j, chunk) in block.chunks_mut(chunk_len).enumerate() {
+            f(&mut s, first + j, chunk);
         }
     });
 }
 
 /// Parallel in-place pointwise update: `f(i, &mut out[i])` for every `i`.
 pub fn par_map_inplace(out: &mut [f64], f: impl Fn(usize, &mut f64) + Sync) {
-    let n = out.len();
-    if n == 0 {
-        return;
-    }
-    let base = out.as_mut_ptr() as usize;
-    par_ranges(n, move |r| {
-        // SAFETY: par_ranges hands out disjoint subranges of 0..n, so each
-        // element is mutated by exactly one worker; the slice outlives the
-        // scoped threads.
-        let slice =
-            unsafe { std::slice::from_raw_parts_mut((base as *mut f64).add(r.start), r.len()) };
-        for (j, v) in slice.iter_mut().enumerate() {
-            f(r.start + j, v);
+    par_blocks(out, 1, |first, block| {
+        for (j, v) in block.iter_mut().enumerate() {
+            f(first + j, v);
         }
     });
 }
@@ -225,24 +417,16 @@ pub fn par_sum(n: usize, f: impl Fn(usize) -> f64 + Sync) -> f64 {
     if n == 0 {
         return 0.0;
     }
-    let n_chunks = n.div_ceil(SUM_CHUNK);
-    let mut partials = vec![0.0f64; n_chunks];
-    {
-        let f = &f;
-        par_for_each_init(
-            &mut partials,
-            || (),
-            move |(), c, slot| {
-                let lo = c * SUM_CHUNK;
-                let hi = (lo + SUM_CHUNK).min(n);
-                let mut acc = 0.0;
-                for i in lo..hi {
-                    acc += f(i);
-                }
-                *slot = acc;
-            },
-        );
-    }
+    let mut partials = vec![0.0f64; n.div_ceil(SUM_CHUNK)];
+    par_map_inplace(&mut partials, |c, slot| {
+        let lo = c * SUM_CHUNK;
+        let hi = (lo + SUM_CHUNK).min(n);
+        let mut acc = 0.0;
+        for i in lo..hi {
+            acc += f(i);
+        }
+        *slot = acc;
+    });
     partials.iter().sum()
 }
 

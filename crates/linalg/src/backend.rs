@@ -122,11 +122,12 @@ pub fn set_backend(b: Backend) {
     PROCESS_BACKEND.store(encode(b), Ordering::Relaxed);
 }
 
-/// Run `f` with the backend forced to `b` on the calling thread (worker
-/// threads spawned by `sem_comm::par` inherit the *process* backend, so
-/// scope overrides around whole solver calls only when the loop runs
-/// serially, or use [`set_backend`] for parallel sections — results are
-/// identical either way, only speed differs).
+/// Run `f` with the backend forced to `b` on the calling thread (the
+/// `sem_comm::par` pool workers that run the other blocks of a parallel
+/// loop still use the *process* backend, so scope overrides around whole
+/// solver calls only when the loop runs serially, or use [`set_backend`]
+/// for parallel sections — results are identical either way, only speed
+/// differs).
 pub fn with_backend<R>(b: Backend, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<Backend>);
     impl Drop for Restore {

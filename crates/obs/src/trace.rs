@@ -11,9 +11,10 @@
 //! path), so `sem_comm::par` element-loop workers can trace without
 //! synchronizing. When a buffer fills, new events are dropped and
 //! counted (never silently). Buffers are flushed into a process-global
-//! registry when a thread exits (TLS destructor — covers the scoped
-//! workers of `sem_comm::par`, which also flushes explicitly at the end
-//! of each worker body) or on [`flush_thread`]/[`drain`].
+//! registry when a thread exits (TLS destructor), at the end of every
+//! block a `sem_comm::par` pool worker runs (its workers live as long as
+//! the process, so they flush explicitly), or on
+//! [`flush_thread`]/[`drain`].
 //!
 //! Three event kinds:
 //! * `Begin`/`End` — phase boundaries, recorded by [`crate::spans`]
@@ -189,8 +190,8 @@ impl LocalBuf {
     }
 }
 
-/// Flushes the thread's remaining events when the thread exits (scoped
-/// `par` workers, test threads, …).
+/// Flushes the thread's remaining events when the thread exits (test
+/// threads, rank and service threads, …).
 impl Drop for LocalBuf {
     fn drop(&mut self) {
         self.flush();
@@ -252,8 +253,8 @@ pub fn note(name: &'static str, value: f64) {
 }
 
 /// Flush the calling thread's buffer into the global registry.
-/// `sem_comm::par` calls this at the end of every worker body so scoped
-/// workers hand their events over before the loop joins.
+/// `sem_comm::par` pool workers call this at the end of every block, so
+/// their events are handed over before the loop returns to its caller.
 pub fn flush_thread() {
     let _ = BUF.try_with(|b| b.borrow_mut().flush());
 }

@@ -28,7 +28,7 @@ use sem_obs::json::JsonObj;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -536,6 +536,16 @@ fn stream_watch(writer: &mut TcpStream, shared: &Arc<Shared>, id: u64) -> std::i
     }
 }
 
+/// Write `contents` to `path` so that it appears whole: into a temporary
+/// file in the same directory, then renamed over `path`. A reader that
+/// finds `path` never sees it empty or half written.
+fn publish(path: &Path, contents: &str) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    std::fs::write(&tmp, contents)?;
+    std::fs::rename(&tmp, path)
+}
+
 /// Run the daemon until drain completes. Returns the process exit code
 /// (0 on a clean drain).
 pub fn daemon_main(opts: ServeOpts) -> i32 {
@@ -573,10 +583,19 @@ pub fn daemon_main(opts: ServeOpts) -> i32 {
         eprintln!("sem-serve: cannot set the listener non-blocking");
         return exit::FAILURE;
     }
-    // Discovery files: address (ephemeral ports!) and pid (drain via
-    // `kill -TERM $(cat serve.pid)`).
-    let _ = std::fs::write(opts.dir.join("serve.addr"), format!("{addr}\n"));
-    let _ = std::fs::write(opts.dir.join("serve.pid"), format!("{}\n", std::process::id()));
+    // Discovery files: pid (drain via `kill -TERM $(cat serve.pid)`),
+    // then address (ephemeral ports!). Each appears whole, and the
+    // address last, so a reader that finds `serve.addr` finds both.
+    let discovery = [
+        ("serve.pid", format!("{}\n", std::process::id())),
+        ("serve.addr", format!("{addr}\n")),
+    ];
+    for (name, contents) in discovery {
+        if let Err(e) = publish(&opts.dir.join(name), &contents) {
+            eprintln!("sem-serve: cannot publish {name}: {e}");
+            return exit::FAILURE;
+        }
+    }
     let journal = match std::fs::OpenOptions::new()
         .create(true)
         .append(true)
@@ -760,5 +779,24 @@ mod tests {
                 .unwrap();
         assert_eq!(floored.workers, 1);
         assert_eq!(floored.queue_cap, 1);
+    }
+
+    #[test]
+    fn publish_leaves_whole_files_and_no_temporaries() {
+        let dir = std::env::temp_dir().join(format!("terasem_publish_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("serve.addr");
+        publish(&path, "127.0.0.1:4242\n").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "127.0.0.1:4242\n");
+        // An existing file (a previous daemon's) is replaced whole.
+        publish(&path, "127.0.0.1:7\n").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "127.0.0.1:7\n");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["serve.addr"], "a temporary file was left behind");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -8,6 +8,10 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo test -q --offline -p sem-obs
+# The parallel-for's worker pool (unsafe lifetime erasure, atomics) is
+# tested optimized too: ordering bugs often show only there, and the
+# benchmark measures an optimized build.
+cargo test -q --release --offline -p sem-comm
 cargo bench --no-run --offline -p sem-bench
 scripts/metrics_smoke.sh
 scripts/fault_smoke.sh
