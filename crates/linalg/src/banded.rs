@@ -108,11 +108,6 @@ impl BandedCholesky {
         x
     }
 
-    /// Flop count of the factorization (`≈ n·kd²` multiply-adds ×2).
-    pub fn factor_flops(n: usize, kd: usize) -> u64 {
-        2 * (n as u64) * (kd as u64) * (kd as u64)
-    }
-
     /// Flop count of one solve (`≈ 2·n·kd` multiply-adds ×2).
     pub fn solve_flops(n: usize, kd: usize) -> u64 {
         4 * (n as u64) * (kd as u64)
@@ -198,7 +193,6 @@ mod tests {
 
     #[test]
     fn flop_models() {
-        assert_eq!(BandedCholesky::factor_flops(100, 10), 2 * 100 * 100);
         assert_eq!(BandedCholesky::solve_flops(100, 10), 4000);
     }
 }

@@ -115,11 +115,6 @@ impl Cholesky {
         }
         inv
     }
-
-    /// `log(det A)` via the factor diagonal.
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -182,12 +177,5 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]); // eigenvalues 3, -1
         let err = Cholesky::new(&a).unwrap_err();
         assert_eq!(err.pivot, 1);
-    }
-
-    #[test]
-    fn log_det_of_diagonal() {
-        let a = Matrix::from_diag(&[2.0, 3.0, 4.0]);
-        let ch = Cholesky::new(&a).unwrap();
-        assert!((ch.log_det() - (24.0_f64).ln()).abs() < 1e-13);
     }
 }

@@ -244,11 +244,6 @@ impl Matrix {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
-    /// Maximum absolute entry.
-    pub fn norm_max(&self) -> f64 {
-        self.data.iter().fold(0.0, |m, v| m.max(v.abs()))
-    }
-
     /// Symmetry defect `max |A - Aᵀ|` (0 for exactly symmetric matrices).
     pub fn symmetry_defect(&self) -> f64 {
         assert!(self.is_square(), "symmetry_defect requires square matrix");
@@ -386,6 +381,5 @@ mod tests {
     fn norms() {
         let m = Matrix::from_rows(&[&[3., 0.], &[0., -4.]]);
         assert!((m.norm_fro() - 5.0).abs() < 1e-15);
-        assert_eq!(m.norm_max(), 4.0);
     }
 }

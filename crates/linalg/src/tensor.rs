@@ -150,23 +150,6 @@ pub fn apply_x_with(kernel: MxmKernel, axt: &Matrix, planes: usize, u: &[f64], o
     mxm_with(kernel, u, planes, nx_in, axt.as_slice(), nx_out, out);
 }
 
-/// `out += (I ⊗ … ⊗ A_x) u`: accumulating form of [`apply_x`]. Each
-/// output element receives one full-dot add (bitwise equal to forming
-/// the product in scratch and adding elementwise — see
-/// [`crate::mxm::mxm_acc_with`]).
-pub fn apply_x_acc_with(
-    kernel: MxmKernel,
-    axt: &Matrix,
-    planes: usize,
-    u: &[f64],
-    out: &mut [f64],
-) {
-    let (nx_in, nx_out) = (axt.rows(), axt.cols());
-    assert_eq!(u.len(), planes * nx_in, "apply_x_acc: u length");
-    assert_eq!(out.len(), planes * nx_out, "apply_x_acc: out length");
-    mxm_acc_with(kernel, u, planes, nx_in, axt.as_slice(), nx_out, out);
-}
-
 /// `out = (A_y ⊗ I) u` for a 2D field with row length `nx`.
 pub fn apply_y_2d(ay: &Matrix, nx: usize, u: &[f64], out: &mut [f64]) {
     apply_y_2d_with(MxmKernel::Auto, ay, nx, u, out)
@@ -404,15 +387,7 @@ mod tests {
         let u = randomish(nz * ny * nx, 16);
         let base = randomish(nz * ny * nx, 17);
         let k = MxmKernel::Auto;
-        // x
-        let dx = randmat(nx, nx, 18);
-        let dxt = dx.transpose();
         let mut scratch = vec![0.0; nz * ny * nx];
-        apply_x_with(k, &dxt, nz * ny, &u, &mut scratch);
-        let want: Vec<f64> = base.iter().zip(&scratch).map(|(b, s)| b + s).collect();
-        let mut got = base.clone();
-        apply_x_acc_with(k, &dxt, nz * ny, &u, &mut got);
-        assert_eq!(got, want, "apply_x_acc bitwise");
         // y (3D)
         let dy = randmat(ny, ny, 19);
         apply_y_3d_with(k, &dy, nx, nz, &u, &mut scratch);

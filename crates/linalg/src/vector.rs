@@ -42,12 +42,6 @@ pub fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
 }
 
-/// Max norm.
-#[inline]
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-}
-
 /// `z = x - y` into a preallocated output.
 #[inline]
 pub fn sub_into(x: &[f64], y: &[f64], z: &mut [f64]) {
@@ -63,16 +57,6 @@ pub fn sub_into(x: &[f64], y: &[f64], z: &mut [f64]) {
 pub fn scale(a: f64, x: &mut [f64]) {
     for xi in x.iter_mut() {
         *xi *= a;
-    }
-}
-
-/// Entrywise product `z = x .* y` (diagonal preconditioner application).
-#[inline]
-pub fn hadamard_into(x: &[f64], y: &[f64], z: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "hadamard: length mismatch");
-    assert_eq!(x.len(), z.len(), "hadamard: length mismatch");
-    for ((zi, xi), yi) in z.iter_mut().zip(x.iter()).zip(y.iter()) {
-        *zi = xi * yi;
     }
 }
 
@@ -103,16 +87,13 @@ mod tests {
     #[test]
     fn norms() {
         assert!((norm2(&[3., 4.]) - 5.0).abs() < 1e-15);
-        assert_eq!(norm_inf(&[-7., 2.]), 7.0);
     }
 
     #[test]
-    fn sub_and_hadamard() {
+    fn sub_into_writes_the_difference() {
         let mut z = vec![0.0; 2];
         sub_into(&[5., 6.], &[1., 2.], &mut z);
         assert_eq!(z, vec![4., 4.]);
-        hadamard_into(&[2., 3.], &[4., 5.], &mut z);
-        assert_eq!(z, vec![8., 15.]);
     }
 
     #[test]

@@ -140,22 +140,6 @@ impl GlobalNumbering {
             multiplicity,
         }
     }
-
-    /// Scatter a global vector to local (element-wise) storage.
-    pub fn to_local(&self, global: &[f64]) -> Vec<f64> {
-        assert_eq!(global.len(), self.n_global, "global vector length");
-        self.ids.iter().map(|&id| global[id]).collect()
-    }
-
-    /// Gather (sum) a local vector into global storage.
-    pub fn to_global_sum(&self, local: &[f64]) -> Vec<f64> {
-        assert_eq!(local.len(), self.ids.len(), "local vector length");
-        let mut g = vec![0.0; self.n_global];
-        for (&id, &v) in self.ids.iter().zip(local.iter()) {
-            g[id] += v;
-        }
-        g
-    }
 }
 
 impl VertexNumbering {
@@ -249,19 +233,6 @@ mod tests {
         let geo = Geometry::new(&mesh, n);
         let num = GlobalNumbering::new(&mesh, &geo);
         assert_eq!(num.n_global, (3 * n) * (3 * n));
-    }
-
-    #[test]
-    fn gather_scatter_roundtrip() {
-        let mesh = box2d(2, 2, [0.0, 1.0], [0.0, 1.0], false, false);
-        let geo = Geometry::new(&mesh, 3);
-        let num = GlobalNumbering::new(&mesh, &geo);
-        let global: Vec<f64> = (0..num.n_global).map(|i| i as f64).collect();
-        let local = num.to_local(&global);
-        let summed = num.to_global_sum(&local);
-        for (id, &s) in summed.iter().enumerate() {
-            assert!((s - global[id] * num.multiplicity[id] as f64).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -276,16 +276,6 @@ impl NetFaultPlan {
             .map(|e| e.kind)
     }
 
-    /// Frame index past which no event can fire (used to stop paying
-    /// for shim checks once the storm is over).
-    pub fn last_frame(&self) -> u64 {
-        self.events
-            .iter()
-            .map(|e| e.frame + e.count - 1)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Deterministic payload byte index in `[0, n)` for a corrupt
     /// fault: SplitMix64 finalizer over the plan seed and frame index,
     /// matching the `sem-guard` `node_index` idiom.
@@ -333,7 +323,7 @@ mod tests {
         );
         assert_eq!(p.events[2].kind, NetFaultKind::Stall { secs: 2 });
         assert_eq!(p.events[3].kind, NetFaultKind::Sever);
-        assert_eq!(p.last_frame(), 20);
+        assert_eq!(p.events[3].frame, 20);
     }
 
     #[test]

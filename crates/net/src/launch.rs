@@ -1,42 +1,32 @@
 //! The `terasem-launch` parent: spawn N rank processes, supervise them,
-//! and turn a rank death into a recoverable fault.
+//! and turn rank deaths into a recoverable fault.
 //!
 //! The launcher validates the RSB partition *before* spawning anything
 //! (an empty rank is a configuration error with a clean message, never a
-//! hung job), then runs a generation loop with two recovery tiers:
-//!
-//! * **Single-rank rejoin** (the default): when exactly one rank dies
-//!   while every other rank is still running, only the dead rank is
-//!   respawned — into a *rejoin epoch* the survivors are already
-//!   re-bootstrapping toward ([`crate::rank`]). The newcomer resumes
-//!   from the newest consistent checkpoint generation
-//!   ([`sem_ns::consistent_generation`]) and deterministically replays
-//!   up to the survivors' step; survivor processes, and their in-memory
-//!   state, are preserved.
-//! * **Restart-all** (fallback, or `--no-rejoin`): multi-rank loss, a
-//!   failed rejoin, or an exhausted budget kills the stragglers and
-//!   respawns every rank pinned to the newest consistent generation.
+//! hung job), then supervises one recovery tier. When ranks die, every
+//! rank that is no longer running is respawned into the next *epoch*.
+//! Survivors enter that epoch in place, so their PIDs are preserved, and
+//! every rank of the epoch rewinds to the newest checkpoint generation
+//! all ranks hold and replays from there ([`crate::rank`]). Losing one
+//! rank or several is the same case.
 //!
 //! A chaos `--kill` spec is only passed to the first life, mirroring
-//! the soak harness, so recovered jobs run clean. Both tiers draw on
-//! one `--max-restarts` budget; exhausting it exits with
-//! [`EXIT_RESTARTS_EXHAUSTED`].
+//! the soak harness, so respawned ranks run clean. The epoch number is
+//! the recovery counter: once it reaches `--max-restarts`, the next
+//! loss puts every rank down and exits with [`EXIT_RESTARTS_EXHAUSTED`].
 //!
 //! On success the launcher additionally proves the replicated-compute
 //! invariant end-to-end: the final checkpoint files of all ranks must be
 //! byte-identical.
 
 use crate::layout::{rank_ckpt_dir, RankLayout};
-use crate::rank::{
-    ENV_EPOCH, ENV_KILL, ENV_RANK, ENV_RESUME_STEP, ENV_SIZE, ENV_SOCK_DIR, EXIT_CHAOS_KILL,
-};
+use crate::rank::{ENV_EPOCH, ENV_KILL, ENV_RANK, ENV_SIZE, ENV_SOCK_DIR, EXIT_CHAOS_KILL};
 use sem_mesh::generators::box2d;
 use sem_mesh::partition::{cut_edges, partition_rsb, part_sizes, shared_vertices};
-use sem_ns::consistent_generation;
 use sem_ops::SemOps;
-use std::path::PathBuf;
-use std::process::{Child, Command};
-use std::time::Duration;
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 /// Parsed `terasem-launch` command line (shared verbatim by the rank
 /// children, which re-parse the same argv and read their role from the
@@ -54,8 +44,8 @@ pub struct LaunchOpts {
     /// `--ckpt-every C`: checkpoint (and validation) interval in steps.
     pub ckpt_every: u64,
     /// `--keep-last M`: checkpoint retention per rank. Generous by
-    /// default so pruning can never outrun the consistent-generation
-    /// intersection.
+    /// default so pruning can never outrun the newest generation common
+    /// to all ranks.
     pub keep_last: usize,
     /// `--dir D`: job directory (per-rank checkpoints, sockets).
     pub dir: PathBuf,
@@ -65,12 +55,9 @@ pub struct LaunchOpts {
     /// `--threads a,b,..`: per-rank `TERASEM_THREADS`, cycled. Empty
     /// leaves the children inheriting the launcher's environment.
     pub threads: Vec<usize>,
-    /// `--max-restarts R`: bounded recovery attempts (shared budget for
-    /// single-rank rejoins and restart-all generations).
+    /// `--max-restarts R`: recovery budget, counted in epochs (one per
+    /// recovery, however many ranks it respawns).
     pub max_restarts: usize,
-    /// `--no-rejoin`: disable single-rank rejoin recovery — any rank
-    /// death puts the whole generation down and restarts every rank.
-    pub no_rejoin: bool,
     /// `--bench-comm`: measure the transport instead of running a solve.
     pub bench_comm: bool,
     /// `--telemetry`: rank-aware observability — every rank records
@@ -95,7 +82,6 @@ impl Default for LaunchOpts {
             kill: Vec::new(),
             threads: Vec::new(),
             max_restarts: 3,
-            no_rejoin: false,
             bench_comm: false,
             telemetry: false,
             timeout_secs: 60.0,
@@ -132,9 +118,8 @@ options:
   --kill R@S[,R@S..] chaos: each listed rank exits after the named step
                    (first life only)
   --threads a,b,.. per-rank TERASEM_THREADS, cycled
-  --max-restarts R recovery budget: single-rank rejoins plus
-                   restart-all generations               (default 3)
-  --no-rejoin      disable single-rank rejoin; any death restarts all
+  --max-restarts R recoveries (epochs) allowed       (default 3)
+                   each respawns the dead ranks
   --timeout T      transport timeout, seconds        (default 60)
   --bench-comm     measure alpha-beta transport model instead of solving
   --telemetry      per-rank metrics + merged rank-lane Chrome trace:
@@ -177,7 +162,6 @@ pub fn parse_args(args: &[String]) -> Result<LaunchOpts, String> {
                     o.kill.push((num(r, a)?, num(s, a)?));
                 }
             }
-            "--no-rejoin" => o.no_rejoin = true,
             "--threads" => {
                 let v = value(a, &mut it)?;
                 o.threads = v
@@ -242,38 +226,26 @@ fn validate_partition(opts: &LaunchOpts) -> Result<RankLayout, String> {
     Ok(layout)
 }
 
-/// Spawn one rank process. `with_kill` arms the chaos spec (first life
-/// of the first generation only); `epoch > 0` drops the child into a
-/// rejoin epoch on the same socket-directory base as the survivors.
+/// Spawn rank `r` into `epoch` on the job's socket directory. The chaos
+/// spec is armed only in the launch (epoch 0). The rank's stdin is a
+/// pipe whose write end only this process holds: the rank exits when it
+/// reads EOF, so no rank outlives the launcher.
 fn spawn_rank(
     opts: &LaunchOpts,
-    exe: &std::path::Path,
+    exe: &Path,
     argv: &[String],
-    sock_dir: &std::path::Path,
+    sock_dir: &Path,
     r: usize,
-    resume: Option<u64>,
     epoch: u64,
-    with_kill: bool,
 ) -> std::io::Result<Child> {
     let mut cmd = Command::new(exe);
     cmd.args(argv)
+        .stdin(Stdio::piped())
         .env(ENV_RANK, r.to_string())
         .env(ENV_SIZE, opts.ranks.to_string())
-        .env(ENV_SOCK_DIR, sock_dir);
-    match resume {
-        Some(g) => {
-            cmd.env(ENV_RESUME_STEP, g.to_string());
-        }
-        None => {
-            cmd.env_remove(ENV_RESUME_STEP);
-        }
-    }
-    if epoch > 0 {
-        cmd.env(ENV_EPOCH, epoch.to_string());
-    } else {
-        cmd.env_remove(ENV_EPOCH);
-    }
-    if with_kill && !opts.kill.is_empty() {
+        .env(ENV_SOCK_DIR, sock_dir)
+        .env(ENV_EPOCH, epoch.to_string());
+    if epoch == 0 && !opts.kill.is_empty() {
         let spec: Vec<String> = opts.kill.iter().map(|(kr, ks)| format!("{kr}@{ks}")).collect();
         cmd.env(ENV_KILL, spec.join(","));
     } else {
@@ -285,70 +257,44 @@ fn spawn_rank(
     }
     let child = cmd.spawn()?;
     // PID lines let tests (and operators) verify which processes a
-    // recovery preserved: rejoin keeps every survivor PID, restart-all
-    // replaces them all.
+    // recovery preserved: survivors keep their PIDs.
     println!("terasem-launch: rank {r} pid {}", child.id());
     Ok(child)
 }
 
-fn spawn_ranks(
-    opts: &LaunchOpts,
-    exe: &std::path::Path,
-    argv: &[String],
-    attempt: usize,
-    resume: Option<u64>,
-) -> std::io::Result<(Vec<Child>, PathBuf)> {
-    // A fresh socket directory per generation: no stale-socket races.
-    let sock_dir = opts.dir.join(format!("sock_{attempt}"));
-    let _ = std::fs::remove_dir_all(&sock_dir);
-    std::fs::create_dir_all(&sock_dir)?;
-    let mut children = Vec::with_capacity(opts.ranks);
-    for r in 0..opts.ranks {
-        // Chaos kill only in the first life, like the soak harness.
-        children.push(spawn_rank(opts, exe, argv, &sock_dir, r, resume, 0, attempt == 0)?);
-    }
-    Ok((children, sock_dir))
-}
-
-/// Wait until every child has exited cleanly or at least one has
-/// failed. On a failure, keep polling through a short grace window so
-/// near-simultaneous deaths (multi-rank chaos kills) are reported as
-/// one event — the rejoin-vs-restart-all decision hinges on the count.
-/// No child is killed here; the caller owns that policy. Returns the
-/// failed `(rank, code)` list and how many children are still running.
-fn supervise(children: &mut [Child]) -> (Vec<(usize, i32)>, usize) {
+/// Wait until every child has exited cleanly (`None`) or at least one
+/// has failed. After a failure, keep polling through a short grace
+/// window so near-simultaneous deaths land in one epoch, then return
+/// the `(rank, code)` of every child no longer running. No child is
+/// killed or waited on here: `Child::wait` would close the lifeline.
+fn supervise(children: &mut [Child]) -> Option<Vec<(usize, i32)>> {
     const GRACE: Duration = Duration::from_millis(300);
-    let mut grace_until: Option<std::time::Instant> = None;
+    let mut grace_until: Option<Instant> = None;
     loop {
-        let mut failed: Vec<(usize, i32)> = Vec::new();
-        let mut running = 0usize;
-        for (r, child) in children.iter_mut().enumerate() {
-            match child.try_wait() {
-                Ok(Some(st)) => {
-                    let code = st.code().unwrap_or(-1);
-                    if code != 0 {
-                        failed.push((r, code));
-                    }
-                }
-                Ok(None) => running += 1,
-                Err(_) => failed.push((r, -1)),
+        let exited: Vec<(usize, i32)> = children
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(r, child)| match child.try_wait() {
+                Ok(None) => None,
+                Ok(Some(st)) => Some((r, st.code().unwrap_or(-1))),
+                Err(_) => Some((r, -1)),
+            })
+            .collect();
+        let all_exited = exited.len() == children.len();
+        if exited.iter().any(|&(_, code)| code != 0) {
+            let until = *grace_until.get_or_insert_with(|| Instant::now() + GRACE);
+            if all_exited || Instant::now() >= until {
+                return Some(exited);
             }
-        }
-        if running == 0 {
-            return (failed, running);
-        }
-        if !failed.is_empty() {
-            match grace_until {
-                None => grace_until = Some(std::time::Instant::now() + GRACE),
-                Some(t) if std::time::Instant::now() >= t => return (failed, running),
-                Some(_) => {}
-            }
+        } else if all_exited {
+            return None;
         }
         std::thread::sleep(Duration::from_millis(5));
     }
 }
 
-/// Put a generation down: kill and reap every child still running.
+/// Put the job down: kill and reap every child still running. The only
+/// place a child is waited on, and only after it was killed.
 fn kill_all(children: &mut [Child]) {
     for child in children.iter_mut() {
         let _ = child.kill();
@@ -384,156 +330,103 @@ pub const EXIT_RESTARTS_EXHAUSTED: i32 = sem_obs::exit::RESTARTS_EXHAUSTED;
 /// Launcher entry point. Returns the process exit code.
 pub fn launch_main(opts: &LaunchOpts, argv: &[String]) -> i32 {
     if let Err(e) = validate_partition(opts) {
-        eprintln!("terasem-launch: {e}");
+        log_line!("terasem-launch: {e}");
         return sem_obs::exit::USAGE;
     }
     let exe = match std::env::current_exe() {
         Ok(p) => p,
         Err(e) => {
-            eprintln!("terasem-launch: cannot locate own binary: {e}");
+            log_line!("terasem-launch: cannot locate own binary: {e}");
             return sem_obs::exit::FAILURE;
         }
     };
-    if let Err(e) = std::fs::create_dir_all(&opts.dir) {
-        eprintln!("terasem-launch: cannot create {}: {e}", opts.dir.display());
+    // Every epoch's socket namespace lives under one directory, cleared
+    // here so no stale socket file of an earlier job is in the way.
+    let sock_dir = opts.dir.join("sock");
+    let _ = std::fs::remove_dir_all(&sock_dir);
+    if let Err(e) = std::fs::create_dir_all(&sock_dir) {
+        log_line!("terasem-launch: cannot create {}: {e}", sock_dir.display());
         return sem_obs::exit::FAILURE;
     }
-    let rank_dirs: Vec<PathBuf> = (0..opts.ranks).map(|r| rank_ckpt_dir(&opts.dir, r)).collect();
-    let mut restarts = 0usize;
-    for attempt in 0.. {
-        let resume = if attempt == 0 {
-            None
-        } else {
-            let gen = consistent_generation(&rank_dirs);
-            if gen.is_none() {
-                // Nothing consistent on disk: restart from scratch, and
-                // clear any partial generations so no rank resumes ahead
-                // of the others.
-                for d in &rank_dirs {
-                    let _ = std::fs::remove_dir_all(d);
-                }
-            }
-            gen
-        };
-        if attempt > 0 {
-            eprintln!(
-                "terasem-launch: restart {attempt}/{}: resuming all ranks from {}",
-                opts.max_restarts,
-                resume
-                    .map(|g| format!("generation {g}"))
-                    .unwrap_or_else(|| "scratch".into())
-            );
-        }
-        let (mut children, sock_dir) = match spawn_ranks(opts, &exe, argv, attempt, resume) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("terasem-launch: spawn failed: {e}");
-                return sem_obs::exit::FAILURE;
-            }
-        };
-        // Supervise the generation. A single dead rank is healed *in
-        // place*: only the dead rank is respawned, into a rejoin epoch
-        // the survivors are already re-bootstrapping toward — their
-        // PIDs, sockets-in-flight state, and in-memory solver state all
-        // survive. Multi-rank loss (or an exhausted budget, or
-        // --no-rejoin) falls back to the restart-all path below.
-        let mut epoch = 0u64;
-        let failed = loop {
-            let (failed, running) = supervise(&mut children);
-            if failed.is_empty() {
-                break failed;
-            }
-            for (r, code) in &failed {
-                let kind = match *code {
-                    EXIT_CHAOS_KILL => "chaos kill",
-                    7 => "divergence abort",
-                    8 => "peer lost",
-                    _ => "failure",
-                };
-                eprintln!("terasem-launch: rank {r} exited with code {code} ({kind})");
-            }
-            let survivors = opts.ranks - failed.len();
-            let rejoin = failed.len() == 1
-                && running == survivors
-                && !opts.no_rejoin
-                && !opts.bench_comm
-                && restarts < opts.max_restarts;
-            if !rejoin {
-                break failed;
-            }
-            restarts += 1;
-            epoch += 1;
-            let (r, _) = failed[0];
-            // The newest generation every rank (including the dead one)
-            // holds a valid checkpoint for: the newcomer resumes there
-            // and replays deterministically up to the survivors' step.
-            let gen = consistent_generation(&rank_dirs);
-            eprintln!(
-                "terasem-launch: rejoin {restarts}/{}: restarting rank {r} \
-                 (epoch {epoch}, resume from {})",
-                opts.max_restarts,
-                gen.map(|g| format!("generation {g}"))
-                    .unwrap_or_else(|| "scratch".into())
-            );
-            match spawn_rank(opts, &exe, argv, &sock_dir, r, gen, epoch, false) {
-                Ok(child) => children[r] = child,
+    let mut children: Vec<Child> = Vec::with_capacity(opts.ranks);
+    let mut epoch = 0u64;
+    let mut to_spawn: Vec<usize> = (0..opts.ranks).collect();
+    loop {
+        for &r in &to_spawn {
+            match spawn_rank(opts, &exe, argv, &sock_dir, r, epoch) {
+                Ok(child) if r < children.len() => children[r] = child,
+                Ok(child) => children.push(child),
                 Err(e) => {
-                    eprintln!("terasem-launch: rejoin spawn failed: {e}");
-                    break failed;
-                }
-            }
-        };
-        if failed.is_empty() {
-            if !opts.bench_comm {
-                if let Err(e) = final_checkpoints_identical(opts) {
-                    eprintln!("terasem-launch: {e}");
+                    log_line!("terasem-launch: spawn of rank {r} failed: {e}");
+                    kill_all(&mut children);
                     return sem_obs::exit::FAILURE;
                 }
-                println!(
-                    "terasem-launch: final checkpoints byte-identical across {} rank(s)",
-                    opts.ranks
-                );
             }
-            if opts.telemetry {
-                // Rank 0 wrote the merged artifacts into the job dir;
-                // their absence after a clean run is a launcher bug.
-                for name in [crate::telemetry::RANKS_FILE, crate::telemetry::MERGED_TRACE_FILE] {
-                    let path = opts.dir.join(name);
-                    if !path.is_file() {
-                        eprintln!(
-                            "terasem-launch: telemetry artifact missing: {}",
-                            path.display()
-                        );
-                        return sem_obs::exit::FAILURE;
-                    }
-                    println!("terasem-launch: telemetry artifact: {}", path.display());
-                }
-            }
-            println!(
-                "terasem-launch: OK ({} rank(s), {} restart(s))",
-                opts.ranks, restarts
-            );
-            return sem_obs::exit::OK;
         }
-        // Restart-all fallback: a dead rank stalls every peer at its
-        // next collective, so put the generation down before deciding
-        // whether any recovery budget remains.
-        kill_all(&mut children);
+        let Some(exited) = supervise(&mut children) else {
+            break;
+        };
+        for &(r, code) in exited.iter().filter(|&&(_, code)| code != 0) {
+            let kind = match code {
+                EXIT_CHAOS_KILL => "chaos kill",
+                7 => "divergence abort",
+                8 => "peer lost",
+                _ => "failure",
+            };
+            log_line!("terasem-launch: rank {r} exited with code {code} ({kind})");
+        }
+        // A dead rank stalls every peer at its next collective: without
+        // a recovery the job is over, so put the survivors down too.
         if opts.bench_comm {
-            eprintln!("terasem-launch: bench run failed");
+            kill_all(&mut children);
+            log_line!("terasem-launch: bench run failed");
             return sem_obs::exit::FAILURE;
         }
-        restarts += 1;
-        if restarts > opts.max_restarts {
-            eprintln!(
+        if epoch >= opts.max_restarts as u64 {
+            kill_all(&mut children);
+            log_line!(
                 "terasem-launch: giving up: recovery budget exhausted \
-                 (--max-restarts {}, {} attempt(s) used)",
-                opts.max_restarts, restarts
+                 (--max-restarts {}, {epoch} recovery epoch(s) used)",
+                opts.max_restarts
             );
             return EXIT_RESTARTS_EXHAUSTED;
         }
+        epoch += 1;
+        to_spawn = exited.into_iter().map(|(r, _)| r).collect();
+        let list: Vec<String> = to_spawn.iter().map(|r| r.to_string()).collect();
+        log_line!(
+            "terasem-launch: recovery {epoch}/{}: respawning rank(s) {} into epoch {epoch}",
+            opts.max_restarts,
+            list.join(", ")
+        );
     }
-    unreachable!("the generation loop always returns");
+    if !opts.bench_comm {
+        if let Err(e) = final_checkpoints_identical(opts) {
+            log_line!("terasem-launch: {e}");
+            return sem_obs::exit::FAILURE;
+        }
+        println!(
+            "terasem-launch: final checkpoints byte-identical across {} rank(s)",
+            opts.ranks
+        );
+    }
+    if opts.telemetry {
+        // Rank 0 wrote the merged artifacts into the job dir; their
+        // absence after a clean run is a launcher bug.
+        for name in [crate::telemetry::RANKS_FILE, crate::telemetry::MERGED_TRACE_FILE] {
+            let path = opts.dir.join(name);
+            if !path.is_file() {
+                log_line!("terasem-launch: telemetry artifact missing: {}", path.display());
+                return sem_obs::exit::FAILURE;
+            }
+            println!("terasem-launch: telemetry artifact: {}", path.display());
+        }
+    }
+    println!(
+        "terasem-launch: OK ({} rank(s), {epoch} recovery epoch(s))",
+        opts.ranks
+    );
+    sem_obs::exit::OK
 }
 
 #[cfg(test)]
@@ -549,7 +442,7 @@ mod tests {
         let o = parse_args(&strs(&[
             "--ranks", "4", "--steps", "10", "--elems", "3", "--order", "6", "--ckpt-every",
             "2", "--keep-last", "9", "--dir", "/tmp/x", "--kill", "2@7,3@8", "--threads", "1,2",
-            "--max-restarts", "5", "--timeout", "12.5", "--telemetry", "--no-rejoin",
+            "--max-restarts", "5", "--timeout", "12.5", "--telemetry",
         ]))
         .unwrap();
         assert_eq!(o.ranks, 4);
@@ -565,10 +458,8 @@ mod tests {
         assert!((o.timeout_secs - 12.5).abs() < 1e-12);
         assert!(!o.bench_comm);
         assert!(o.telemetry);
-        assert!(o.no_rejoin);
         let o = parse_args(&strs(&["--kill", "1@4"])).unwrap();
         assert_eq!(o.kill, vec![(1, 4)]);
-        assert!(!o.no_rejoin, "rejoin is the default");
     }
 
     #[test]

@@ -111,11 +111,6 @@ impl RankLayout {
         })
     }
 
-    /// Local vector length of `rank`.
-    pub fn n_local(&self, rank: usize) -> usize {
-        self.ids_per_rank[rank].len()
-    }
-
     /// `rank`'s gather-scatter exchange pattern.
     pub fn gs(&self, rank: usize) -> RankGs {
         RankGs::new(&self.ids_per_rank, &self.canon_per_rank, rank)
@@ -150,7 +145,7 @@ mod tests {
         assert_eq!(l.elems_of[1], vec![1, 3]);
         for r in 0..2 {
             assert!(l.canon_per_rank[r].windows(2).all(|w| w[0] < w[1]));
-            assert_eq!(l.n_local(r), 6);
+            assert_eq!(l.ids_per_rank[r].len(), 6);
             for (slot, &c) in l.canon_per_rank[r].iter().enumerate() {
                 assert_eq!(l.ids_per_rank[r][slot], ids[c as usize]);
             }

@@ -6,7 +6,7 @@
 //! execution shape on one machine with a hand-rolled, zero-dependency
 //! transport — Unix-domain sockets between locally spawned rank
 //! processes ([`transport`]) — and a `terasem-launch` binary that
-//! spawns, supervises, and restarts the ranks ([`launch`]).
+//! spawns, supervises, and respawns the ranks ([`launch`]).
 //!
 //! The execution model is **replicated compute, distributed exchange**:
 //!
@@ -25,17 +25,29 @@
 //!   `GsHandle` — validated against the live solver fields every
 //!   interval.
 //! * Rank death is a *recoverable fault*: each rank checkpoints
-//!   independently ([`sem_ns::supervisor`]); when a rank dies the
-//!   launcher kills the stragglers, intersects the per-rank checkpoint
-//!   generations (`consistent_generation`), and respawns everything from
-//!   the newest common generation. The resumed run is bitwise-identical
-//!   to an uninterrupted one.
+//!   independently ([`sem_ns::supervisor`]); when ranks die the launcher
+//!   respawns them into the next epoch, the survivors join it in place,
+//!   and every rank resumes the newest checkpoint generation all ranks
+//!   hold ([`sem_ns::valid_generations`], allgathered) and replays from
+//!   there ([`rank`]). The recovered run is bitwise-identical to an
+//!   uninterrupted one.
 //! * The α–β machine model is wired to *measured* exchange times:
 //!   [`comm::NetComm`] records per-op timing samples,
 //!   `terasem-launch --bench-comm` fits `sem_comm::fit_alpha_beta` from
 //!   ping-pongs and compares measured neighbor-exchange and allreduce
 //!   times against the fitted model and the ASCI-Red preset, reported
 //!   as `sem_comm::CostBreakdown`s.
+
+/// `eprintln!` in one `write` call. Rank processes share the launcher's
+/// stderr, and a line written in pieces interleaves with the lines of
+/// other processes.
+macro_rules! log_line {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let line = format!("{}\n", format_args!($($arg)*));
+        let _ = std::io::stderr().write_all(line.as_bytes());
+    }};
+}
 
 pub mod comm;
 pub mod fault;

@@ -12,6 +12,16 @@
 //!    block of the live velocity field and verify it is bitwise-equal
 //!    to the serial assembly of the same data.
 //!
+//! A rank lives through *epochs*, one transport lifetime each. When a
+//! peer is lost, the rank announces a resync and enters the next epoch,
+//! where the launcher has respawned every dead rank. Every rank of an
+//! epoch, survivor or newcomer, starts it the same way (`join_epoch`): a
+//! fresh supervisor, resumed at the newest checkpoint generation that
+//! every rank holds, then a replay validated at every interval. The
+//! epoch number is the recovery counter; past `--max-restarts` a lost
+//! peer ends the process. A rank also exits when its stdin, a pipe only
+//! the launcher writes to, reaches EOF: no rank outlives the launcher.
+//!
 //! Failures map to distinct exit codes the launcher understands:
 //! divergence aborts through [`sem_ns::GiveUpReason::Aborted`] — which
 //! deliberately writes **no** exit checkpoint — while a lost peer exits
@@ -27,25 +37,25 @@ use crate::transport::{NetError, Transport};
 use sem_comm::{fit_alpha_beta, CostBreakdown, MachineModel};
 use sem_gs::{GsOp, RankGs};
 use sem_mesh::partition::partition_rsb;
-use sem_ns::{GiveUpReason, NsSolver, RunPolicy, RunReport, RunSupervisor};
+use sem_ns::{valid_generations, GiveUpReason, NsSolver, RunPolicy, RunReport, RunSupervisor};
+use std::io::Read;
+use std::path::PathBuf;
 use std::time::Duration;
 
 /// Child environment: rank index (presence selects rank mode).
 pub const ENV_RANK: &str = "TERASEM_NET_RANK";
 /// Child environment: total ranks.
 pub const ENV_SIZE: &str = "TERASEM_NET_SIZE";
-/// Child environment: socket directory for this generation.
+/// Child environment: the job's socket directory; each epoch gets its
+/// own namespace under it.
 pub const ENV_SOCK_DIR: &str = "TERASEM_NET_SOCK_DIR";
-/// Child environment: generation to resume from (restart path).
-pub const ENV_RESUME_STEP: &str = "TERASEM_NET_RESUME_STEP";
 /// Child environment: `rank@step[,rank@step..]` chaos-kill spec (first
 /// life only).
 pub const ENV_KILL: &str = "TERASEM_NET_KILL";
-/// Child environment: rejoin epoch this process enters the mesh at
-/// (unset / 0 = launcher-spawned first life of the mesh). Survivors of
-/// a lost peer bump their epoch in place; the launcher hands the
-/// replacement rank the matching value so both sides rendezvous on the
-/// same epoch socket namespace.
+/// Child environment: the epoch this process enters the mesh at (0 for
+/// the launch). Survivors of a lost peer bump their epoch in place; the
+/// launcher hands every respawned rank the matching value so both sides
+/// rendezvous on the same epoch socket namespace.
 pub const ENV_EPOCH: &str = "TERASEM_NET_EPOCH";
 
 /// Clean exit. (All exit codes here are aliases into the shared
@@ -102,7 +112,7 @@ fn solution_hash(s: &NsSolver) -> u64 {
 
 /// Error-prefix for a failed collective: `resync:` when a peer
 /// announced an epoch bump (the mesh is already reforming), `peer-lost:`
-/// for every other transport failure. Both are recoverable by a rejoin
+/// for every other transport failure. Both are recoverable by the next
 /// epoch; distinguishing them keeps the logs honest about who failed
 /// first.
 fn comm_prefix(e: &NetError) -> &'static str {
@@ -110,12 +120,6 @@ fn comm_prefix(e: &NetError) -> &'static str {
         NetError::Resync { .. } => "resync",
         _ => "peer-lost",
     }
-}
-
-/// Whether an abort reason is a communication failure a rejoin epoch
-/// can recover from (divergence never is).
-fn rejoinable(why: &str) -> bool {
-    why.starts_with("peer-lost:") || why.starts_with("resync:")
 }
 
 /// One validation pass (see module docs). Error strings are prefixed so
@@ -161,16 +165,11 @@ fn validate(
     Ok(())
 }
 
-/// The socket directory of a rejoin epoch: epoch 0 is the
-/// launcher-provided directory itself, later epochs get an `_e<N>`
-/// suffix next to it, so survivors and the replacement rank rendezvous
-/// on a fresh socket namespace without any launcher round-trip.
-fn epoch_sock_dir(base: &str, epoch: u64) -> std::path::PathBuf {
-    if epoch == 0 {
-        std::path::PathBuf::from(base)
-    } else {
-        std::path::PathBuf::from(format!("{base}_e{epoch}"))
-    }
+/// The socket namespace of one epoch, under the job's socket directory:
+/// each epoch's mesh bootstraps on fresh socket files, so survivors and
+/// respawned ranks rendezvous without any launcher round-trip.
+fn epoch_sock_dir(base: &str, epoch: u64) -> PathBuf {
+    PathBuf::from(base).join(format!("epoch_{epoch}"))
 }
 
 /// Chaos-kill steps for this rank from the `rank@step[,rank@step..]`
@@ -190,54 +189,71 @@ fn kill_steps_from_env(rank: usize) -> Vec<u64> {
         .collect()
 }
 
+/// Exit once stdin reaches EOF. Its write end is held only by the
+/// launcher, so EOF means the launcher is gone: no respawn will come,
+/// and a rank waiting for one would otherwise outlive it.
+fn exit_when_launcher_dies() {
+    std::thread::spawn(|| {
+        let mut buf = [0u8; 64];
+        let mut stdin = std::io::stdin();
+        loop {
+            match stdin.read(&mut buf) {
+                Ok(0) => break,
+                Err(e) if e.kind() != std::io::ErrorKind::Interrupted => break,
+                _ => {}
+            }
+        }
+        log_line!("terasem-net: launcher gone (stdin closed), exiting");
+        std::process::exit(sem_obs::exit::FAILURE);
+    });
+}
+
 /// How one mesh epoch (one transport lifetime) of a rank ended.
 enum EpochOutcome {
     /// Terminal: exit the process with this code.
     Exit(i32),
-    /// The mesh broke underneath us and a rejoin epoch is warranted.
-    Rejoin,
+    /// The mesh broke underneath us; enter the next epoch.
+    NextEpoch,
 }
 
 /// Entry point of a rank process. Returns the process exit code.
 ///
 /// The body is an *epoch loop*: each iteration bootstraps a transport
-/// on the epoch's socket namespace and advances the solve. When a peer
-/// dies, survivors do not exit — they announce a resync, bump their
-/// epoch, and re-bootstrap, keeping their in-memory state, while the
-/// launcher spawns a single replacement rank into the same epoch. Only
-/// when the rejoin budget is spent (or `--no-rejoin` is set) does a
-/// lost peer become a process exit, and the launcher's restart-all
-/// fallback takes over.
+/// on the epoch's socket namespace, rewinds every rank to the newest
+/// common checkpoint generation (`join_epoch`), and advances the solve.
+/// When a peer dies, survivors do not exit: they announce a resync and
+/// enter the next epoch, where the launcher has respawned the dead
+/// ranks. A lost peer becomes a process exit only once the epoch number
+/// reaches `--max-restarts`.
 pub fn rank_main(opts: &LaunchOpts, rank: usize, size: usize) -> i32 {
+    exit_when_launcher_dies();
     let Ok(sock_base) = std::env::var(ENV_SOCK_DIR) else {
-        eprintln!("terasem-net rank {rank}: {ENV_SOCK_DIR} unset");
+        log_line!("terasem-net rank {rank}: {ENV_SOCK_DIR} unset");
         return EXIT_USAGE;
     };
-    let launch_epoch: u64 = std::env::var(ENV_EPOCH)
+    let mut epoch: u64 = std::env::var(ENV_EPOCH)
         .ok()
         .and_then(|e| e.parse().ok())
         .unwrap_or(0);
     if opts.bench_comm {
         let transport = match Transport::bootstrap(
-            &epoch_sock_dir(&sock_base, launch_epoch),
+            &epoch_sock_dir(&sock_base, epoch),
             rank,
             size,
             Duration::from_secs_f64(opts.timeout_secs),
         ) {
             Ok(t) => t,
             Err(e) => {
-                eprintln!("terasem-net rank {rank}: bootstrap failed: {e}");
+                log_line!("terasem-net rank {rank}: bootstrap failed: {e}");
                 return EXIT_PEER_LOST;
             }
         };
         let mut comm = NetComm::new(transport);
         return bench_comm_main(opts, &mut comm);
     }
-    let mut solver = build_solver(opts);
     let ckpt_dir = rank_ckpt_dir(&opts.dir, rank);
-    solver.cfg.run = RunPolicy::checkpointing(&ckpt_dir, opts.ckpt_every, opts.keep_last);
     if opts.telemetry {
-        // `build_solver` constructed the solver with metrics off, so the
+        // `build_solver` constructs solvers with metrics off, so the
         // process-global observability switches are applied here: rank
         // stamp first (every record from now on carries it), then a
         // per-rank metrics sink in the rank's checkpoint directory so N
@@ -245,17 +261,15 @@ pub fn rank_main(opts: &LaunchOpts, rank: usize, size: usize) -> i32 {
         sem_obs::set_rank(Some(rank as u32));
         sem_obs::set_enabled(true);
         sem_obs::trace::set_trace_enabled(true);
-        solver.cfg.metrics = true;
-        solver.cfg.rank = Some(rank as u32);
         if let Err(e) = std::fs::create_dir_all(&ckpt_dir) {
-            eprintln!("terasem-net rank {rank}: cannot create {}: {e}", ckpt_dir.display());
+            log_line!("terasem-net rank {rank}: cannot create {}: {e}", ckpt_dir.display());
             return EXIT_USAGE;
         }
         let metrics_path = ckpt_dir.join("metrics.jsonl");
         match sem_obs::sink::FileSink::create(&metrics_path.to_string_lossy()) {
             Ok(sink) => sem_obs::sink::set_sink(Some(sem_obs::SinkHandle::new(sink).0)),
             Err(e) => {
-                eprintln!(
+                log_line!(
                     "terasem-net rank {rank}: cannot open metrics sink {}: {e}",
                     metrics_path.display()
                 );
@@ -263,63 +277,35 @@ pub fn rank_main(opts: &LaunchOpts, rank: usize, size: usize) -> i32 {
             }
         }
     }
+    let solver = build_solver(opts);
     let part = partition_rsb(&solver.ops.mesh, size);
     let layout = match RankLayout::new(&solver.ops.num.ids, solver.ops.geo.npts, &part, size) {
         Ok(l) => l,
         Err(e) => {
-            eprintln!("terasem-net rank {rank}: {e}");
+            log_line!("terasem-net rank {rank}: {e}");
             return EXIT_USAGE;
         }
     };
     let gs = layout.gs(rank);
-    let mut sup = RunSupervisor::new(solver);
-    if let Ok(step) = std::env::var(ENV_RESUME_STEP) {
-        let step: u64 = match step.parse() {
-            Ok(s) => s,
-            Err(_) => {
-                eprintln!("terasem-net rank {rank}: bad {ENV_RESUME_STEP} {step:?}");
-                return EXIT_USAGE;
-            }
-        };
-        match sup.resume_from_step(step) {
-            Ok(_) => eprintln!("terasem-net rank {rank}: resumed from generation {step}"),
-            Err(e) => {
-                eprintln!("terasem-net rank {rank}: resume from {step} failed: {e}");
-                return EXIT_USAGE;
-            }
-        }
-    }
     let kill_steps = kill_steps_from_env(rank);
-    let mut epoch = launch_epoch;
-    let mut rejoins = 0usize;
     let mut barrier_ns: Option<u64> = None;
     loop {
-        // The rejoin budget mirrors the launcher's --max-restarts: the
-        // launcher spends it spawning replacement ranks, the survivors
-        // spend it re-bootstrapping, so neither side outlives the other
-        // for long when recovery is off the table.
-        let allow_rejoin = !opts.no_rejoin && rejoins < opts.max_restarts;
         match run_epoch(
             opts,
             rank,
             size,
             &sock_base,
             epoch,
-            allow_rejoin,
             &layout,
             &gs,
-            &mut sup,
             &kill_steps,
             &mut barrier_ns,
         ) {
             EpochOutcome::Exit(code) => return code,
-            EpochOutcome::Rejoin => {
-                rejoins += 1;
+            EpochOutcome::NextEpoch => {
                 epoch += 1;
-                eprintln!(
-                    "terasem-net rank {rank}: mesh lost; rejoining at epoch {epoch} \
-                     (step {}, attempt {rejoins}/{})",
-                    sup.solver().step_index,
+                log_line!(
+                    "terasem-net rank {rank}: mesh lost; entering epoch {epoch}/{}",
                     opts.max_restarts
                 );
             }
@@ -327,10 +313,62 @@ pub fn rank_main(opts: &LaunchOpts, rank: usize, size: usize) -> i32 {
     }
 }
 
-/// One transport lifetime: bootstrap the epoch's mesh, negotiate the
-/// step frontier, run (or catch up) to the target, and classify how it
-/// ended. Epoch 0 is the launcher-spawned first life of the mesh;
-/// later epochs are single-rank-rejoin re-bootstraps.
+/// The newest step every rank's ascending generation list holds;
+/// `None` when they share none.
+fn newest_common(gens: &[Vec<u64>]) -> Option<u64> {
+    let (mine, rest) = gens.split_first()?;
+    mine.iter()
+        .rev()
+        .copied()
+        .find(|s| rest.iter().all(|g| g.contains(s)))
+}
+
+/// Start an epoch the same way on every rank, survivor or newcomer:
+/// build the supervisor as a fresh process does and, in a recovery
+/// epoch, allgather the valid checkpoint generations of every rank and
+/// resume the newest one they all hold (from scratch when there is
+/// none). The launch (epoch 0) starts from scratch whatever the job
+/// directory holds.
+fn join_epoch(
+    opts: &LaunchOpts,
+    rank: usize,
+    epoch: u64,
+    comm: &mut NetComm,
+) -> Result<RunSupervisor, EpochOutcome> {
+    let dir = rank_ckpt_dir(&opts.dir, rank);
+    let mut solver = build_solver(opts);
+    solver.cfg.run = RunPolicy::checkpointing(&dir, opts.ckpt_every, opts.keep_last);
+    if opts.telemetry {
+        solver.cfg.metrics = true;
+        solver.cfg.rank = Some(rank as u32);
+    }
+    let mut sup = RunSupervisor::new(solver);
+    if epoch == 0 {
+        return Ok(sup);
+    }
+    let all = comm.allgather_u64s(&valid_generations(&dir)).map_err(|e| {
+        let why = format!("{}: generation allgather: {e}", comm_prefix(&e));
+        log_line!("terasem-net rank {rank}: epoch {epoch}: {why}");
+        abort_outcome(comm, epoch, opts.max_restarts, &why)
+    })?;
+    match newest_common(&all) {
+        Some(g) => match sup.resume_from_step(g) {
+            Ok(_) => {
+                log_line!("terasem-net rank {rank}: epoch {epoch}: resumed from generation {g}")
+            }
+            Err(e) => {
+                log_line!("terasem-net rank {rank}: resume from generation {g} failed: {e}");
+                return Err(EpochOutcome::Exit(EXIT_USAGE));
+            }
+        },
+        None => log_line!("terasem-net rank {rank}: epoch {epoch}: restarting from scratch"),
+    }
+    Ok(sup)
+}
+
+/// One transport lifetime: bootstrap the epoch's mesh, rewind to the
+/// newest common generation, run to the target with validation at
+/// every interval, and classify how it ended.
 #[allow(clippy::too_many_arguments)]
 fn run_epoch(
     opts: &LaunchOpts,
@@ -338,10 +376,8 @@ fn run_epoch(
     size: usize,
     sock_base: &str,
     epoch: u64,
-    allow_rejoin: bool,
     layout: &RankLayout,
     gs: &RankGs,
-    sup: &mut RunSupervisor,
     kill_steps: &[u64],
     barrier_ns: &mut Option<u64>,
 ) -> EpochOutcome {
@@ -353,66 +389,32 @@ fn run_epoch(
     ) {
         Ok(t) => t,
         Err(e) => {
-            // A failed re-bootstrap means the launcher chose restart-all
-            // (or is gone): fall back by dying visibly, not by retrying
-            // into a namespace nobody else will join.
-            eprintln!("terasem-net rank {rank}: epoch {epoch} bootstrap failed: {e}");
+            log_line!("terasem-net rank {rank}: epoch {epoch} bootstrap failed: {e}");
             return EpochOutcome::Exit(EXIT_PEER_LOST);
         }
     };
     let mut comm = NetComm::new(transport);
-    // Step negotiation: every rank announces where it stands. The mesh
-    // frontier V = max is where the survivors' in-memory state lives; a
-    // rejoining rank sits below it and must catch up.
-    let my_step = sup.solver().step_index as u64;
-    let frontier = match comm.allgather_u64s(&[my_step]) {
-        Ok(all) => all.iter().map(|v| v[0]).max().unwrap_or(my_step),
-        Err(e) => {
-            eprintln!("terasem-net rank {rank}: epoch {epoch} step negotiation failed: {e}");
-            return EpochOutcome::Exit(EXIT_PEER_LOST);
-        }
+    let mut sup = match join_epoch(opts, rank, epoch, &mut comm) {
+        Ok(sup) => sup,
+        Err(outcome) => return outcome,
     };
-    // All transports up and all ranks step-negotiated before stepping.
+    // All transports up and all ranks rewound before stepping.
     if let Err(e) = comm.barrier() {
-        eprintln!("terasem-net rank {rank}: start barrier failed: {e}");
+        log_line!("terasem-net rank {rank}: start barrier failed: {e}");
         return EpochOutcome::Exit(EXIT_PEER_LOST);
     }
     // Each rank's trace clock is process-local; the instant the *first*
     // start barrier releases is the shared reference that clock-aligns
-    // the merged trace lanes (rejoin epochs keep the original origin).
+    // the merged trace lanes (later epochs keep the original origin).
     let barrier_ref = *barrier_ns.get_or_insert_with(sem_obs::trace::now_ns);
     let (target, every) = (opts.steps, opts.ckpt_every.max(1));
-    // Validation below the frontier is suppressed: a rejoining rank
-    // replays steps the survivors have already validated (and cannot
-    // collectively re-validate without rolling back), leaning on the
-    // workspace's determinism guarantee until it catches up to V.
-    let validate_floor = if epoch > 0 { frontier } else { 0 };
-    if epoch > 0 && my_step == frontier && frontier > 0 {
-        // Survivor prologue. Survivors only ever abort *inside* a
-        // validation collective, so the frontier is a validation step
-        // the newcomer will validate at when it catches up. Redo that
-        // validation now to pair with the newcomer's, then commit the
-        // frontier checkpoint the aborted epoch never wrote.
-        eprintln!(
-            "terasem-net rank {rank}: epoch {epoch}: holding at frontier step {frontier} \
-             for the rejoining rank"
-        );
-        if let Err(why) = validate(sup.solver(), layout, gs, &mut comm) {
-            eprintln!("terasem-net rank {rank}: rejoin prologue: {why}");
-            return abort_outcome(&mut comm, epoch, allow_rejoin, &why);
-        }
-        if let Err(e) = sup.write_checkpoint_now() {
-            eprintln!("terasem-net rank {rank}: frontier checkpoint failed: {e}");
-            return EpochOutcome::Exit(EXIT_USAGE);
-        }
-    }
     let result = sup.run_to_with(target, |s, _stats| {
         let step = s.step_index as u64;
         if kill_steps.contains(&step) {
-            eprintln!("terasem-net rank {rank}: chaos kill after committing step {step}");
+            log_line!("terasem-net rank {rank}: chaos kill after committing step {step}");
             std::process::exit(EXIT_CHAOS_KILL);
         }
-        if (step % every == 0 || step == target) && step >= validate_floor {
+        if step.is_multiple_of(every) || step == target {
             validate(s, layout, gs, &mut comm)?;
         }
         Ok(())
@@ -430,29 +432,32 @@ fn run_epoch(
             barrier_ref,
         ),
         Err(err) => {
-            eprintln!("terasem-net rank {rank}: {err}");
+            log_line!("terasem-net rank {rank}: {err}");
             match &err.reason {
-                GiveUpReason::Aborted(why) => abort_outcome(&mut comm, epoch, allow_rejoin, why),
+                GiveUpReason::Aborted(why) => {
+                    abort_outcome(&mut comm, epoch, opts.max_restarts, why)
+                }
                 _ => EpochOutcome::Exit(EXIT_DIVERGED),
             }
         }
     }
 }
 
-/// Classify an aborted epoch: communication failures roll into a rejoin
-/// epoch while the budget allows; divergence is always terminal.
-fn abort_outcome(comm: &mut NetComm, epoch: u64, allow_rejoin: bool, why: &str) -> EpochOutcome {
-    if !rejoinable(why) {
+/// Classify an aborted epoch: communication failures roll into the next
+/// epoch while the epoch number is below `--max-restarts`; divergence is
+/// always terminal.
+fn abort_outcome(comm: &mut NetComm, epoch: u64, max_restarts: usize, why: &str) -> EpochOutcome {
+    if !(why.starts_with("peer-lost:") || why.starts_with("resync:")) {
         return EpochOutcome::Exit(EXIT_DIVERGED);
     }
-    if !allow_rejoin {
+    if epoch >= max_restarts as u64 {
         return EpochOutcome::Exit(EXIT_PEER_LOST);
     }
     // Best-effort wakeup: peers blocked in long receives on still-alive
     // links fail fast with `NetError::Resync` instead of draining their
     // timeout, so the whole mesh converges on the next epoch quickly.
     comm.transport().announce_resync(epoch + 1);
-    EpochOutcome::Rejoin
+    EpochOutcome::NextEpoch
 }
 
 /// End-of-run reporting and telemetry shipping for a completed solve.
@@ -509,7 +514,7 @@ fn finish_run(
         }
         Ok(_) => {}
         Err(e) => {
-            eprintln!("terasem-net rank {rank}: final stats gather failed: {e}");
+            log_line!("terasem-net rank {rank}: final stats gather failed: {e}");
             return EpochOutcome::Exit(EXIT_PEER_LOST);
         }
     }
@@ -528,7 +533,7 @@ fn finish_run(
             }
             Ok(None) => {}
             Err(e) => {
-                eprintln!("terasem-net rank {rank}: telemetry shipping failed: {e}");
+                log_line!("terasem-net rank {rank}: telemetry shipping failed: {e}");
                 return EpochOutcome::Exit(EXIT_PEER_LOST);
             }
         }
@@ -564,7 +569,7 @@ const OP_REPS: usize = 40;
 fn bench_comm_main(opts: &LaunchOpts, comm: &mut NetComm) -> i32 {
     let (rank, size) = (comm.rank(), comm.size());
     if let Err(e) = comm.barrier() {
-        eprintln!("terasem-net rank {rank}: bench barrier failed: {e}");
+        log_line!("terasem-net rank {rank}: bench barrier failed: {e}");
         return EXIT_PEER_LOST;
     }
     // Ping-pong between ranks 0 and 1: half round-trip per sample.
@@ -585,7 +590,7 @@ fn bench_comm_main(opts: &LaunchOpts, comm: &mut NetComm) -> i32 {
                         .and_then(|echo| comm.transport().send(peer, CLASS_PING, &echo).map(|()| vec![]))
                 };
                 if let Err(e) = res {
-                    eprintln!("terasem-net rank {rank}: ping-pong failed: {e}");
+                    log_line!("terasem-net rank {rank}: ping-pong failed: {e}");
                     return EXIT_PEER_LOST;
                 }
                 if rank == 0 && rep >= PING_WARMUP {
@@ -600,14 +605,14 @@ fn bench_comm_main(opts: &LaunchOpts, comm: &mut NetComm) -> i32 {
     let layout = match RankLayout::new(&solver.ops.num.ids, solver.ops.geo.npts, &part, size) {
         Ok(l) => l,
         Err(e) => {
-            eprintln!("terasem-net rank {rank}: {e}");
+            log_line!("terasem-net rank {rank}: {e}");
             return EXIT_USAGE;
         }
     };
     let gs = layout.gs(rank);
     let mut field = layout.extract(rank, &solver.vel[0]);
     if let Err(e) = comm.barrier() {
-        eprintln!("terasem-net rank {rank}: {e}");
+        log_line!("terasem-net rank {rank}: {e}");
         return EXIT_PEER_LOST;
     }
     comm.timings = CommTimings::default();
@@ -615,7 +620,7 @@ fn bench_comm_main(opts: &LaunchOpts, comm: &mut NetComm) -> i32 {
         match comm.exchange(&gs.pack(&field)) {
             Ok(inbox) => gs.fold(&mut field, &inbox, GsOp::Add),
             Err(e) => {
-                eprintln!("terasem-net rank {rank}: bench exchange failed: {e}");
+                log_line!("terasem-net rank {rank}: bench exchange failed: {e}");
                 return EXIT_PEER_LOST;
             }
         }
@@ -624,7 +629,7 @@ fn bench_comm_main(opts: &LaunchOpts, comm: &mut NetComm) -> i32 {
     comm.timings = CommTimings::default();
     for i in 0..OP_REPS {
         if comm.allreduce_sum(i as f64).is_err() {
-            eprintln!("terasem-net rank {rank}: bench allreduce failed");
+            log_line!("terasem-net rank {rank}: bench allreduce failed");
             return EXIT_PEER_LOST;
         }
     }
@@ -735,6 +740,19 @@ mod tests {
         assert_eq!(est.compute, 0.0);
         assert_eq!(est.latency, 3.0 * model.latency);
         assert_eq!(est.bandwidth, 304.0 * model.inv_bandwidth);
+    }
+
+    /// The newest generation every rank holds: 4 when one rank stopped
+    /// early, 2 when a torn newest file on another rank dropped its 4,
+    /// none when some rank holds nothing.
+    #[test]
+    fn newest_common_generation_is_the_newest_step_all_ranks_hold() {
+        let (full, short) = (vec![2, 4, 6], vec![2, 4]);
+        let torn = vec![2, 6];
+        assert_eq!(newest_common(&[full.clone(), full.clone(), short.clone()]), Some(4));
+        assert_eq!(newest_common(&[full.clone(), torn.clone(), short.clone()]), Some(2));
+        assert_eq!(newest_common(&[full, torn, short, vec![]]), None);
+        assert_eq!(newest_common(&[]), None);
     }
 
     #[test]

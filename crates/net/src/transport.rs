@@ -268,8 +268,9 @@ pub enum NetError {
     /// number: an earlier frame was lost on the wire.
     Dropped { peer: usize },
     /// A peer announced a mesh resynchronization at this epoch: the
-    /// current transport generation is being abandoned (e.g. a rank is
-    /// rejoining) and the caller should re-bootstrap.
+    /// current transport generation is being abandoned (a peer was lost
+    /// and the ranks are entering the next epoch) and the caller should
+    /// re-bootstrap.
     Resync { epoch: u64 },
     /// A frame arrived whose tag does not match the deterministic
     /// per-pair protocol — a sequencing bug, never a recoverable fault.

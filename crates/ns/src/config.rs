@@ -6,9 +6,6 @@ use sem_solvers::schwarz::SchwarzConfig;
 /// Treatment of the convective term (§4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConvectionScheme {
-    /// No convection of any field (Stokes flow) — for verification
-    /// problems.
-    None,
     /// Explicit extrapolation (EXTk matching the BDF order) of every
     /// transported field's convection: standard, CFL-limited to
     /// ≲ 0.5–0.7.

@@ -3,7 +3,7 @@
 //! (CFL, kinetic energy, divergence).
 
 use sem_ops::convect::gradient;
-use sem_ops::fields::{dot_weighted, norm_l2};
+use sem_ops::fields::norm_l2;
 use sem_ops::SemOps;
 
 /// Statistics of one timestep.
@@ -179,19 +179,6 @@ pub fn divergence_norm(ops: &SemOps, vel: &[Vec<f64>]) -> f64 {
     norm_l2(ops, &div)
 }
 
-/// Discrete L² inner product of two velocity fields (mass-weighted).
-pub fn field_inner(ops: &SemOps, u: &[f64], v: &[f64]) -> f64 {
-    let n = ops.n_velocity();
-    assert_eq!(u.len(), n);
-    assert_eq!(v.len(), n);
-    let weighted: Vec<f64> = v
-        .iter()
-        .zip(ops.bm_assembled.iter())
-        .map(|(&a, &b)| a * b)
-        .collect();
-    dot_weighted(ops, u, &weighted)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,14 +238,5 @@ mod tests {
             Some(HealthViolation::NonFinite { field }) => assert_eq!(field, "T"),
             other => panic!("unexpected: {other:?}"),
         }
-    }
-
-    #[test]
-    fn field_inner_is_mass_weighted() {
-        let ops = ops2d();
-        let n = ops.n_velocity();
-        let ones = vec![1.0; n];
-        // ⟨1, 1⟩_B = area = 1.
-        assert!((field_inner(&ops, &ones, &ones) - 1.0).abs() < 1e-9);
     }
 }

@@ -263,11 +263,6 @@ impl FaultPlan {
             .filter(move |e| e.step == step && attempt < e.count)
     }
 
-    /// True when any event targets `step` (any attempt).
-    pub fn targets_step(&self, step: usize) -> bool {
-        self.events.iter().any(|e| e.step == step)
-    }
-
     /// Deterministic node index in `[0, n)` for a field fault: hashes
     /// the plan seed with the step and field so distinct faults hit
     /// distinct nodes, but reruns (at any thread count) hit the same
@@ -347,8 +342,6 @@ mod tests {
         assert_eq!(p.events_for(5, 1).count(), 1);
         assert_eq!(p.events_for(5, 2).count(), 0);
         assert_eq!(p.events_for(4, 0).count(), 0);
-        assert!(p.targets_step(5));
-        assert!(!p.targets_step(6));
     }
 
     #[test]

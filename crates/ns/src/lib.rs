@@ -51,5 +51,5 @@ pub use fault::{FaultKind, FaultPlan, FieldTarget};
 pub use recovery::{RecoveryPolicy, RecoveryStage, StepError, StepFailure};
 pub use solver::NsSolver;
 pub use supervisor::{
-    consistent_generation, GiveUpReason, RunError, RunPolicy, RunReport, RunSupervisor,
+    valid_generations, GiveUpReason, RunError, RunPolicy, RunReport, RunSupervisor,
 };

@@ -1,6 +1,6 @@
-//! Field output: legacy VTK (unstructured quad/hex) and CSV writers for
+//! Field output: legacy VTK (unstructured quad/hex) writers for
 //! post-processing the simulations (the paper's production runs fed an
-//! immersive visualization pipeline, ref \[26\]; we emit standard formats).
+//! immersive visualization pipeline, ref \[26\]; we emit a standard format).
 
 use crate::solver::NsSolver;
 use sem_ops::SemOps;
@@ -104,23 +104,6 @@ pub fn write_solution_vtk(s: &NsSolver, path: &str) -> io::Result<()> {
     write_vtk(&s.ops, &fields, &mut buf)
 }
 
-/// Write nodal fields as CSV (`x,y,z,<names...>`).
-pub fn write_csv(ops: &SemOps, fields: &[(&str, &[f64])], mut w: impl Write) -> io::Result<()> {
-    write!(w, "x,y,z")?;
-    for (name, _) in fields {
-        write!(w, ",{name}")?;
-    }
-    writeln!(w)?;
-    for i in 0..ops.n_velocity() {
-        write!(w, "{},{},{}", ops.geo.x[i], ops.geo.y[i], ops.geo.z[i])?;
-        for (_, f) in fields {
-            write!(w, ",{}", f[i])?;
-        }
-        writeln!(w)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,17 +141,6 @@ mod tests {
         assert!(text.contains("POINTS 27 double"));
         assert!(text.contains("CELLS 8 72"));
         assert!(text.contains("CELL_TYPES 8"));
-    }
-
-    #[test]
-    fn csv_row_count() {
-        let ops = SemOps::new(box2d(1, 1, [0.0, 1.0], [0.0, 1.0], false, false), 2);
-        let f = vec![0.5; ops.n_velocity()];
-        let mut out = Vec::new();
-        write_csv(&ops, &[("a", &f), ("b", &f)], &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert_eq!(text.lines().count(), 1 + ops.n_velocity());
-        assert!(text.starts_with("x,y,z,a,b"));
     }
 
     #[test]

@@ -280,31 +280,17 @@ fn list_checkpoints(dir: &Path) -> Vec<(u64, PathBuf)> {
     out
 }
 
-/// Scan a set of per-rank checkpoint directories for the newest
-/// *consistent generation*: the largest step for which **every** rank
-/// directory holds a checkpoint that loads and validates structurally.
-/// This is `sem-net`'s rank-death recovery primitive — when one rank of
-/// a P-rank run dies, the surviving ranks may have checkpointed past the
-/// victim's last write (the run is only loosely synchronous), so the
-/// restart point is the intersection of each rank's valid generations.
-///
-/// Torn or corrupt files count as absent, exactly as in
-/// [`RunSupervisor::resume_from_latest`]. Returns `None` when no step is
-/// present and valid in all directories (including `dirs` being empty).
-pub fn consistent_generation(dirs: &[PathBuf]) -> Option<u64> {
-    let mut common: Option<Vec<u64>> = None;
-    for dir in dirs {
-        let valid: Vec<u64> = list_checkpoints(dir)
-            .into_iter()
-            .filter(|(_, path)| Checkpoint::load(path).is_ok())
-            .map(|(step, _)| step)
-            .collect();
-        common = Some(match common {
-            None => valid,
-            Some(prev) => prev.into_iter().filter(|s| valid.contains(s)).collect(),
-        });
-    }
-    common.and_then(|steps| steps.into_iter().max())
+/// The steps of every checkpoint in `dir` that loads and validates
+/// structurally, ascending. Torn or corrupt files count as absent,
+/// exactly as in [`RunSupervisor::resume_from_latest`]; a missing
+/// directory reads as empty. `sem-net`'s rank recovery allgathers these
+/// lists and resumes every rank at the newest step they all hold.
+pub fn valid_generations(dir: &Path) -> Vec<u64> {
+    list_checkpoints(dir)
+        .into_iter()
+        .filter(|(_, path)| Checkpoint::load(path).is_ok())
+        .map(|(step, _)| step)
+        .collect()
 }
 
 /// Drives an [`NsSolver`] with crash-only semantics. See the module
@@ -393,12 +379,12 @@ impl RunSupervisor {
     }
 
     /// Restore the checkpoint of a *specific* generation from the
-    /// policy's checkpoint directory — `sem-net`'s restart path, where
-    /// the launcher has already chosen the latest generation consistent
-    /// across all ranks ([`consistent_generation`]) and every rank must
-    /// resume from exactly that step, not from whatever newer file its
-    /// own directory happens to hold. Errors if checkpointing is off,
-    /// the file is missing/torn, or it does not match the solver's
+    /// policy's checkpoint directory — `sem-net`'s recovery path, where
+    /// the ranks have agreed on the newest generation all of them hold
+    /// (from their [`valid_generations`]) and every rank must resume
+    /// from exactly that step, not from whatever newer file its own
+    /// directory happens to hold. Errors if checkpointing is off, the
+    /// file is missing/torn, or it does not match the solver's
     /// discretization.
     pub fn resume_from_step(&mut self, step: u64) -> io::Result<u64> {
         let Some(dir) = self.policy.checkpoint_dir.clone() else {

@@ -302,8 +302,8 @@ fn run_record_is_emitted_to_the_metrics_sink() {
 }
 
 /// `resume_from_step` restores exactly the requested generation, not the
-/// newest one — the sem-net launcher's restart path, where all ranks
-/// must rendezvous on the latest generation *consistent across ranks*.
+/// newest one — the sem-net recovery path, where all ranks must
+/// rendezvous on the newest generation *every rank holds*.
 #[test]
 fn resume_from_step_restores_the_requested_generation() {
     let _g = lock();
@@ -373,40 +373,29 @@ fn run_to_with_observer_abort_leaves_no_exit_checkpoint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `consistent_generation` returns the newest step valid in *every*
-/// directory, treating torn files as absent.
+/// `valid_generations` lists the steps of one directory's checkpoints
+/// that load, ascending: a torn file counts as absent and a missing
+/// directory reads as empty. (`sem-net` allgathers these lists and
+/// resumes every rank at the newest step all of them hold.)
 #[test]
-fn consistent_generation_intersects_rank_directories() {
+fn valid_generations_skip_torn_files_and_missing_directories() {
     let _g = lock();
-    use sem_ns::consistent_generation;
-    let base = scratch("consistent");
-    let mk = |rank: usize, upto: u64| -> PathBuf {
-        let dir = base.join(format!("rank_{rank}"));
-        let mut sup = RunSupervisor::new(taylor_green(
-            "",
-            RecoveryPolicy::default(),
-            RunPolicy::checkpointing(&dir, 2, 10),
-        ));
-        sup.run_to(upto).expect("rank leg completes");
-        dir
-    };
-    // Ranks 0 and 1 reached step 6 (generations 2,4,6 + final 6); the
-    // "killed" rank 2 only reached step 4 (generations 2,4).
-    let d0 = mk(0, 6);
-    let d1 = mk(1, 6);
-    let d2 = mk(2, 4);
-    let dirs = vec![d0.clone(), d1.clone(), d2.clone()];
-    assert_eq!(consistent_generation(&dirs), Some(4));
-    // Tear rank 1's generation-4 file: the intersection drops to 2.
-    let torn = d1.join("ckpt_00000004.ckpt");
+    use sem_ns::valid_generations;
+    let dir = scratch("generations");
+    let mut sup = RunSupervisor::new(taylor_green(
+        "",
+        RecoveryPolicy::default(),
+        RunPolicy::checkpointing(&dir, 2, 10),
+    ));
+    sup.run_to(6).expect("leg completes");
+    // Generations 2, 4, 6 (the final checkpoint rewrites 6).
+    assert_eq!(valid_generations(&dir), vec![2, 4, 6]);
+    // Tear generation 4: it drops out of the list.
+    let torn = dir.join("ckpt_00000004.ckpt");
     let bytes = std::fs::read(&torn).unwrap();
     std::fs::write(&torn, &bytes[..bytes.len() / 2]).unwrap();
-    assert_eq!(consistent_generation(&dirs), Some(2));
-    // A rank with no valid checkpoints at all kills every generation.
-    let empty = base.join("rank_3");
-    std::fs::create_dir_all(&empty).unwrap();
-    let dirs4 = vec![d0, d1, d2, empty];
-    assert_eq!(consistent_generation(&dirs4), None);
-    assert_eq!(consistent_generation(&[]), None);
-    let _ = std::fs::remove_dir_all(&base);
+    assert_eq!(valid_generations(&dir), vec![2, 6]);
+    // A directory that was never created holds nothing.
+    assert!(valid_generations(&dir.join("missing")).is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
 }

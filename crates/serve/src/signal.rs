@@ -56,11 +56,6 @@ pub fn request_term() {
     TERM.store(true, Ordering::SeqCst);
 }
 
-/// Reset the flag (tests only; a real drain never un-drains).
-pub fn clear_term() {
-    TERM.store(false, Ordering::SeqCst);
-}
-
 /// Send SIGTERM to `pid`. Returns whether the signal was delivered
 /// (false when the process is already gone, or on non-Unix).
 pub fn send_term(pid: u32) -> bool {
@@ -81,6 +76,11 @@ mod tests {
 
     // The flag is process-global; serialize the tests that touch it.
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Reset the flag (a real drain never un-drains).
+    fn clear_term() {
+        TERM.store(false, Ordering::SeqCst);
+    }
 
     #[test]
     fn flag_round_trips_and_request_matches_signal_path() {

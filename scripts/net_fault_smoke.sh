@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # sem-net fault smoke: the transport survives a seeded network-fault
-# storm, and a killed rank is recovered by single-rank rejoin — both
+# storm, and a killed rank is recovered by respawning it alone — both
 # bitwise-identical to an unfaulted single-process reference.
 #
 # Stage 1: uninterrupted single-process reference run of the shear-layer
@@ -11,7 +11,7 @@
 # faulty rank, fast-heal tuning) — all seven fault kinds (delay,
 # duplicate, drop, corrupt, stall, truncate, sever) fire against live
 # validation traffic. The self-healing transport must absorb every one
-# of them with NO rank death, NO restart, and NO rejoin: CRC catches
+# of them with NO rank death and NO recovery: CRC catches
 # the corruption, sequence numbers catch the drop and the duplicate,
 # and severed links are redialed and replayed from the retransmit
 # buffer. The run's telemetry must show the injected faults and the
@@ -19,10 +19,10 @@
 # the reference.
 #
 # Stage 3: 4 ranks with rank 2 chaos-killed after step 7. The launcher
-# must recover it by respawning *only rank 2* into a rejoin epoch
-# (survivor PIDs preserved — asserted from the launcher's pid lines),
-# not by restarting all ranks, and the final checkpoints must again be
-# cmp-equal to the reference.
+# must recover it by respawning *only rank 2* into epoch 1 (survivor
+# PIDs preserved — asserted from the launcher's pid lines), every rank
+# must rewind to generation 6, the newest one all ranks hold, and the
+# final checkpoints must again be cmp-equal to the reference.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,9 +31,9 @@ RANKS=4
 KILL_AT=7
 REFDIR=$(mktemp -d)
 STORMDIR=$(mktemp -d)
-REJOINDIR=$(mktemp -d)
+KILLDIR=$(mktemp -d)
 OUT=$(mktemp); ERR=$(mktemp)
-trap 'rm -rf "$REFDIR" "$STORMDIR" "$REJOINDIR"; rm -f "$OUT" "$ERR"' EXIT
+trap 'rm -rf "$REFDIR" "$STORMDIR" "$KILLDIR"; rm -f "$OUT" "$ERR"' EXIT
 
 cargo build -q --release --offline -p sem-net --bin terasem-launch
 LAUNCH=target/release/terasem-launch
@@ -63,8 +63,8 @@ TERASEM_NET_FAULT="$STORM" TERASEM_NET_HB_MS=50 \
     cat "$OUT" "$ERR" >&2
     exit 1
 }
-# Healing must be invisible to the supervisor: no restart, no rejoin.
-if grep -Eq "restart [0-9]+/|rejoin [0-9]+/" "$ERR"; then
+# Healing must be invisible to the supervisor: no recovery.
+if grep -Eq "recovery [0-9]+/|entering epoch" "$ERR"; then
     echo "net_fault_smoke: FAIL — the storm leaked past the transport" >&2
     cat "$ERR" >&2
     exit 1
@@ -93,11 +93,11 @@ for r in $(seq 0 $(( RANKS - 1 ))); do
 done
 echo "net_fault_smoke: storm ($STORM) healed in-flight, checkpoints match reference"
 
-# ---- stage 3: chaos-killed rank recovered by single-rank rejoin ------
+# ---- stage 3: chaos-killed rank respawned alone, all ranks rewind ----
 TERASEM_THREADS=1 "$LAUNCH" "${ARGS[@]}" --ranks "$RANKS" \
-    --kill "2@$KILL_AT" --max-restarts 3 --dir "$REJOINDIR" \
+    --kill "2@$KILL_AT" --max-restarts 3 --dir "$KILLDIR" \
     >"$OUT" 2>"$ERR" || {
-    echo "net_fault_smoke: FAIL — 4-rank rejoin run failed" >&2
+    echo "net_fault_smoke: FAIL — 4-rank kill/recovery run failed" >&2
     cat "$OUT" "$ERR" >&2
     exit 1
 }
@@ -106,16 +106,18 @@ grep -q "chaos kill after committing step $KILL_AT" "$ERR" || {
     cat "$ERR" >&2
     exit 1
 }
-grep -q "rejoin 1/3: restarting rank 2 (epoch 1" "$ERR" || {
-    echo "net_fault_smoke: FAIL — dead rank was not recovered by rejoin" >&2
+grep -q "recovery 1/3: respawning rank(s) 2 into epoch 1" "$ERR" || {
+    echo "net_fault_smoke: FAIL — rank 2 alone was not respawned into epoch 1" >&2
     cat "$ERR" >&2
     exit 1
 }
-if grep -q "resuming all ranks" "$ERR"; then
-    echo "net_fault_smoke: FAIL — rejoin fell back to restart-all" >&2
-    cat "$ERR" >&2
-    exit 1
-fi
+for r in $(seq 0 $(( RANKS - 1 ))); do
+    grep -q "rank $r: epoch 1: resumed from generation 6" "$ERR" || {
+        echo "net_fault_smoke: FAIL — rank $r did not rewind to generation 6" >&2
+        cat "$ERR" >&2
+        exit 1
+    }
+done
 # Survivor PIDs preserved: ranks 0, 1, 3 spawned once; rank 2 twice.
 for r in 0 1 3; do
     n=$(grep -c "^terasem-launch: rank $r pid " "$OUT" || true)
@@ -132,11 +134,11 @@ n=$(grep -c "^terasem-launch: rank 2 pid " "$OUT" || true)
     exit 1
 }
 for r in $(seq 0 $(( RANKS - 1 ))); do
-    cmp "$REFDIR/rank_0/$FINAL" "$REJOINDIR/rank_$r/$FINAL" || {
+    cmp "$REFDIR/rank_0/$FINAL" "$KILLDIR/rank_$r/$FINAL" || {
         echo "net_fault_smoke: FAIL — rank $r final checkpoint differs from" \
-             "the reference after rejoin" >&2
+             "the reference after the recovery" >&2
         exit 1
     }
 done
-echo "net_fault_smoke: rank 2 rejoined at epoch 1, survivors kept their PIDs"
-echo "net_fault_smoke: OK (storm healed + single-rank rejoin, bitwise identical)"
+echo "net_fault_smoke: rank 2 respawned into epoch 1, survivors kept their PIDs"
+echo "net_fault_smoke: OK (storm healed + single-rank loss recovered, bitwise identical)"

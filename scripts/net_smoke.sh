@@ -5,19 +5,20 @@
 # Stage 1: uninterrupted single-process reference run of the shear-layer
 # workload under `terasem-launch --ranks 1`.
 #
-# Stage 2: the same workload on 4 ranks, with rank 2 chaos-killed right
-# after step 7 commits, with --no-rejoin so the restart-all path stays
-# covered (single-rank rejoin is the default and has its own smoke,
-# scripts/net_fault_smoke.sh). The launcher must detect the death, kill
-# the stragglers, restart every rank from the newest *consistent*
-# checkpoint generation, and finish. Each leg — and each rank within the 4-rank leg
-# — runs at its own seed-derived TERASEM_THREADS count, so this also
-# pins that the scale-out result is thread-count independent.
+# Stage 2: the same workload on 4 ranks, with ranks 2 and 3 both
+# chaos-killed right after step 7 commits (the single-rank loss has its
+# own smoke, scripts/net_fault_smoke.sh). The launcher must see both
+# deaths as one loss and recover once: respawn ranks 2 and 3 into
+# epoch 1 while ranks 0 and 1 survive in place (each spawned once),
+# every rank rewinding to the newest checkpoint generation all ranks
+# hold, and finish. Each leg — and each rank within the 4-rank leg —
+# runs at its own seed-derived TERASEM_THREADS count, so this also pins
+# that the scale-out result is thread-count independent.
 #
-# Stage 3: the final checkpoint of every rank of the killed+resumed
+# Stage 3: the final checkpoint of every rank of the killed+recovered
 # 4-rank run must be bitwise identical (`cmp`) to the uninterrupted
-# single-process run, despite the kill, the restart, and the different
-# thread counts.
+# single-process run, despite the kills, the recovery, and the
+# different thread counts.
 #
 # Stage 4: both legs run with --telemetry, so the 4-rank job must leave
 # a `terasem.ranks` JSON-lines artifact (one schema-checked terasem.rank
@@ -62,12 +63,12 @@ TERASEM_THREADS=$T_REF "$LAUNCH" "${ARGS[@]}" --ranks 1 --dir "$REFDIR" \
     exit 1
 }
 
-# ---- stage 2: 4 ranks, chaos-kill rank 2, auto-restart ---------------
+# ---- stage 2: 4 ranks, chaos-kill ranks 2 and 3, one recovery --------
 PAR_OUT=$(mktemp); PAR_ERR=$(mktemp)
 "$LAUNCH" "${ARGS[@]}" --ranks "$RANKS" --threads "$T_PAR" \
-    --kill "2@$KILL_AT" --max-restarts 3 --no-rejoin --dir "$PARDIR" \
+    --kill "2@$KILL_AT,3@$KILL_AT" --max-restarts 3 --dir "$PARDIR" \
     >"$PAR_OUT" 2>"$PAR_ERR" || {
-    echo "net_smoke: FAIL — 4-rank kill/resume run failed" >&2
+    echo "net_smoke: FAIL — 4-rank kill/recovery run failed" >&2
     cat "$PAR_OUT" "$PAR_ERR" >&2; rm -f "$PAR_OUT" "$PAR_ERR"
     exit 1
 }
@@ -76,18 +77,28 @@ grep -q "chaos kill after committing step $KILL_AT" "$PAR_ERR" || {
     cat "$PAR_ERR" >&2; rm -f "$PAR_OUT" "$PAR_ERR"
     exit 1
 }
-grep -q "restart 1/3: resuming all ranks from generation" "$PAR_ERR" || {
-    echo "net_smoke: FAIL — launcher did not restart from a consistent generation" >&2
+grep -q "recovery 1/3: respawning rank(s) 2, 3 into epoch 1" "$PAR_ERR" || {
+    echo "net_smoke: FAIL — the launcher did not respawn ranks 2 and 3 in one recovery" >&2
     cat "$PAR_ERR" >&2; rm -f "$PAR_OUT" "$PAR_ERR"
     exit 1
 }
+# Survivor PIDs preserved: ranks 0 and 1 spawned once.
+for r in 0 1; do
+    n=$(grep -c "^terasem-launch: rank $r pid " "$PAR_OUT" || true)
+    [ "$n" -eq 1 ] || {
+        echo "net_smoke: FAIL — survivor rank $r respawned ($n spawns)" >&2
+        cat "$PAR_OUT" >&2; rm -f "$PAR_OUT" "$PAR_ERR"
+        exit 1
+    }
+done
 grep -q "final checkpoints byte-identical across $RANKS rank(s)" "$PAR_OUT" || {
     echo "net_smoke: FAIL — cross-rank final-checkpoint check missing" >&2
     cat "$PAR_OUT" >&2; rm -f "$PAR_OUT" "$PAR_ERR"
     exit 1
 }
 rm -f "$PAR_OUT" "$PAR_ERR"
-echo "net_smoke: rank 2 killed at step $KILL_AT, all ranks resumed and finished"
+echo "net_smoke: ranks 2 and 3 killed at step $KILL_AT, respawned in one recovery," \
+     "all ranks finished"
 
 # ---- stage 3: bitwise-identical to the single-process run ------------
 for r in $(seq 0 $(( RANKS - 1 ))); do
@@ -165,4 +176,4 @@ for want in "Per-phase across ranks" "Load imbalance (step):" \
 done
 rm -f "$RANKS_REPORT"
 echo "net_smoke: sem-report --ranks rendered imbalance, comm fraction, efficiency"
-echo "net_smoke: OK ($RANKS ranks, kill/resume, bitwise identical to 1 rank, telemetry)"
+echo "net_smoke: OK ($RANKS ranks, two-rank kill/recovery, bitwise identical to 1 rank, telemetry)"
