@@ -49,7 +49,7 @@ fn main() {
     group.bench("ablation_convection_ext2_dt", || {
         std::hint::black_box(s_ext.step().unwrap());
     });
-    let mut s_oifs = taylor_green(ConvectionScheme::Oifs { substeps: 4 }, 8e-3);
+    let mut s_oifs = taylor_green(ConvectionScheme::Oifs, 8e-3);
     group.bench("ablation_convection_oifs_4dt", || {
         std::hint::black_box(s_oifs.step().unwrap());
     });

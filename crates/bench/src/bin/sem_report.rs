@@ -12,7 +12,8 @@
 //!    step time, and p50/p90/p99/max latencies from the merged
 //!    log-bucket histograms;
 //! 2. a **per-step trajectory** — pressure CG iterations, projection
-//!    depth, Helmholtz iterations, CFL, and wall time per step (the
+//!    depth, Helmholtz iterations, CFL, OIFS substeps per Δt (`subs`;
+//!    0 under EXT, `-` in pre-v6 logs), and wall time per step (the
 //!    Fig. 4 iteration-decay view);
 //! 3. a **counter summary** — including `cg_breakdowns` and
 //!    `projection_dropped`, the silent-failure counters.
@@ -72,6 +73,7 @@ struct StepRow {
     step: u64,
     time: f64,
     cfl: f64,
+    oifs_substeps: Option<u64>,
     seconds: f64,
     pressure_iterations: u64,
     pressure_final_residual: f64,
@@ -718,6 +720,8 @@ fn parse_row(v: &Json) -> Option<StepRow> {
         step: v.get("step")?.as_u64()?,
         time: v.get("time")?.as_f64().unwrap_or(f64::NAN),
         cfl: v.get("cfl")?.as_f64().unwrap_or(f64::NAN),
+        // Schema v6; absent in older logs.
+        oifs_substeps: v.get("oifs_substeps").and_then(Json::as_u64),
         seconds: v.get("seconds")?.as_f64().unwrap_or(0.0),
         pressure_iterations: v.get("pressure_iterations")?.as_u64()?,
         pressure_final_residual: v
@@ -875,17 +879,29 @@ fn recov_label(trail: &[String], recoveries: u64) -> String {
 fn print_trajectory(rows: &[StepRow]) {
     println!("Per-step trajectory:");
     println!(
-        "{:>6} {:>12} {:>8} {:>8} {:>6} {:>8} {:>12} {:>10} {:>9} {:>12}",
-        "step", "time", "cfl", "p_iters", "depth", "helm", "p_resid", "seconds", "cg_p99", "recov"
+        "{:>6} {:>12} {:>8} {:>5} {:>8} {:>6} {:>8} {:>12} {:>10} {:>9} {:>12}",
+        "step",
+        "time",
+        "cfl",
+        "subs",
+        "p_iters",
+        "depth",
+        "helm",
+        "p_resid",
+        "seconds",
+        "cg_p99",
+        "recov"
     );
     for r in rows {
         let helm: u64 = r.helmholtz_iterations.iter().sum();
         let cg_p99 = quantile_from_buckets(r.latency.buckets(Phase::PressureCg), 0.99);
+        let subs = r.oifs_substeps.map_or("-".to_string(), |n| n.to_string());
         println!(
-            "{:>6} {:>12.6} {:>8.3} {:>8} {:>6} {:>8} {:>12.3e} {:>10.6} {} {:>12}",
+            "{:>6} {:>12.6} {:>8.3} {:>5} {:>8} {:>6} {:>8} {:>12.3e} {:>10.6} {} {:>12}",
             r.step,
             r.time,
             r.cfl,
+            subs,
             r.pressure_iterations,
             r.projection_depth,
             helm,

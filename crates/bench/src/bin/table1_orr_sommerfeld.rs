@@ -21,7 +21,6 @@ use sem_stability::table1_reference;
 
 /// Run one configuration to `t_final`; return the relative growth-rate
 /// error, or `f64::INFINITY` on blow-up.
-#[allow(clippy::too_many_arguments)]
 fn growth_error(
     os: &sem_stability::OrrSommerfeld,
     n: usize,
@@ -29,10 +28,9 @@ fn growth_error(
     torder: usize,
     alpha: f64,
     t_final: f64,
-    substeps: usize,
 ) -> f64 {
     let sigma_ref = os.growth_rate();
-    let mut s = orr_sommerfeld_channel(os, n, dt, torder, alpha, 1e-5, substeps);
+    let mut s = orr_sommerfeld_channel(os, n, dt, torder, alpha, 1e-5);
     let steps = (t_final / dt).round() as usize;
     let mut ts = Vec::new();
     let mut es = Vec::new();
@@ -76,8 +74,8 @@ fn main() {
     println!("spatial convergence (dt = {dt_sp}, T = {t_final_sp}):");
     println!("{:>4} | {:>10} {:>10}", "N", "alpha=0.0", "alpha=0.2");
     for &n in spatial_ns {
-        let e0 = growth_error(&os, n, dt_sp, 2, 0.0, t_final_sp, 4);
-        let e2 = growth_error(&os, n, dt_sp, 2, 0.2, t_final_sp, 4);
+        let e0 = growth_error(&os, n, dt_sp, 2, 0.0, t_final_sp);
+        let e2 = growth_error(&os, n, dt_sp, 2, 0.2, t_final_sp);
         println!("{n:>4} | {} {}", fmt(e0), fmt(e2));
     }
     println!("(paper: errors fall from ~0.24 at N=7 to ~1e-4 at N=13; filter slightly degrades)");
@@ -94,12 +92,11 @@ fn main() {
     );
     let mut table = Vec::new();
     for &dt in dts {
-        let substeps = ((dt / 0.01).ceil() as usize).max(4);
         let row = [
-            growth_error(&os, n_t, dt, 2, 0.0, t_final_t, substeps),
-            growth_error(&os, n_t, dt, 2, 0.2, t_final_t, substeps),
-            growth_error(&os, n_t, dt, 3, 0.0, t_final_t, substeps),
-            growth_error(&os, n_t, dt, 3, 0.2, t_final_t, substeps),
+            growth_error(&os, n_t, dt, 2, 0.0, t_final_t),
+            growth_error(&os, n_t, dt, 2, 0.2, t_final_t),
+            growth_error(&os, n_t, dt, 3, 0.0, t_final_t),
+            growth_error(&os, n_t, dt, 3, 0.2, t_final_t),
         ];
         println!(
             "{:>8} | {} {} | {} {}",

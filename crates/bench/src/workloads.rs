@@ -42,7 +42,6 @@ pub fn orr_sommerfeld_channel(
     torder: usize,
     filter_alpha: f64,
     eps_ts: f64,
-    substeps: usize,
 ) -> NsSolver {
     let lx = 2.0 * std::f64::consts::PI / os.alpha;
     let mesh = box2d(5, 3, [0.0, lx], [-1.0, 1.0], true, false);
@@ -52,7 +51,7 @@ pub fn orr_sommerfeld_channel(
         dt,
         nu: 1.0 / os.re,
         torder,
-        convection: ConvectionScheme::Oifs { substeps },
+        convection: ConvectionScheme::Oifs,
         filter_alpha,
         pressure_lmax: 20,
         pressure_cg,
@@ -113,7 +112,7 @@ pub fn shear_layer(
         dt,
         nu: 1.0 / re,
         torder: 2,
-        convection: ConvectionScheme::Oifs { substeps: 4 },
+        convection: ConvectionScheme::Oifs,
         filter_alpha,
         pressure_lmax: 20,
         pressure_cg,
@@ -211,7 +210,7 @@ pub fn cylinder_startup(
         dt,
         nu,
         torder: 2,
-        convection: ConvectionScheme::Oifs { substeps: 4 },
+        convection: ConvectionScheme::Oifs,
         filter_alpha: 0.1,
         pressure_lmax: 0, // Table 2 isolates the preconditioner
         pressure_cg: CgOptions {
@@ -272,7 +271,7 @@ pub fn hairpin_channel(k: [usize; 3], n: usize, dt: f64, lmax: usize) -> NsSolve
         dt,
         nu: 1.0 / 1600.0, // the paper's benchmark Re
         torder: 2,
-        convection: ConvectionScheme::Oifs { substeps: 4 },
+        convection: ConvectionScheme::Oifs,
         filter_alpha: 0.1,
         pressure_lmax: lmax,
         pressure_cg,

@@ -13,12 +13,10 @@ pub enum ConvectionScheme {
     /// Operator-integration-factor splitting: the BDF history levels of
     /// every transported field — velocity, temperature and species — are
     /// advected to the new time level along the characteristics by one
-    /// nested sweep with `substeps` RK4 steps per Δt, permitting
-    /// convective CFL of 1–5.
-    Oifs {
-        /// RK4 substeps per Δt of characteristic subintegration.
-        substeps: usize,
-    },
+    /// nested sweep, permitting convective CFL of 1–5. Each step sizes
+    /// the sweep's RK4 substeps per Δt from its own CFL
+    /// ([`crate::convection::oifs_substeps`]: one per 0.5 of CFL).
+    Oifs,
 }
 
 /// Boussinesq buoyancy coupling.

@@ -11,7 +11,10 @@
 //! from the ring's levels. Subintegration uses RK4 with a substep chosen
 //! so its *advective* CFL stays small even when the overall Δt
 //! corresponds to CFL 1–5 — "significantly reducing the number of
-//! (expensive) Stokes solves".
+//! (expensive) Stokes solves". The substep count follows the step's
+//! convective CFL ([`oifs_substeps`]): about [`OIFS_SUBSTEP_CFL`] per
+//! substep, so a step at CFL 0.035 takes one RK4 substep per Δt and a
+//! step at CFL 5 takes ten.
 //!
 //! The BDF right-hand side needs only the weighted sum
 //! `Σ_j b_j S(t^{n+1}←t^{n+1−j}) φ^{n+1−j}`, and the advection operator
@@ -28,6 +31,35 @@ use crate::checkpoint::Level;
 use crate::config::ext_coeffs;
 use sem_ops::convect::{contravariant, convect_contravariant};
 use sem_ops::SemOps;
+
+/// The convective CFL one RK4 substep of the subintegration aims at:
+/// half of the smallest grid spacing per substep. The explicit
+/// subintegration must stay inside classical RK4's stability interval
+/// (`|λh| ≤ 2√2` on the imaginary axis), and its time error must stay
+/// small next to the splitting error of the step. At this target a
+/// resolved profile swept at CFL 2 and 5 lands within 1e-8 of a
+/// 64-substep sweep, below the spatial error of the converged sweep
+/// itself (`sized_sweep_tracks_a_converged_sweep`), and OIFS steps at
+/// CFL 1.2–2.3 stay bounded (`oifs_stable_at_cfl_above_one`,
+/// `oifs_scalar_stays_bounded_above_cfl_one`).
+pub const OIFS_SUBSTEP_CFL: f64 = 0.5;
+
+/// The most RK4 substeps one Δt takes. The paper runs OIFS at
+/// convective CFL 1–5, i.e. at most ten substeps; the cap sits well
+/// above that and only bounds the work of a runaway CFL. An infinite
+/// velocity node reads as CFL +∞, which would otherwise ask for
+/// `usize::MAX` substeps and hang the step instead of letting the
+/// health check reject it.
+pub const OIFS_MAX_SUBSTEPS: usize = 64;
+
+/// RK4 substeps per Δt for a step at convective CFL `cfl`:
+/// `⌈cfl / OIFS_SUBSTEP_CFL⌉`, clamped to `[1, OIFS_MAX_SUBSTEPS]`. A
+/// NaN CFL takes one substep (the step's health check rejects the
+/// fields that produced it).
+pub fn oifs_substeps(cfl: f64) -> usize {
+    // `as` saturates: +∞ → usize::MAX, NaN → 0.
+    ((cfl / OIFS_SUBSTEP_CFL).ceil() as usize).clamp(1, OIFS_MAX_SUBSTEPS)
+}
 
 /// Reusable OIFS sweep storage, sized by the first sweep (a solver that
 /// never runs OIFS allocates none).
@@ -97,19 +129,20 @@ fn rate(ops: &SemOps, cc: &[Vec<f64>], phi: &[f64], out: &mut [f64]) {
 /// One nested sweep builds the sum in Horner form from the oldest
 /// weighted level up to `t_new`, adding each level's term as it passes
 /// the level's time; each interval between consecutive times gets
-/// `substeps` classical RK4 steps. All fields advance together, so the
-/// velocity is interpolated once per distinct stage time:
-/// `1 + 2·substeps·coeffs.len()` times per sweep.
+/// `rk_steps` classical RK4 steps (the solver sizes them from the
+/// step's CFL with [`oifs_substeps`]). All fields advance together, so
+/// the velocity is interpolated once per distinct stage time:
+/// `1 + 2·rk_steps·coeffs.len()` times per sweep.
 ///
 /// # Panics
 /// Panics without coefficients, with more coefficients than levels, on
-/// zero `substeps`, or when `out` does not hold one vector per field.
+/// zero `rk_steps`, or when `out` does not hold one vector per field.
 pub fn oifs_sweep(
     ops: &SemOps,
     levels: &[Level],
     coeffs: &[f64],
     t_new: f64,
-    substeps: usize,
+    rk_steps: usize,
     scratch: &mut OifsScratch,
     out: &mut [Vec<f64>],
 ) {
@@ -118,7 +151,7 @@ pub fn oifs_sweep(
         (1..=levels.len()).contains(&m),
         "need 1..=levels coefficients"
     );
-    assert!(substeps >= 1, "need at least one RK substep");
+    assert!(rk_steps >= 1, "need at least one RK substep");
     assert_eq!(out.len(), levels[0].values.len(), "one output per field");
     let n = ops.n_velocity();
     let OifsScratch {
@@ -139,10 +172,10 @@ pub fn oifs_sweep(
     for j in (0..m).rev() {
         let t0 = levels[j].time;
         let t1 = if j == 0 { t_new } else { levels[j - 1].time };
-        let h = (t1 - t0) / substeps as f64;
-        for step in 0..substeps {
+        let h = (t1 - t0) / rk_steps as f64;
+        for step in 0..rk_steps {
             let s = t0 + h * step as f64;
-            let s1 = if step + 1 == substeps {
+            let s1 = if step + 1 == rk_steps {
                 t1
             } else {
                 t0 + h * (step + 1) as f64
@@ -240,11 +273,11 @@ mod tests {
         levels: &[Level],
         coeffs: &[f64],
         t_new: f64,
-        substeps: usize,
+        rk_steps: usize,
     ) -> Vec<Vec<f64>> {
         let mut out = vec![Vec::new(); levels[0].values.len()];
         let mut scratch = OifsScratch::default();
-        oifs_sweep(ops, levels, coeffs, t_new, substeps, &mut scratch, &mut out);
+        oifs_sweep(ops, levels, coeffs, t_new, rk_steps, &mut scratch, &mut out);
         out
     }
 
@@ -377,6 +410,62 @@ mod tests {
             ops.flops_so_far() - before,
             17 * per_eval + 3 * 32 * per_stage
         );
+    }
+
+    #[test]
+    fn substeps_follow_the_cfl_within_their_bounds() {
+        let cases = [
+            (0.0, 1),
+            (0.035, 1),
+            (0.5, 1),
+            (0.64, 2),
+            (1.7, 4),
+            (3.4, 7),
+            (5.0, 10),
+            (f64::NAN, 1),
+            (f64::INFINITY, OIFS_MAX_SUBSTEPS),
+        ];
+        for (cfl, want) in cases {
+            assert_eq!(oifs_substeps(cfl), want, "CFL {cfl}");
+        }
+        // The paper's regime stays far below the cap.
+        assert!(oifs_substeps(5.0) * 4 <= OIFS_MAX_SUBSTEPS);
+    }
+
+    #[test]
+    fn sized_sweep_tracks_a_converged_sweep() {
+        // A sin(2πx) profile translated by a uniform velocity over one
+        // Δt at convective CFL ≈ 2 and ≈ 5: the CFL-sized sweep against
+        // a 64-substep one. The bound writes down what the 0.5 target
+        // costs in accuracy across the paper's CFL 1–5 range: measured
+        // 3.1e-9 (4 substeps) and 7.7e-9 (10), each below the converged
+        // sweep's own distance from the exact translate (8.6e-9, 1.0e-8).
+        let ops = ops_periodic(4, 8);
+        let n = ops.n_velocity();
+        let two_pi = 2.0 * std::f64::consts::PI;
+        let profile = eval_on_nodes(&ops, |x, _, _| (two_pi * x).sin());
+        let vel = vec![vec![1.0; n], vec![0.0; n]];
+        let values = vec![vel[0].clone(), vel[1].clone(), profile];
+        let levels = [level(0.0, values, vec![])];
+        let max_diff = |a: &[f64], b: &[f64]| {
+            a.iter()
+                .zip(b)
+                .fold(0.0_f64, |m, (x, y)| m.max((x - y).abs()))
+        };
+        for (dt, want) in [(0.025, 4), (0.0625, 10)] {
+            let cfl = crate::diagnostics::cfl(&ops, &vel, dt);
+            let sized = oifs_substeps(cfl);
+            assert_eq!(sized, want, "CFL {cfl}");
+            let coarse = &sweep(&ops, &levels, &[1.0], dt, sized)[2];
+            let fine = &sweep(&ops, &levels, &[1.0], dt, 64)[2];
+            let exact = eval_on_nodes(&ops, |x, _, _| (two_pi * (x - dt)).sin());
+            let cost = max_diff(coarse, fine);
+            let floor = max_diff(fine, &exact);
+            assert!(
+                cost < 1e-8 && cost < floor,
+                "CFL {cfl}: sized sweep {cost:e} off the converged one (floor {floor:e})"
+            );
+        }
     }
 
     #[test]

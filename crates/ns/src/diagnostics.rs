@@ -29,6 +29,9 @@ pub struct StepStats {
     pub temp_iters: usize,
     /// Convective CFL number of the step.
     pub cfl: f64,
+    /// RK4 substeps per Δt the OIFS sweep ran, sized from `cfl` (0
+    /// under EXT).
+    pub oifs_substeps: usize,
     /// Flops spent in this step (instrumented).
     pub flops: u64,
     /// Wall-clock seconds for the step.
@@ -53,6 +56,7 @@ impl StepStats {
             time: self.time,
             dt,
             cfl: self.cfl,
+            oifs_substeps: self.oifs_substeps as u64,
             pressure_iterations: self.pressure_iters as u64,
             pressure_initial_residual: self.pressure_initial_residual,
             pressure_final_residual: self.pressure_final_residual,
@@ -128,29 +132,24 @@ where
     None
 }
 
-/// Convective CFL: `max |u_i| Δt / Δx_i` over all nodes, with the local
-/// grid spacing taken from adjacent GLL nodes along each direction.
+/// Convective CFL: `max |C_a| Δt / Δξ_min` over all nodes and reference
+/// directions `a`, where `C_a = Σ_c (∂r_a/∂x_c) u_c` is the velocity in
+/// reference units (the transform [`sem_ops::convect::contravariant`]
+/// applies) and `Δξ_min` the smallest GLL spacing on `[−1, 1]`. On an
+/// axis-aligned element this is `max |u_d| Δt / (h_d Δξ_min / 2)`; on a
+/// curved or rotated one it follows the element's own directions.
 pub fn cfl(ops: &SemOps, vel: &[Vec<f64>], dt: f64) -> f64 {
     let geo = &ops.geo;
-    let npts = geo.npts;
     let dim = geo.dim;
-    let mut worst = 0.0_f64;
-    // Minimal reference GLL spacing.
     let dref = geo.gll.points[1] - geo.gll.points[0];
-    for e in 0..geo.k {
-        let ext = geo.element_extents(e);
-        for d in 0..dim {
-            // Conservative local spacing: extent × (reference spacing / 2).
-            let dx = ext[d] * dref / 2.0;
-            if dx <= 0.0 {
-                continue;
-            }
-            let comp = &vel[d][e * npts..(e + 1) * npts];
-            let vmax = comp.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-            worst = worst.max(vmax * dt / dx);
+    let mut worst = 0.0_f64;
+    for (i, d) in geo.drdx.chunks_exact(dim * dim).enumerate() {
+        for row in d.chunks_exact(dim) {
+            let c: f64 = row.iter().zip(vel).map(|(g, u)| g * u[i]).sum();
+            worst = worst.max(c.abs());
         }
     }
-    worst
+    worst * dt / dref
 }
 
 /// Total kinetic energy `½ ∫ |u|²`.
@@ -200,6 +199,65 @@ mod tests {
         let vel2 = vec![vec![4.0; n], vec![0.0; n]];
         let c3 = cfl(&ops, &vel2, 0.1);
         assert!((c3 - 2.0 * c1).abs() < 1e-12);
+    }
+
+    /// The bounding-box CFL: `max |u_d| Δt / (extent_d · Δξ_min / 2)`
+    /// per element, exact only on axis-aligned elements.
+    fn bounding_box_cfl(ops: &SemOps, vel: &[Vec<f64>], dt: f64) -> f64 {
+        let geo = &ops.geo;
+        let dref = geo.gll.points[1] - geo.gll.points[0];
+        let mut worst = 0.0_f64;
+        for e in 0..geo.k {
+            let ext = geo.element_extents(e);
+            for (d, comp) in vel.iter().enumerate() {
+                let part = &comp[e * geo.npts..(e + 1) * geo.npts];
+                let vmax = part.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+                worst = worst.max(vmax * dt / (ext[d] * dref / 2.0));
+            }
+        }
+        worst
+    }
+
+    #[test]
+    fn cfl_is_invariant_under_rotating_mesh_and_velocity_together() {
+        // A stretched 3×2 box and a sheared velocity, then both turned
+        // by 45°: node i of the rotated mesh is node i of the original.
+        let flow = |x: f64, y: f64| [1.0 + x * y, 0.5 - y * y];
+        let mesh = box2d(3, 2, [0.0, 2.0], [0.0, 1.0], false, false);
+        // cos 45° = sin 45°.
+        let r = std::f64::consts::FRAC_1_SQRT_2;
+        let mut turned = mesh.clone();
+        for v in &mut turned.verts {
+            *v = [r * (v[0] - v[1]), r * (v[0] + v[1]), v[2]];
+        }
+        let ops = SemOps::new(mesh, 6);
+        let rot = SemOps::new(turned, 6);
+        let n = ops.n_velocity();
+        let mut vel = vec![vec![0.0; n]; 2];
+        let mut vel_rot = vec![vec![0.0; n]; 2];
+        for i in 0..n {
+            let [u, v] = flow(ops.geo.x[i], ops.geo.y[i]);
+            vel[0][i] = u;
+            vel[1][i] = v;
+            vel_rot[0][i] = r * (u - v);
+            vel_rot[1][i] = r * (u + v);
+        }
+        let dt = 0.01;
+        let straight = cfl(&ops, &vel, dt);
+        let turned = cfl(&rot, &vel_rot, dt);
+        assert!(
+            (turned - straight).abs() <= 1e-12 * straight,
+            "rotation moved the CFL: {straight} -> {turned}"
+        );
+        // On the axis-aligned box the element-extent measure agrees;
+        // on the turned one it reads half.
+        let boxed = bounding_box_cfl(&ops, &vel, dt);
+        assert!(
+            (boxed - straight).abs() <= 1e-12 * straight,
+            "{boxed} vs {straight}"
+        );
+        let boxed_turned = bounding_box_cfl(&rot, &vel_rot, dt);
+        assert!(boxed_turned < 0.75 * turned, "{boxed_turned} vs {turned}");
     }
 
     #[test]

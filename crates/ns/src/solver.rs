@@ -35,7 +35,7 @@
 
 use crate::checkpoint::{Checkpoint, Level, Slot, Species};
 use crate::config::{bdf_coeffs, ext_coeffs, Boussinesq, ConvectionScheme, NsConfig};
-use crate::convection::{ext_convection, oifs_sweep, OifsScratch};
+use crate::convection::{ext_convection, oifs_substeps, oifs_sweep, OifsScratch};
 use crate::diagnostics::{cfl, field_health, kinetic_energy, HealthViolation, StepStats};
 use crate::fault::{FaultKind, FieldTarget};
 use crate::recovery::{RecoveryAttempt, RecoveryStage, SolveKind, StepError, StepFailure};
@@ -310,7 +310,7 @@ impl NsSolver {
         // first step runs BDF1, the second BDF2, ….
         let k = self.cfg.torder.min(self.ring.len()).max(1);
         let cfl_now = cfl(&self.ops, &self.vel, self.cfg.dt);
-        let mut rhs = self.history_rhs(k, t_new);
+        let (mut rhs, oifs_substeps) = self.history_rhs(k, t_new, cfl_now);
         let scalars = rhs.split_off(dim);
         let (helm_iters, pstats) = self.transport(0..dim, rhs, k, t_new, &mut failure);
         let mut temp_iters = 0;
@@ -330,6 +330,7 @@ impl NsSolver {
             helmholtz_iters: helm_iters,
             temp_iters,
             cfl: cfl_now,
+            oifs_substeps,
             ..StepStats::default()
         };
         (stats, failure)
@@ -435,33 +436,30 @@ impl NsSolver {
 
     /// Explicit BDF/EXT right-hand side of every transported field from
     /// the ring: `Σ_j (b_j/Δt) B φ^{n−j}` — under OIFS with every level
-    /// advected to `t_new` along characteristics by one nested sweep —
-    /// plus `B · EXTk[−(u·∇)φ]` for an EXT-convected field.
-    fn history_rhs(&mut self, k: usize, t_new: f64) -> Vec<Vec<f64>> {
+    /// advected to `t_new` along characteristics by one nested sweep of
+    /// [`oifs_substeps`]`(cfl)` RK4 substeps per Δt — plus
+    /// `B · EXTk[−(u·∇)φ]` for an EXT-convected field. Also returns the
+    /// sweep's substeps per Δt (0 under EXT).
+    fn history_rhs(&mut self, k: usize, t_new: f64, cfl: f64) -> (Vec<Vec<f64>>, usize) {
         let bj = bdf_coeffs(k).1;
         let n = self.ops.n_velocity();
         let dt = self.cfg.dt;
         let bm = &self.ops.geo.bm;
         let mut rhs = vec![vec![0.0; n]; self.ring[0].values.len()];
-        if let ConvectionScheme::Oifs { substeps } = self.cfg.convection {
+        if self.cfg.convection == ConvectionScheme::Oifs {
             let _conv_span = sem_obs::span(Phase::Convection);
             let _oifs_span = sem_obs::span(Phase::Oifs);
+            let substeps = oifs_substeps(cfl);
             let scratch = &mut self.oifs_scratch;
             oifs_sweep(
-                &self.ops,
-                &self.ring,
-                &bj,
-                t_new,
-                substeps.max(1),
-                scratch,
-                &mut rhs,
+                &self.ops, &self.ring, &bj, t_new, substeps, scratch, &mut rhs,
             );
             for r in rhs.iter_mut() {
                 for i in 0..n {
                     r[i] *= bm[i] / dt;
                 }
             }
-            return rhs;
+            return (rhs, substeps);
         }
         for (coeff, level) in bj.iter().zip(&self.ring) {
             for (r, past) in rhs.iter_mut().zip(&level.values) {
@@ -484,7 +482,7 @@ impl NsSolver {
                 }
             }
         }
-        rhs
+        (rhs, 0)
     }
 
     /// The velocity's own right-hand-side terms: the body force, the
@@ -1090,7 +1088,7 @@ mod tests {
     fn oifs_matches_ext_at_small_cfl() {
         let mut s1 = taylor_green_solver(2, 7, 2e-3);
         let mut s2 = taylor_green_solver(2, 7, 2e-3);
-        s2.cfg.convection = ConvectionScheme::Oifs { substeps: 2 };
+        s2.cfg.convection = ConvectionScheme::Oifs;
         for _ in 0..10 {
             s1.step().unwrap();
             s2.step().unwrap();
@@ -1106,7 +1104,7 @@ mod tests {
     fn oifs_stable_at_cfl_above_one() {
         // Δt chosen so the convective CFL exceeds 1 (EXT would blow up).
         let mut s = taylor_green_solver(2, 8, 0.2);
-        s.cfg.convection = ConvectionScheme::Oifs { substeps: 10 };
+        s.cfg.convection = ConvectionScheme::Oifs;
         let mut max_cfl = 0.0_f64;
         for _ in 0..6 {
             let st = s.step().unwrap();
@@ -1132,7 +1130,7 @@ mod tests {
         for dt in [0.1, 0.2] {
             let mut s = taylor_green_solver(4, 8, dt);
             s.cfg.nu = 0.01;
-            s.cfg.convection = ConvectionScheme::Oifs { substeps: 4 };
+            s.cfg.convection = ConvectionScheme::Oifs;
             let dye = s.add_scalar("dye", 1e-3, |x, y, _| (x + 0.3).sin() * (2.0 * y).cos());
             let l2 = |s: &NsSolver| sem_ops::fields::norm_l2(&s.ops, s.scalar(dye));
             let initial = l2(&s);
@@ -1143,6 +1141,38 @@ mod tests {
             assert!(max_cfl > 1.0, "Δt = {dt}: CFL only {max_cfl}");
             let last = l2(&s);
             assert!(last <= initial, "Δt = {dt}: dye L² grew {initial} → {last}");
+        }
+    }
+
+    #[test]
+    fn oifs_substeps_follow_the_cfl() {
+        // CFL ≈ 6.35·Δt on this vortex: Δt = 0.05 runs below 0.5 (one
+        // RK4 substep per Δt), Δt = 0.2 in (1, 1.5] (three).
+        for (dt, cfls, want) in [(0.05, 0.0..0.5, 1), (0.2, 1.0..1.5, 3)] {
+            let mut s = taylor_green_solver(2, 8, dt);
+            s.cfg.convection = ConvectionScheme::Oifs;
+            for _ in 0..4 {
+                let st = s.step().unwrap();
+                assert!(cfls.contains(&st.cfl), "Δt = {dt}: CFL {}", st.cfl);
+                assert_eq!(st.oifs_substeps, want, "Δt = {dt}, CFL {}", st.cfl);
+            }
+            // The SemOps flops of the next step's history sweep: per
+            // velocity evaluation one `contravariant`, per field stage
+            // one `convect_contravariant` (see the convection tests).
+            let cfl_now = cfl(&s.ops, &s.vel, s.cfg.dt);
+            s.push_level();
+            let k = s.cfg.torder;
+            let f0 = s.ops.flops_so_far();
+            let (_, subs) = s.history_rhs(k, s.time + s.cfg.dt, cfl_now);
+            let swept = s.ops.flops_so_far() - f0;
+            let n = s.ops.n_velocity() as u64;
+            let per_eval = 2 * 3 * n;
+            let per_elem = sem_ops::convect::ref_derivative_flops_per_elem(2, 8);
+            let per_stage = s.ops.k() as u64 * per_elem + 3 * n;
+            let (w, m) = (want as u64, k as u64);
+            let want_flops = (1 + 2 * w * m) * per_eval + 2 * 4 * w * m * per_stage;
+            assert_eq!(subs, want);
+            assert_eq!(swept, want_flops);
         }
     }
 

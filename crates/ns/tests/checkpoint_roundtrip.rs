@@ -43,7 +43,7 @@ fn taylor_green_oifs_boussinesq_dye(order: usize) -> NsSolver {
         dt: 2e-3,
         nu: 0.01,
         torder: 2,
-        convection: ConvectionScheme::Oifs { substeps: 2 },
+        convection: ConvectionScheme::Oifs,
         boussinesq: Some(Boussinesq {
             g_beta: [0.0, 0.5, 0.0],
             kappa: 0.02,

@@ -59,7 +59,7 @@ fn ext_bdf3_temp_two_species() -> NsSolver {
 fn oifs_bdf2_one_species() -> NsSolver {
     let mut s = taylor_green(NsConfig {
         torder: 2,
-        convection: ConvectionScheme::Oifs { substeps: 2 },
+        convection: ConvectionScheme::Oifs,
         ..Default::default()
     });
     s.add_scalar("dye", 1e-3, |x, y, _| x.sin() * y.cos());

@@ -7,10 +7,12 @@
 //! The fault letterbox and the `sem_obs` counters are process-global,
 //! so every test that injects serializes on a local mutex.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{mpsc, Mutex, MutexGuard, OnceLock};
+use std::time::Duration;
 
 use sem_mesh::generators::box2d;
-use sem_ns::diagnostics::kinetic_energy;
+use sem_ns::convection::oifs_substeps;
+use sem_ns::diagnostics::{cfl, kinetic_energy};
 use sem_ns::{
     ConvectionScheme, FaultPlan, NsConfig, NsSolver, RecoveryPolicy, RecoveryStage, StepFailure,
     StepStats,
@@ -46,6 +48,14 @@ fn taylor_green(spec: &str, recovery: RecoveryPolicy) -> NsSolver {
     };
     let mut s = NsSolver::new(ops, cfg);
     s.set_velocity(|x, y, _| [x.sin() * y.cos(), -x.cos() * y.sin(), 0.0]);
+    s
+}
+
+/// The same vortex under OIFS at step size `dt` (CFL ≈ 5.6·Δt).
+fn taylor_green_oifs(spec: &str, recovery: RecoveryPolicy, dt: f64) -> NsSolver {
+    let mut s = taylor_green(spec, recovery);
+    s.cfg.convection = ConvectionScheme::Oifs;
+    s.cfg.dt = dt;
     s
 }
 
@@ -156,6 +166,67 @@ fn repeated_operator_fault_escalates_to_dt_halving_and_restores_dt() {
     run(&mut s, 4);
     assert_eq!(s.cfg.dt, dt0, "dt restored after the clean-step window");
     assert_healthy(&s);
+}
+
+#[test]
+fn oifs_dt_halving_halves_the_sweep_and_restores_dt() {
+    let _g = lock();
+    sem_obs::set_enabled(true);
+    // Δt = 0.14 runs the vortex at CFL ≈ 0.79: two RK4 substeps per Δt,
+    // and one once the ladder halves Δt.
+    let mut s = taylor_green_oifs("indef_op@2x3", RecoveryPolicy::enabled(), 0.14);
+    let dt0 = s.cfg.dt;
+    let first = run(&mut s, 1).remove(0);
+    assert_eq!(first.oifs_substeps, 2, "CFL {}", first.cfl);
+    // Step 2's first attempt sizes its sweep from the entry state.
+    let entry_cfl = cfl(&s.ops, &s.vel, dt0);
+    assert!((0.5..1.0).contains(&entry_cfl), "CFL {entry_cfl}");
+    assert_eq!(oifs_substeps(entry_cfl), 2);
+    let second = run(&mut s, 1).remove(0);
+    let stages: Vec<_> = second.recovery_trail.iter().map(|a| a.stage).collect();
+    assert_eq!(
+        stages,
+        vec![
+            Some(RecoveryStage::ClearProjection),
+            Some(RecoveryStage::JacobiFallback),
+            Some(RecoveryStage::HalveDt(dt0 / 2.0)),
+        ]
+    );
+    assert_eq!(s.cfg.dt, dt0 / 2.0, "committed at the halved dt");
+    assert_eq!(second.oifs_substeps, 1, "CFL {}", second.cfl);
+    assert!((second.cfl - entry_cfl / 2.0).abs() <= 1e-12 * entry_cfl);
+    let window = run(&mut s, 4);
+    assert!(window.iter().all(|st| st.oifs_substeps == 1));
+    assert_eq!(s.cfg.dt, dt0, "dt restored after the clean-step window");
+    let restored = run(&mut s, 1).remove(0);
+    assert_eq!(restored.oifs_substeps, 2, "the full Δt sizes 2 again");
+    assert_healthy(&s);
+}
+
+#[test]
+fn oifs_step_with_an_infinite_velocity_node_fails_instead_of_hanging() {
+    let _g = lock();
+    sem_obs::set_enabled(true);
+    // An infinite node reads as CFL +∞; the sweep runs its capped
+    // substep count and the step reports the poisoned fields. The
+    // deadline only detects a hang.
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut s = taylor_green_oifs("inf:u@2", RecoveryPolicy::default(), 2e-3);
+        s.step().expect("step 1 has no fault");
+        tx.send(s.step().map(|st| st.step)).unwrap();
+    });
+    let err = rx
+        .recv_timeout(Duration::from_secs(300))
+        .expect("the step hung")
+        .expect_err("an infinite velocity node with recovery off");
+    assert_eq!(err.step, 2);
+    assert_eq!(err.trail.len(), 1);
+    assert!(err.trail[0].stage.is_none(), "no retry may have run");
+    assert!(matches!(
+        err.cause,
+        StepFailure::Breakdown { .. } | StepFailure::FieldHealth(_)
+    ));
 }
 
 #[test]

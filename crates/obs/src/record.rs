@@ -26,7 +26,9 @@ use crate::spans::{self, Phase, SpanSnapshot};
 /// v5: adds the `rank` stamp (`null` outside multi-rank jobs — see
 ///     [`crate::set_rank`]), the `trace_dropped` counter, and the
 ///     per-rank `terasem.rank` telemetry record family (sem-net).
-pub const SCHEMA_VERSION: u64 = 5;
+/// v6: adds the per-step `oifs_substeps` count (RK4 substeps per Δt the
+///     OIFS sweep ran, sized from the step's CFL; 0 under EXT).
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// The `"type"` tag of a per-timestep record.
 pub const STEP_RECORD_TYPE: &str = "terasem.step";
@@ -48,6 +50,8 @@ pub struct StepRecord {
     pub dt: f64,
     /// Convective CFL number of the step.
     pub cfl: f64,
+    /// RK4 substeps per Δt the OIFS sweep ran (0 under EXT).
+    pub oifs_substeps: u64,
     /// Pressure CG iterations this step.
     pub pressure_iterations: u64,
     /// Pressure residual before CG (after projection, if enabled).
@@ -125,6 +129,7 @@ impl StepRecord {
             .f64("time", self.time)
             .f64("dt", self.dt)
             .f64("cfl", self.cfl)
+            .u64("oifs_substeps", self.oifs_substeps)
             .u64("pressure_iterations", self.pressure_iterations)
             .f64("pressure_initial_residual", self.pressure_initial_residual)
             .f64("pressure_final_residual", self.pressure_final_residual)
@@ -219,7 +224,7 @@ pub fn latency_hist_obj(hist: &HistSnapshot) -> JsonObj {
     o
 }
 
-/// Field names every `terasem.step` record must carry (schema v5). Used
+/// Field names every `terasem.step` record must carry (schema v6). Used
 /// by the schema tests and mirrored by `scripts/metrics_smoke.sh`.
 pub const REQUIRED_FIELDS: &[&str] = &[
     "type",
@@ -229,6 +234,7 @@ pub const REQUIRED_FIELDS: &[&str] = &[
     "time",
     "dt",
     "cfl",
+    "oifs_substeps",
     "pressure_iterations",
     "pressure_initial_residual",
     "pressure_final_residual",
@@ -258,6 +264,7 @@ mod tests {
             time: 0.006,
             dt: 0.002,
             cfl: 0.41,
+            oifs_substeps: 1,
             pressure_iterations: 17,
             pressure_initial_residual: 3.2e-3,
             pressure_final_residual: 8.9e-9,
@@ -287,6 +294,7 @@ mod tests {
             );
         }
         assert!(line.contains("\"scalar_iterations\":null"));
+        assert!(line.contains("\"oifs_substeps\":1"));
         assert!(line.contains("\"recovery_trail\":[]"));
         assert!(line.contains("\"rank\":null"), "single-process rank stamp");
         let mut with_scalar = sample();

@@ -25,7 +25,7 @@
 //!   [`sem_obs::exit::JOB_DRAINED`] code. The daemon waits for every
 //!   child, marks queued jobs drained-resumable, and exits 0 — no
 //!   straggler processes, no torn files.
-//! - **Live observability.** Workers write schema-v5 step records to a
+//! - **Live observability.** Workers write schema-v6 step records to a
 //!   per-job `metrics.jsonl` (append mode, so attempts accumulate);
 //!   `watch <id>` streams those lines live over the same TCP
 //!   connection — the "socket sink" idea from the roadmap. The daemon

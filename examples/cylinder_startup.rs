@@ -34,7 +34,7 @@ fn main() {
     let cfg = NsConfig {
         dt: 2e-3,
         nu,
-        convection: ConvectionScheme::Oifs { substeps: 4 },
+        convection: ConvectionScheme::Oifs,
         filter_alpha: 0.1,
         pressure_lmax: 20,
         pressure_cg: CgOptions {

@@ -34,7 +34,7 @@ fn main() {
     let cfg = NsConfig {
         dt: 4e-3,
         nu: 1.0 / 1600.0,
-        convection: ConvectionScheme::Oifs { substeps: 4 },
+        convection: ConvectionScheme::Oifs,
         filter_alpha: 0.1,
         pressure_lmax: 25,
         pressure_cg: CgOptions {

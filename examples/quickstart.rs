@@ -89,7 +89,7 @@ fn main() {
     let cfg = NsConfig {
         dt: 2e-3,
         nu,
-        convection: ConvectionScheme::Oifs { substeps: 2 },
+        convection: ConvectionScheme::Oifs,
         pressure_lmax: 8,
         ..Default::default()
     };

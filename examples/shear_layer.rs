@@ -34,7 +34,7 @@ fn main() {
     let cfg = NsConfig {
         dt: 0.002,
         nu: 1.0 / re,
-        convection: ConvectionScheme::Oifs { substeps: 4 },
+        convection: ConvectionScheme::Oifs,
         filter_alpha: alpha,
         pressure_lmax: 20,
         pressure_cg: CgOptions {

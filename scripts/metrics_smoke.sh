@@ -4,9 +4,11 @@
 # Stage 1: run a short shear-layer solve with metrics enabled
 # (fig3_shear_layer --smoke) on the default stdout sink and validate the
 # emitted per-timestep JSON records — one `JSON {...}` line per step,
-# each carrying the required schema-v5 fields, including the rank stamp
-# (null in single-process runs), the latency histogram objects, and the
-# recovery trail (see crates/obs/src/record.rs)
+# each carrying the required schema-v6 fields, including the rank stamp
+# (null in single-process runs), the latency histogram objects, the
+# recovery trail, and the OIFS substep count (the smoke solve is OIFS,
+# so every record must report at least one; see
+# crates/obs/src/record.rs)
 # — plus exactly one end-of-run `terasem.run` summary record from the
 # sem-run supervisor.
 #
@@ -53,7 +55,7 @@ if command -v python3 >/dev/null 2>&1; then
 import json, sys
 
 REQUIRED = [
-    "type", "schema", "rank", "step", "time", "dt", "cfl",
+    "type", "schema", "rank", "step", "time", "dt", "cfl", "oifs_substeps",
     "pressure_iterations", "pressure_initial_residual",
     "pressure_final_residual", "projection_depth", "pressure_converged",
     "helmholtz_iterations", "scalar_iterations", "recoveries",
@@ -77,10 +79,12 @@ for i, r in enumerate(records):
     missing = [k for k in REQUIRED if k not in r]
     assert not missing, f"record {i}: missing fields {missing}"
     assert r["type"] == "terasem.step", f"record {i}: type {r['type']!r}"
-    assert r["schema"] == 5, f"record {i}: schema {r['schema']}"
+    assert r["schema"] == 6, f"record {i}: schema {r['schema']}"
     # Single-process run: the rank stamp is present but null.
     assert r["rank"] is None, f"record {i}: rank {r['rank']!r}"
     assert r["step"] == i + 1, f"record {i}: step {r['step']}"
+    # Schema v6: the OIFS smoke solve sizes at least one RK4 substep.
+    assert r["oifs_substeps"] >= 1, f"record {i}: oifs_substeps {r['oifs_substeps']}"
     assert r["pressure_iterations"] >= 0
     assert r["recoveries"] >= 0
     assert isinstance(r["recovery_trail"], list)
@@ -108,12 +112,13 @@ for a, b in zip(records, records[1:]):
         assert b["counters"][key] - a["counters"][key] == b["counters_delta"][key], \
             f"{key} delta mismatch at step {b['step']}"
 
-print(f"metrics_smoke: {len(records)} step records + 1 run record validated (schema 5)")
+print(f"metrics_smoke: {len(records)} step records + 1 run record validated (schema 6)")
 EOF
 elif command -v jq >/dev/null 2>&1; then
     jq -e 'select(.type == "terasem.step")
-           | select(.schema != 5
+           | select(.schema != 6
                   or (.counters.mxm_flops < 0) or (has("cfl") | not)
+                  or (.oifs_substeps < 1)
                   or (has("rank") | not)
                   or (has("recovery_trail") | not)
                   or (has("latency") | not))' \

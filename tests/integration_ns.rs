@@ -28,7 +28,7 @@ fn orr_sommerfeld_growth_rate_end_to_end() {
         dt,
         nu: 1.0 / 7500.0,
         torder: 2,
-        convection: ConvectionScheme::Oifs { substeps: 3 },
+        convection: ConvectionScheme::Oifs,
         filter_alpha: 0.0,
         pressure_lmax: 15,
         pressure_cg: CgOptions {
@@ -103,7 +103,7 @@ fn bump_channel_3d_steps_stably() {
     let cfg = NsConfig {
         dt: 5e-3,
         nu: 1e-2,
-        convection: ConvectionScheme::Oifs { substeps: 2 },
+        convection: ConvectionScheme::Oifs,
         filter_alpha: 0.1,
         pressure_lmax: 10,
         pressure_cg: CgOptions {
@@ -149,7 +149,7 @@ fn filter_stabilizes_underresolved_shear_layer() {
         let cfg = NsConfig {
             dt: 0.002,
             nu: 1e-5,
-            convection: ConvectionScheme::Oifs { substeps: 4 },
+            convection: ConvectionScheme::Oifs,
             filter_alpha: alpha,
             pressure_lmax: 10,
             pressure_cg: CgOptions {
