@@ -123,10 +123,10 @@ fn run_case(s: &mut NsSolver, t_final: f64) -> Outcome {
 /// `--smoke`: a seconds-long metrics exercise for `scripts/metrics_smoke.sh`
 /// — a tiny shear-layer solve with `sem_obs` enabled, emitting one
 /// per-timestep record per step to the metrics sink (stdout `JSON `
-/// lines by default; `TERASEM_METRICS_SINK`/`TERASEM_METRICS_PHASES`/
-/// `TERASEM_TRACE` are honored). The run is driven through the sem-run
-/// supervisor, so `TERASEM_CHECKPOINT_DIR` additionally turns on
-/// auto-checkpointing with resume-from-latest.
+/// lines by default; `TERASEM_METRICS_SINK`/`TERASEM_TRACE` are
+/// honored). The run is driven through the sem-run supervisor, so
+/// `TERASEM_CHECKPOINT_DIR` additionally turns on auto-checkpointing
+/// with resume-from-latest.
 fn run_smoke() {
     sem_obs::init_from_env();
     let trace_path = sem_obs::trace::init_from_env();
@@ -159,9 +159,6 @@ fn run_smoke() {
         Ok(report) => report.steps.iter().filter(|st| st.recoveries > 0).count() as u64,
         Err(e) => {
             eprintln!("smoke: FATAL unrecovered step failure: {e}");
-            if let Some(last) = e.history.last() {
-                eprintln!("smoke: last step error: {last}");
-            }
             std::process::exit(3);
         }
     };

@@ -91,7 +91,6 @@ struct RunSummary {
     outcome: String,
     steps: u64,
     step_errors: u64,
-    watchdog_trips: u64,
     checkpoints_written: u64,
     resumed: bool,
 }
@@ -191,7 +190,6 @@ fn main() {
                     .to_string(),
                 steps: v.get("steps").and_then(Json::as_u64).unwrap_or(0),
                 step_errors: v.get("step_errors").and_then(Json::as_u64).unwrap_or(0),
-                watchdog_trips: v.get("watchdog_trips").and_then(Json::as_u64).unwrap_or(0),
                 checkpoints_written: v
                     .get("checkpoints_written")
                     .and_then(Json::as_u64)
@@ -917,12 +915,10 @@ fn print_runs(runs: &[RunSummary]) {
     println!("Run summaries (sem-run supervisor):");
     for r in runs {
         println!(
-            "  {}: {} step(s), {} step error(s), {} watchdog trip(s), \
-             {} checkpoint(s) written{}",
+            "  {}: {} step(s), {} step error(s), {} checkpoint(s) written{}",
             r.outcome,
             r.steps,
             r.step_errors,
-            r.watchdog_trips,
             r.checkpoints_written,
             if r.resumed { ", resumed from checkpoint" } else { "" },
         );

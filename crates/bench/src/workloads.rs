@@ -19,15 +19,11 @@ pub fn solver_tolerances(eps: f64) -> (CgOptions, CgOptions) {
             tol: eps,
             rtol: 0.0,
             max_iter: 4000,
-            record_history: false,
-            ..CgOptions::default()
         },
         CgOptions {
             tol: eps * 1e-2,
             rtol: 0.0,
             max_iter: 4000,
-            record_history: false,
-            ..CgOptions::default()
         },
     )
 }
@@ -64,7 +60,6 @@ pub fn orr_sommerfeld_channel(
         faults: None,
         recovery: sem_ns::RecoveryPolicy::default(),
         run: sem_ns::RunPolicy::default(),
-        backend: None,
     };
     let mut s = NsSolver::new(ops, cfg);
     // Base flow plus scaled TS eigenfunction, sampled per node through the
@@ -125,7 +120,6 @@ pub fn shear_layer(
         faults: None,
         recovery: sem_ns::RecoveryPolicy::default(),
         run: sem_ns::RunPolicy::default(),
-        backend: None,
     };
     let mut s = NsSolver::new(ops, cfg);
     s.set_velocity(|x, y, _| {
@@ -166,8 +160,6 @@ pub fn rayleigh_benard(
             tol: pressure_tol,
             rtol: 0.0,
             max_iter: 4000,
-            record_history: false,
-            ..CgOptions::default()
         },
         helmholtz_cg,
         schwarz: SchwarzConfig::default(),
@@ -181,7 +173,6 @@ pub fn rayleigh_benard(
         faults: None,
         recovery: sem_ns::RecoveryPolicy::default(),
         run: sem_ns::RunPolicy::default(),
-        backend: None,
     };
     let mut s = NsSolver::new(ops, cfg);
     // Conduction profile + small perturbation to trigger convection.
@@ -217,8 +208,6 @@ pub fn cylinder_startup(
             tol: eps,
             rtol: 0.0,
             max_iter: 8000,
-            record_history: false,
-            ..CgOptions::default()
         },
         helmholtz_cg,
         schwarz,
@@ -229,7 +218,6 @@ pub fn cylinder_startup(
         faults: None,
         recovery: sem_ns::RecoveryPolicy::default(),
         run: sem_ns::RunPolicy::default(),
-        backend: None,
     };
     let mut s = NsSolver::new(ops, cfg);
     let ri = params.r_inner;
@@ -287,7 +275,6 @@ pub fn hairpin_channel(k: [usize; 3], n: usize, dt: f64, lmax: usize) -> NsSolve
         faults: None,
         recovery: sem_ns::RecoveryPolicy::default(),
         run: sem_ns::RunPolicy::default(),
-        backend: None,
     };
     let delta = 0.5;
     let profile = move |y: f64| (1.0 - (-y / delta).exp()).clamp(0.0, 1.0);

@@ -341,9 +341,14 @@ pub fn launch_main(opts: &LaunchOpts, argv: &[String]) -> i32 {
         }
     };
     // Every epoch's socket namespace lives under one directory, cleared
-    // here so no stale socket file of an earlier job is in the way.
+    // here so no stale socket file of an earlier job is in the way. So
+    // are the rank directories: a recovery resumes the newest generation
+    // all ranks hold, which must never be an earlier job's checkpoint.
     let sock_dir = opts.dir.join("sock");
     let _ = std::fs::remove_dir_all(&sock_dir);
+    for r in 0..opts.ranks {
+        let _ = std::fs::remove_dir_all(rank_ckpt_dir(&opts.dir, r));
+    }
     if let Err(e) = std::fs::create_dir_all(&sock_dir) {
         log_line!("terasem-launch: cannot create {}: {e}", sock_dir.display());
         return sem_obs::exit::FAILURE;

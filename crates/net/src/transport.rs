@@ -322,11 +322,13 @@ pub fn sock_path(dir: &Path, rank: usize) -> PathBuf {
 // ---------------------------------------------------------------------
 // Tuning.
 
+/// Frames retained per link for replay after a heal.
+const RETRANSMIT_FRAMES: usize = 256;
+
 /// Resilience knobs for the transport, normally read from the
 /// environment (`TERASEM_NET_HB_MS`, `TERASEM_NET_MISS_BUDGET`,
-/// `TERASEM_NET_HEAL_MS`, `TERASEM_NET_RETRANSMIT`,
-/// `TERASEM_NET_FAULT`) but settable programmatically for tests via
-/// [`Transport::bootstrap_tuned`].
+/// `TERASEM_NET_HEAL_MS`, `TERASEM_NET_FAULT`) but settable
+/// programmatically for tests via [`Transport::bootstrap_tuned`].
 #[derive(Clone, Debug)]
 pub struct NetTuning {
     /// Interval between heartbeat probes while a receive is blocked.
@@ -338,8 +340,6 @@ pub struct NetTuning {
     /// declared dead. Zero disables healing entirely: every damage
     /// kind surfaces as its structured [`NetError`] instead.
     pub heal_window: Duration,
-    /// Frames retained per link for replay after a heal.
-    pub retransmit_frames: usize,
     /// Seeded fault-injection plan (the shim is inert when `None`).
     pub fault: Option<NetFaultPlan>,
 }
@@ -350,7 +350,6 @@ impl Default for NetTuning {
             heartbeat: Duration::from_millis(250),
             miss_budget: 4,
             heal_window: Duration::from_secs(2),
-            retransmit_frames: 256,
             fault: None,
         }
     }
@@ -359,9 +358,8 @@ impl Default for NetTuning {
 /// Domain-validated tuning knob. Parse failures *and* out-of-domain
 /// values (below `min`) warn once per process, naming the variable, and
 /// fall back to `default` — a knob must never silently produce a
-/// transport that busy-spins (`TERASEM_NET_HB_MS=0`), declares peers
-/// dead instantly (`TERASEM_NET_MISS_BUDGET=0`), or keeps no replay
-/// buffer (`TERASEM_NET_RETRANSMIT=0`).
+/// transport that busy-spins (`TERASEM_NET_HB_MS=0`) or declares peers
+/// dead instantly (`TERASEM_NET_MISS_BUDGET=0`).
 fn knob_u64(var: &'static str, raw: Option<String>, min: u64, default: u64) -> u64 {
     let Some(v) = raw else { return default };
     match v.trim().parse::<u64>() {
@@ -395,10 +393,10 @@ impl NetTuning {
 
     /// [`NetTuning::from_env`] with an injectable variable source, so
     /// the malformed-value handling is testable in-process without
-    /// mutating the real environment. Domain rules: `HB_MS`,
-    /// `MISS_BUDGET`, and `RETRANSMIT` must be ≥ 1 (zero would
-    /// busy-spin, insta-kill links, or disable replay); `HEAL_MS=0` is
-    /// *valid* — it is the documented switch that disables healing.
+    /// mutating the real environment. Domain rules: `HB_MS` and
+    /// `MISS_BUDGET` must be ≥ 1 (zero would busy-spin or insta-kill
+    /// links); `HEAL_MS=0` is *valid* — it is the documented switch that
+    /// disables healing.
     pub fn from_lookup(rank: usize, lookup: impl Fn(&str) -> Option<String>) -> NetTuning {
         let d = NetTuning::default();
         NetTuning {
@@ -420,12 +418,6 @@ impl NetTuning {
                 0,
                 d.heal_window.as_millis() as u64,
             )),
-            retransmit_frames: knob_u64(
-                "TERASEM_NET_RETRANSMIT",
-                lookup("TERASEM_NET_RETRANSMIT"),
-                1,
-                d.retransmit_frames as u64,
-            ) as usize,
             fault: NetFaultPlan::from_env(rank),
         }
     }
@@ -1109,7 +1101,7 @@ impl Transport {
             st.send_seq = st.send_seq.wrapping_add(1) & SEQ_MASK;
             let frame = encode_frame(tag_of(class, seq), payload);
             st.sent.push_back((seq, frame.clone()));
-            while st.sent.len() > self.tuning.retransmit_frames {
+            while st.sent.len() > RETRANSMIT_FRAMES {
                 st.sent.pop_front();
             }
             (frame, st.broken)
@@ -1472,7 +1464,6 @@ mod tests {
         let vars = [
             ("TERASEM_NET_HB_MS", "abc"),
             ("TERASEM_NET_MISS_BUDGET", "-3"),
-            ("TERASEM_NET_RETRANSMIT", "1e9"),
         ];
         let t = NetTuning::from_lookup(0, |var| {
             vars.iter()
@@ -1481,19 +1472,13 @@ mod tests {
         });
         assert_eq!(t.heartbeat, d.heartbeat);
         assert_eq!(t.miss_budget, d.miss_budget);
-        assert_eq!(t.retransmit_frames, d.retransmit_frames);
-        // Zero is out-of-domain for HB_MS / MISS_BUDGET / RETRANSMIT
-        // (busy-spin, insta-dead links, no replay buffer) — defaults.
+        // Zero is out-of-domain for HB_MS / MISS_BUDGET (busy-spin,
+        // insta-dead links) — defaults.
         let t = NetTuning::from_lookup(0, |var| {
-            matches!(
-                var,
-                "TERASEM_NET_HB_MS" | "TERASEM_NET_MISS_BUDGET" | "TERASEM_NET_RETRANSMIT"
-            )
-            .then(|| "0".to_string())
+            matches!(var, "TERASEM_NET_HB_MS" | "TERASEM_NET_MISS_BUDGET").then(|| "0".to_string())
         });
         assert_eq!(t.heartbeat, d.heartbeat);
         assert_eq!(t.miss_budget, d.miss_budget);
-        assert_eq!(t.retransmit_frames, d.retransmit_frames);
         // HEAL_MS=0 is the documented healing-off switch, not an error.
         let t = NetTuning::from_lookup(0, |var| {
             (var == "TERASEM_NET_HEAL_MS").then(|| "0".to_string())
@@ -1505,7 +1490,6 @@ mod tests {
             ("TERASEM_NET_HB_MS", "75"),
             ("TERASEM_NET_MISS_BUDGET", "9"),
             ("TERASEM_NET_HEAL_MS", "1250"),
-            ("TERASEM_NET_RETRANSMIT", "64"),
         ];
         let t = NetTuning::from_lookup(0, |var| {
             vals.iter()
@@ -1515,7 +1499,6 @@ mod tests {
         assert_eq!(t.heartbeat, Duration::from_millis(75));
         assert_eq!(t.miss_budget, 9);
         assert_eq!(t.heal_window, Duration::from_millis(1250));
-        assert_eq!(t.retransmit_frames, 64);
         // Unset everything: pure defaults.
         let t = NetTuning::from_lookup(0, |_| None);
         assert_eq!(t.heartbeat, d.heartbeat);
@@ -1726,7 +1709,6 @@ mod tests {
             miss_budget: 3,
             heal_window: Duration::from_secs(5),
             fault: (r == on_rank).then(|| NetFaultPlan::parse(spec).unwrap()),
-            ..NetTuning::default()
         }
     }
 

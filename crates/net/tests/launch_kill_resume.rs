@@ -4,7 +4,8 @@
 //! next epoch, survivor processes are preserved, and every rank rewinds
 //! to the newest checkpoint generation all ranks hold — and the
 //! recovered run is bitwise-identical too, whether one rank or two die,
-//! before the first generation or in two separate losses; an exhausted
+//! before the first generation or in two separate losses, and in a job
+//! directory holding an earlier job's checkpoints; an exhausted
 //! `--max-restarts` budget exits with the structured code and leaves no
 //! straggler processes, and so does a killed launcher;
 //! over-decomposition is rejected with a clean error, never a hang.
@@ -211,6 +212,30 @@ fn a_survivor_lost_while_replaying_takes_a_second_recovery() {
             stderr.contains(&format!("rank {r}: epoch 1: resumed from generation 3"))
                 && stderr.contains(&format!("rank {r}: epoch 2: resumed from generation 6")),
             "rank {r} must rewind to generation 3, then to 6:\n{stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A job launched into a `--dir` that holds a longer earlier job's
+/// checkpoints (generations 3 to 13) must never resume one of them: the
+/// recovery rewinds every rank to this job's generation 6.
+#[test]
+fn a_recovery_never_resumes_an_earlier_jobs_checkpoints() {
+    let root = scratch("old");
+    let want = reference(&root);
+    let dir = root.join("par");
+    let earlier = launch(&dir, &["--ranks", "4", "--steps", "13"]);
+    assert!(
+        earlier.status.success(),
+        "earlier job failed:\n{}",
+        String::from_utf8_lossy(&earlier.stderr)
+    );
+    let (_, stderr) = recovered_run(&dir, "2@7", &[2], &want);
+    for r in 0..4 {
+        assert!(
+            stderr.contains(&format!("rank {r}: epoch 1: resumed from generation 6")),
+            "rank {r} must resume from this job's generation 6:\n{stderr}"
         );
     }
     let _ = std::fs::remove_dir_all(&root);

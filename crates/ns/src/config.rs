@@ -66,13 +66,10 @@ pub struct NsConfig {
     /// Metrics destination. `None` keeps whatever sink is installed
     /// process-wide (stdout unless `TERASEM_METRICS_SINK` or
     /// `sem_obs::sink::set_sink` said otherwise); `Some(handle)` routes
-    /// **this solver's** records to `handle` — at construction it is also
-    /// installed process-wide (legacy behavior), but the per-record
-    /// routing works even when the field is set after the solver was
-    /// built, and several solvers in one process can each carry their own
-    /// sink without fighting over the global (how `sem-serve` keeps
-    /// per-job metrics logs separable). Only consulted when `metrics`
-    /// is on.
+    /// **this solver's** step and run records to `handle` and leaves the
+    /// process-wide sink alone, so several solvers in one process can
+    /// each carry their own sink (how `sem-serve` keeps per-job metrics
+    /// logs separable). Only consulted when `metrics` is on.
     pub sink: Option<sem_obs::SinkHandle>,
     /// Rank id stamped on every step/run record this solver emits,
     /// overriding the process-wide stamp (`sem_obs::set_rank`), so merged
@@ -93,18 +90,11 @@ pub struct NsConfig {
     /// uninjected run takes no snapshots and is bitwise-identical to a
     /// build without the recovery layer.
     pub recovery: crate::recovery::RecoveryPolicy,
-    /// Run-supervision policy (`sem-run`): auto-checkpointing with
-    /// retention, per-step wall-clock watchdogs, and the run-level
-    /// give-up budget. Only consulted by
-    /// [`crate::supervisor::RunSupervisor`]; everything is disabled by
+    /// Run-supervision policy (`sem-run`): step-interval
+    /// auto-checkpointing with retention. Only consulted by
+    /// [`crate::supervisor::RunSupervisor`]; checkpointing is off by
     /// default and a plain `step()` loop never reads it.
     pub run: crate::supervisor::RunPolicy,
-    /// Operator backend for the mxm/tensor hot paths: `None` keeps the
-    /// process-wide setting (`TERASEM_BACKEND`, default auto-detect);
-    /// `Some(b)` installs `b` process-wide when the solver is built.
-    /// Purely a performance knob — solver results are bitwise identical
-    /// across backends, exactly as across `TERASEM_THREADS`.
-    pub backend: Option<sem_linalg::Backend>,
 }
 
 impl Default for NsConfig {
@@ -120,15 +110,11 @@ impl Default for NsConfig {
                 tol: 1e-8,
                 rtol: 0.0,
                 max_iter: 2000,
-                record_history: false,
-                ..CgOptions::default()
             },
             helmholtz_cg: CgOptions {
                 tol: 1e-10,
                 rtol: 0.0,
                 max_iter: 2000,
-                record_history: false,
-                ..CgOptions::default()
             },
             schwarz: SchwarzConfig::default(),
             boussinesq: None,
@@ -138,7 +124,6 @@ impl Default for NsConfig {
             faults: None,
             recovery: crate::recovery::RecoveryPolicy::default(),
             run: crate::supervisor::RunPolicy::default(),
-            backend: None,
         }
     }
 }

@@ -85,8 +85,9 @@ pub enum HealthViolation {
         /// Which field ("u", "v", "w", "p", "T", or a scalar name).
         field: String,
     },
-    /// Kinetic energy grew past the policy's `max_energy_growth`
-    /// factor in one step while staying finite.
+    /// Kinetic energy grew past
+    /// [`MAX_ENERGY_GROWTH`](crate::recovery::MAX_ENERGY_GROWTH) times
+    /// its entry value in one step while staying finite.
     EnergyBlowup {
         /// Kinetic energy at step entry.
         before: f64,

@@ -31,9 +31,9 @@
 //! deterministic fault injection ([`fault`], `TERASEM_FAULT`), staged
 //! rollback/retry recovery ([`recovery`]), and on-disk checkpointing
 //! ([`checkpoint`]). The `sem-run` crash-only supervisor
-//! ([`supervisor`]) drives the loop for long runs: auto-checkpointing
-//! with retention, resume-from-latest, watchdogs, and a run-level
-//! give-up policy.
+//! ([`supervisor`]) drives the loop for long runs: step-interval
+//! auto-checkpointing with retention, resume-from-latest, and a give-up
+//! at the first unrecovered step that exits through a checkpoint.
 
 pub mod checkpoint;
 pub mod config;

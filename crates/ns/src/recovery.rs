@@ -10,64 +10,49 @@
 //!    basis is the cheapest thing to discard.
 //! 2. **Swap the pressure preconditioner to Jacobi** for this step —
 //!    sidesteps a poisoned Schwarz preconditioner.
-//! 3. **Halve Δt** (up to [`RecoveryPolicy::max_dt_halvings`] times),
-//!    restarting the multistep history at BDF1; the original Δt is
-//!    restored after [`RecoveryPolicy::dt_recovery_steps`] clean steps.
+//! 3. **Halve Δt** (up to [`MAX_DT_HALVINGS`] times), restarting the
+//!    multistep history at BDF1; the original Δt is restored after
+//!    [`DT_RECOVERY_STEPS`] clean steps.
 //! 4. **Give up** with a [`StepError`] carrying the full recovery
 //!    trail. The solver is left at the pre-step state — never
 //!    silently corrupted, never a panic.
 //!
 //! Stages are cumulative: a Δt-halving retry also runs with the
-//! projection cleared and (if enabled) the Jacobi fallback.
+//! projection cleared and the Jacobi fallback. The ladder therefore
+//! takes at most four rollbacks per step. Besides NaN/Inf, the health
+//! check fails a step whose kinetic energy grows by more than
+//! [`MAX_ENERGY_GROWTH`].
 
 use crate::diagnostics::HealthViolation;
 use sem_solvers::cg::CgBreakdown;
 
+/// How many times stage 3 may halve Δt for one step.
+pub const MAX_DT_HALVINGS: usize = 2;
+
+/// Clean steps after a Δt-halving recovery before the original Δt is
+/// restored.
+pub const DT_RECOVERY_STEPS: usize = 4;
+
+/// Energy health check: a step is failed when kinetic energy grows by
+/// more than this factor over the step (guards blow-ups that stay
+/// finite). A step that starts at rest is never failed by it.
+pub const MAX_ENERGY_GROWTH: f64 = 100.0;
+
 /// Per-solver recovery configuration. `enabled: false` (the default)
 /// turns the whole machinery off: no snapshots are taken and `step()`
 /// is bitwise-identical to the pre-recovery solver.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RecoveryPolicy {
     /// Master switch. When off, a configured fault plan still injects
     /// (and `step()` reports the failure as `Err`), but nothing is
     /// retried.
     pub enabled: bool,
-    /// Hard cap on rollback/retry attempts for one step, across all
-    /// stages.
-    pub max_retries: usize,
-    /// Allow stage 2 (per-step Jacobi pressure preconditioning).
-    pub jacobi_fallback: bool,
-    /// How many times stage 3 may halve Δt for one step.
-    pub max_dt_halvings: usize,
-    /// Clean steps after a Δt-halving recovery before the original Δt
-    /// is restored.
-    pub dt_recovery_steps: usize,
-    /// Energy watchdog: a step is failed when kinetic energy grows by
-    /// more than this factor over the step (guards blow-ups that stay
-    /// finite). Non-positive disables the watchdog.
-    pub max_energy_growth: f64,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            enabled: false,
-            max_retries: 6,
-            jacobi_fallback: true,
-            max_dt_halvings: 2,
-            dt_recovery_steps: 4,
-            max_energy_growth: 100.0,
-        }
-    }
 }
 
 impl RecoveryPolicy {
-    /// A policy with recovery switched on and the default ladder.
+    /// A policy with recovery switched on.
     pub fn enabled() -> Self {
-        RecoveryPolicy {
-            enabled: true,
-            ..RecoveryPolicy::default()
-        }
+        RecoveryPolicy { enabled: true }
     }
 }
 
@@ -197,7 +182,6 @@ mod tests {
         let p = RecoveryPolicy::default();
         assert!(!p.enabled);
         assert!(RecoveryPolicy::enabled().enabled);
-        assert!(RecoveryPolicy::enabled().jacobi_fallback);
     }
 
     #[test]

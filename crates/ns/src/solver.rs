@@ -38,7 +38,10 @@ use crate::config::{bdf_coeffs, ext_coeffs, Boussinesq, ConvectionScheme, NsConf
 use crate::convection::{ext_convection, oifs_substeps, oifs_sweep, OifsScratch};
 use crate::diagnostics::{cfl, field_health, kinetic_energy, HealthViolation, StepStats};
 use crate::fault::{FaultKind, FieldTarget};
-use crate::recovery::{RecoveryAttempt, RecoveryStage, SolveKind, StepError, StepFailure};
+use crate::recovery::{
+    RecoveryAttempt, RecoveryStage, SolveKind, StepError, StepFailure, DT_RECOVERY_STEPS,
+    MAX_DT_HALVINGS, MAX_ENERGY_GROWTH,
+};
 use sem_obs::fault::{self as obs_fault, FaultSite};
 use sem_obs::Phase;
 use sem_ops::convect::{contravariant, convect_contravariant};
@@ -142,15 +145,6 @@ impl NsSolver {
     pub fn new(ops: SemOps, cfg: NsConfig) -> Self {
         if cfg.metrics {
             sem_obs::set_enabled(true);
-            if let Some(h) = &cfg.sink {
-                sem_obs::sink::set_sink(Some(h.0.clone()));
-            }
-            if let Some(r) = cfg.rank {
-                sem_obs::set_rank(Some(r));
-            }
-        }
-        if let Some(b) = cfg.backend {
-            sem_linalg::backend::set_backend(b);
         }
         let n = ops.n_velocity();
         let np = ops.n_pressure();
@@ -256,10 +250,10 @@ impl NsSolver {
     /// [`crate::NsConfig::faults`] or [`crate::NsConfig::recovery`] is
     /// active, a failed step (CG breakdown, non-finite field, energy
     /// blow-up, dropped gather-scatter exchange) is rolled back and
-    /// retried through the escalation ladder of
-    /// [`crate::recovery::RecoveryPolicy`]; when the ladder is
-    /// exhausted (or recovery is disabled) a [`StepError`] is returned
-    /// with the solver left at the pre-step state.
+    /// retried through the escalation ladder of [`crate::recovery`];
+    /// when the ladder is exhausted (or recovery is disabled) a
+    /// [`StepError`] is returned with the solver left at the pre-step
+    /// state.
     pub fn step(&mut self) -> Result<StepStats, StepError> {
         let wall = Instant::now();
         let counters0 = sem_obs::counters::snapshot();
@@ -618,7 +612,6 @@ impl NsSolver {
     /// [`crate::recovery`]). The snapshot is [`NsSolver::checkpoint`];
     /// a rollback assigns it back but keeps the pending Δt restoration.
     fn guarded_step(&mut self) -> Result<StepStats, StepError> {
-        let policy = self.cfg.recovery;
         let kinetic = kinetic_energy(&self.ops, &self.vel);
         let snap = self.checkpoint();
         let (step_idx, original_dt) = (self.step_index + 1, snap.dt);
@@ -644,7 +637,7 @@ impl NsSolver {
             let _ = obs_fault::take_fired(FaultSite::CoarseRhs);
 
             if failure.is_none() {
-                failure = self.health_failure(kinetic, policy.max_energy_growth);
+                failure = self.health_failure(kinetic);
             }
 
             let Some(cause) = failure else {
@@ -653,7 +646,7 @@ impl NsSolver {
                 self.pressure_solver.set_jacobi_fallback(false);
                 stats.recoveries = trail.len();
                 stats.recovery_trail = trail;
-                self.settle_dt_restore(original_dt, stats.recoveries, policy.dt_recovery_steps);
+                self.settle_dt_restore(original_dt, stats.recoveries);
                 return Ok(stats);
             };
 
@@ -663,13 +656,13 @@ impl NsSolver {
             self.pressure_solver.set_jacobi_fallback(false);
 
             let rollbacks = trail.len();
-            let stage = if !policy.enabled || rollbacks >= policy.max_retries {
+            let stage = if !self.cfg.recovery.enabled {
                 None
             } else if rollbacks == 0 {
                 Some(RecoveryStage::ClearProjection)
-            } else if rollbacks == 1 && policy.jacobi_fallback {
+            } else if rollbacks == 1 {
                 Some(RecoveryStage::JacobiFallback)
-            } else if halvings < policy.max_dt_halvings {
+            } else if halvings < MAX_DT_HALVINGS {
                 halvings += 1;
                 Some(RecoveryStage::HalveDt(
                     original_dt / f64::powi(2.0, halvings as i32),
@@ -702,8 +695,7 @@ impl NsSolver {
             // rollback (restoring the snapshot also restored the
             // projection basis and Δt).
             self.pressure_solver.clear_history();
-            self.pressure_solver
-                .set_jacobi_fallback(policy.jacobi_fallback && trail.len() >= 2);
+            self.pressure_solver.set_jacobi_fallback(trail.len() >= 2);
             if halvings > 0 {
                 self.cfg.dt = original_dt / f64::powi(2.0, halvings as i32);
                 // A changed Δt invalidates the uniform-spacing multistep
@@ -774,8 +766,9 @@ impl NsSolver {
     }
 
     /// Post-attempt field-health check: NaN/Inf scan over every evolved
-    /// field plus the kinetic-energy watchdog.
-    fn health_failure(&self, ke0: f64, max_growth: f64) -> Option<StepFailure> {
+    /// field plus the kinetic-energy watchdog ([`MAX_ENERGY_GROWTH`]
+    /// over the step's entry energy `ke0`).
+    fn health_failure(&self, ke0: f64) -> Option<StepFailure> {
         let names = ["u", "v", "w"][..self.vel.len()].iter().copied();
         let names = names.chain(self.temp.as_ref().map(|_| "T"));
         let names = names.chain(self.scalars.iter().map(|sc| sc.name.as_str()));
@@ -784,9 +777,9 @@ impl NsSolver {
         if let Some(v) = field_health(fields) {
             return Some(StepFailure::FieldHealth(v));
         }
-        if max_growth > 0.0 && ke0 > 0.0 {
+        if ke0 > 0.0 {
             let ke = kinetic_energy(&self.ops, &self.vel);
-            if ke > max_growth * ke0 {
+            if ke > MAX_ENERGY_GROWTH * ke0 {
                 return Some(StepFailure::FieldHealth(HealthViolation::EnergyBlowup {
                     before: ke0,
                     after: ke,
@@ -797,30 +790,20 @@ impl NsSolver {
         None
     }
 
-    /// Drop the successive-RHS pressure projection basis. The recovery
-    /// ladder's first rung, exposed for the run supervisor's hard
-    /// watchdog: a step that blew its wall-clock budget most often did
-    /// so because CG thrashed from a degenerate projected guess, and
-    /// rebuilding the basis is cheap insurance before the next step.
-    pub fn clear_projection_history(&mut self) {
-        self.pressure_solver.clear_history();
-    }
-
     /// Post-commit Δt bookkeeping: schedule a restoration after a
     /// halving, count clean steps, and restore the original Δt once
     /// enough have passed.
-    fn settle_dt_restore(&mut self, entry_dt: f64, recoveries: usize, recovery_steps: usize) {
-        let wait = recovery_steps.max(1);
+    fn settle_dt_restore(&mut self, entry_dt: f64, recoveries: usize) {
         if self.cfg.dt < entry_dt {
             // This step committed at a freshly halved Δt.
             let original_dt = self.dt_restore.map_or(entry_dt, |r| r.original_dt);
             self.dt_restore = Some(DtRestore {
                 original_dt,
-                clean_steps_left: wait,
+                clean_steps_left: DT_RECOVERY_STEPS,
             });
         } else if let Some(r) = &mut self.dt_restore {
             if recoveries > 0 {
-                r.clean_steps_left = wait;
+                r.clean_steps_left = DT_RECOVERY_STEPS;
             } else {
                 r.clean_steps_left -= 1;
                 if r.clean_steps_left == 0 {
@@ -1006,15 +989,11 @@ mod tests {
                 tol: 1e-10,
                 rtol: 0.0,
                 max_iter: 4000,
-                record_history: false,
-                ..CgOptions::default()
             },
             helmholtz_cg: CgOptions {
                 tol: 1e-12,
                 rtol: 0.0,
                 max_iter: 4000,
-                record_history: false,
-                ..CgOptions::default()
             },
             ..Default::default()
         }
@@ -1038,6 +1017,37 @@ mod tests {
             err = err.max((s.vel[0][i] - ue).abs().max((s.vel[1][i] - ve).abs()));
         }
         err
+    }
+
+    /// The energy health check fails a step whose kinetic energy grew by
+    /// more than `MAX_ENERGY_GROWTH` (100) over the step, and never one
+    /// that started at rest.
+    #[test]
+    fn energy_watchdog_trips_above_a_hundredfold_growth() {
+        let mut s = taylor_green_solver(2, 4, 1e-2);
+        let base = s.vel.clone();
+        let ke0 = kinetic_energy(&s.ops, &s.vel);
+        assert!(ke0 > 0.0);
+        let scale_energy = |s: &mut NsSolver, growth: f64| {
+            for (u, u0) in s.vel.iter_mut().zip(&base) {
+                for (v, v0) in u.iter_mut().zip(u0) {
+                    *v = growth.sqrt() * v0;
+                }
+            }
+        };
+        scale_energy(&mut s, 99.0);
+        assert!(s.health_failure(ke0).is_none(), "99-fold growth is healthy");
+        scale_energy(&mut s, 101.0);
+        match s.health_failure(ke0) {
+            Some(StepFailure::FieldHealth(HealthViolation::EnergyBlowup { factor, .. })) => {
+                assert!((factor - 101.0).abs() < 1e-9, "factor {factor}")
+            }
+            other => panic!("101-fold growth must trip the energy check: {other:?}"),
+        }
+        assert!(
+            s.health_failure(0.0).is_none(),
+            "a step from rest never trips"
+        );
     }
 
     #[test]

@@ -7,33 +7,28 @@
 //! bitwise-identical to the uninterrupted run, at any `TERASEM_THREADS`
 //! setting.
 //!
-//! The machinery, all driven by [`RunPolicy`] (carried in
-//! `NsConfig::run`, everything disabled by default):
+//! The machinery, driven by [`RunPolicy`] (carried in `NsConfig::run`,
+//! checkpointing off by default):
 //!
-//! - **Auto-checkpointing** on a step interval and/or a wall-clock
-//!   interval, written atomically (`<name>.tmp` + `rename`) so a kill
-//!   can never leave a torn file under a valid checkpoint name, with
-//!   `keep_last` retention pruning the oldest files.
+//! - **Auto-checkpointing** on a step interval, written atomically
+//!   (`<name>.tmp` + `rename`) so a kill can never leave a torn file
+//!   under a valid checkpoint name, with `keep_last` retention pruning
+//!   the oldest files.
 //! - **[`RunSupervisor::resume_from_latest`]**: scan the checkpoint
 //!   directory newest-first, skip torn/corrupt candidates (the
 //!   structural validation of [`crate::checkpoint`] rejects them), and
 //!   restore the first one that both parses and matches the solver's
 //!   discretization.
-//! - **Per-step wall-clock watchdogs**: a soft budget warns and leaves
-//!   a trace note; a hard budget is treated as a step failure — it
-//!   spends one rung of the run-level error budget and applies the
-//!   recovery ladder's first remedy (clearing the projection history)
-//!   before the next step.
-//! - **Run-level give-up policy**: bounded tolerated [`StepError`]s and
-//!   a consecutive-recovered-steps thrashing guard. Give-up always
-//!   exits through a final checkpoint and a structured [`RunError`]
-//!   carrying the full failure history — never a panic, never a
+//! - **Give-up at the first [`StepError`]**: the failed step has
+//!   already walked the whole recovery ladder from its rolled-back
+//!   state, so a retry would fail the same way. The run exits through a
+//!   final checkpoint of the last committed step and a structured
+//!   [`RunError`] carrying the error — never a panic, never a
 //!   half-written state.
 //!
-//! Wall-clock features (watchdogs, time-interval checkpoints) are
-//! nondeterministic by nature and are off by default; the bitwise
-//! reproducibility guarantee covers the step-interval checkpointing
-//! path that the soak harness exercises.
+//! Checkpoints fall on step boundaries only, never on wall-clock time,
+//! so every rank of a `sem-net` job writes the same generations and a
+//! resumed run is bitwise reproducible.
 
 use crate::checkpoint::Checkpoint;
 use crate::diagnostics::StepStats;
@@ -43,14 +38,13 @@ use sem_obs::counters::{self, Counter};
 use sem_obs::json::JsonObj;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 /// The `"type"` tag of the end-of-run summary record emitted to the
 /// metrics sink (when `NsConfig::metrics` is on).
 pub const RUN_RECORD_TYPE: &str = "terasem.run";
 
 /// Run-supervision policy (carried as `NsConfig::run`). The default
-/// disables every feature: a supervised run with the default policy is
+/// disables checkpointing: a supervised run with the default policy is
 /// bitwise-identical to calling `NsSolver::step` in a loop.
 #[derive(Clone, Debug)]
 pub struct RunPolicy {
@@ -59,29 +53,9 @@ pub struct RunPolicy {
     pub checkpoint_dir: Option<PathBuf>,
     /// Checkpoint every `n` committed steps.
     pub checkpoint_every_steps: Option<u64>,
-    /// Checkpoint when this many wall-clock seconds have passed since
-    /// the last write (checked after each committed step).
-    pub checkpoint_every_secs: Option<f64>,
     /// How many checkpoint files to retain; older ones are pruned after
     /// each successful write. Clamped to at least 1.
     pub keep_last: usize,
-    /// Soft per-step wall-clock budget: exceeding it warns on stderr
-    /// and leaves a `watchdog_soft` trace note. `None` disables.
-    pub soft_step_secs: Option<f64>,
-    /// Hard per-step wall-clock budget: exceeding it is treated as a
-    /// step failure — it spends one rung of `max_total_step_errors` and
-    /// clears the pressure projection history (the recovery ladder's
-    /// first remedy) before the next step. `None` disables.
-    pub hard_step_secs: Option<f64>,
-    /// How many step failures (ladder-exhausted [`StepError`]s and hard
-    /// watchdog trips) the run tolerates before giving up. Each
-    /// tolerated `StepError` retries the step — valid because a failed
-    /// step leaves the solver rolled back to its pre-step state. The
-    /// default `0` gives up on the first failure.
-    pub max_total_step_errors: usize,
-    /// Thrashing guard: give up after this many *consecutive* steps
-    /// that each needed recovery rollbacks. `None` disables.
-    pub max_consecutive_recovered_steps: Option<usize>,
     /// Write checkpoints in the RLE-compressed container format
     /// ([`crate::checkpoint::Z_MAGIC`]). Resume paths sniff the magic,
     /// so raw and compressed files interoperate freely; off by default
@@ -94,12 +68,7 @@ impl Default for RunPolicy {
         RunPolicy {
             checkpoint_dir: None,
             checkpoint_every_steps: None,
-            checkpoint_every_secs: None,
             keep_last: 3,
-            soft_step_secs: None,
-            hard_step_secs: None,
-            max_total_step_errors: 0,
-            max_consecutive_recovered_steps: None,
             compress: false,
         }
     }
@@ -127,7 +96,7 @@ impl RunPolicy {
         if let Ok(dir) = std::env::var("TERASEM_CHECKPOINT_DIR") {
             if !dir.trim().is_empty() {
                 self.checkpoint_dir = Some(PathBuf::from(dir));
-                if self.checkpoint_every_steps.is_none() && self.checkpoint_every_secs.is_none() {
+                if self.checkpoint_every_steps.is_none() {
                     self.checkpoint_every_steps = Some(5);
                 }
             }
@@ -156,19 +125,6 @@ impl RunPolicy {
                 }
             }
         }
-        if let Ok(v) = std::env::var("TERASEM_CKPT_COMPRESS") {
-            match v.trim() {
-                "1" | "true" | "TRUE" => self.compress = true,
-                "0" | "false" | "FALSE" | "" => self.compress = false,
-                other => {
-                    sem_obs::warn::invalid_env(
-                        "TERASEM_CKPT_COMPRESS",
-                        other,
-                        "expected 0 or 1; keeping the configured setting",
-                    );
-                }
-            }
-        }
         self
     }
 }
@@ -176,15 +132,13 @@ impl RunPolicy {
 /// Why a supervised run gave up.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GiveUpReason {
-    /// More step failures (ladder-exhausted errors + hard watchdog
-    /// trips) than `max_total_step_errors` allows.
-    StepErrorBudgetExhausted,
-    /// `max_consecutive_recovered_steps` successive steps each needed
-    /// recovery — the run is thrashing, not progressing.
-    RecoveryThrashing,
+    /// A step failed after the recovery ladder (or, with recovery off,
+    /// on its first attempt); [`RunError::error`] holds its
+    /// [`StepError`].
+    StepFailed,
     /// The caller's per-step observer ([`RunSupervisor::run_to_with`])
     /// aborted the run — e.g. `sem-net` detected cross-rank divergence.
-    /// Unlike the other reasons, the run does *not* exit through a
+    /// Unlike a step failure, the run does *not* exit through a
     /// checkpoint: an externally-detected inconsistency must never be
     /// persisted as a resumable generation.
     Aborted(String),
@@ -193,10 +147,7 @@ pub enum GiveUpReason {
 impl std::fmt::Display for GiveUpReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            GiveUpReason::StepErrorBudgetExhausted => write!(f, "step-failure budget exhausted"),
-            GiveUpReason::RecoveryThrashing => {
-                write!(f, "recovery thrashing (too many consecutive recovered steps)")
-            }
+            GiveUpReason::StepFailed => write!(f, "step failed"),
             GiveUpReason::Aborted(why) => write!(f, "aborted by the step observer: {why}"),
         }
     }
@@ -212,38 +163,31 @@ pub struct RunReport {
     pub resumed_from: Option<u64>,
     /// Checkpoints committed to disk (atomic renames that completed).
     pub checkpoints_written: usize,
-    /// Soft + hard watchdog trips.
-    pub watchdog_trips: usize,
-    /// Step failures the run tolerated and retried ([`StepError`]s plus
-    /// hard watchdog trips).
-    pub failures_tolerated: usize,
     /// The final checkpoint written on exit, if checkpointing is on.
     pub final_checkpoint: Option<PathBuf>,
 }
 
 /// A supervised run that gave up. The solver was left in a valid
-/// rolled-back state and (when checkpointing is on) a final checkpoint
-/// was written before returning.
+/// rolled-back state and, after a step failure (when checkpointing is
+/// on), a final checkpoint was written before returning.
 #[derive(Debug)]
 pub struct RunError {
     /// Why the run stopped.
     pub reason: GiveUpReason,
-    /// Every ladder-exhausted step error seen over the run, in order
-    /// (empty when the give-up came from hard watchdog trips alone).
-    pub history: Vec<StepError>,
+    /// The step error that ended the run (`None` for an observer abort).
+    pub error: Option<StepError>,
     /// Everything the run did before giving up.
     pub report: RunReport,
 }
 
 impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "run gave up after {} committed step(s): {} ({} step error(s) on record)",
-            self.report.steps.len(),
-            self.reason,
-            self.history.len()
-        )
+        let steps = self.report.steps.len();
+        write!(f, "run gave up after {steps} committed step(s): ")?;
+        match &self.error {
+            Some(e) => write!(f, "{e}"),
+            None => write!(f, "{}", self.reason),
+        }
     }
 }
 
@@ -300,9 +244,6 @@ pub struct RunSupervisor {
     policy: RunPolicy,
     resumed_from: Option<u64>,
     last_ckpt_step: u64,
-    last_ckpt_wall: Instant,
-    failures: usize,
-    consecutive_recovered: usize,
 }
 
 impl RunSupervisor {
@@ -315,9 +256,6 @@ impl RunSupervisor {
             policy,
             resumed_from: None,
             last_ckpt_step: start_step,
-            last_ckpt_wall: Instant::now(),
-            failures: 0,
-            consecutive_recovered: 0,
         }
     }
 
@@ -372,7 +310,6 @@ impl RunSupervisor {
             sem_obs::trace::note("run_resumed", step as f64);
             self.resumed_from = Some(step);
             self.last_ckpt_step = step;
-            self.last_ckpt_wall = Instant::now();
             return Ok(Some(step));
         }
         Ok(None)
@@ -402,7 +339,6 @@ impl RunSupervisor {
         sem_obs::trace::note("run_resumed", step as f64);
         self.resumed_from = Some(step);
         self.last_ckpt_step = step;
-        self.last_ckpt_wall = Instant::now();
         Ok(step)
     }
 
@@ -424,7 +360,6 @@ impl RunSupervisor {
         counters::add(Counter::CheckpointsWritten, 1);
         sem_obs::trace::note("checkpoint_written", step as f64);
         self.last_ckpt_step = step;
-        self.last_ckpt_wall = Instant::now();
         self.prune_retention(&dir);
         Ok(Some(path))
     }
@@ -446,54 +381,12 @@ impl RunSupervisor {
     }
 
     fn checkpoint_due(&self) -> bool {
-        if self.policy.checkpoint_dir.is_none() {
-            return false;
-        }
         let step = self.solver.step_index as u64;
-        if let Some(every) = self.policy.checkpoint_every_steps {
-            if step.saturating_sub(self.last_ckpt_step) >= every.max(1) {
-                return true;
-            }
-        }
-        if let Some(secs) = self.policy.checkpoint_every_secs {
-            if self.last_ckpt_wall.elapsed().as_secs_f64() >= secs {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Watchdog evaluation for one committed/failed step attempt.
-    /// Returns whether the hard budget tripped.
-    fn watchdogs(&mut self, elapsed: f64, report: &mut RunReport) -> bool {
-        let mut hard_tripped = false;
-        if let Some(hard) = self.policy.hard_step_secs {
-            if elapsed > hard {
-                counters::add(Counter::WatchdogTrips, 1);
-                sem_obs::trace::note("watchdog_hard", elapsed);
-                report.watchdog_trips += 1;
-                eprintln!(
-                    "terasem: step {} exceeded hard wall-clock budget ({elapsed:.3}s > {hard:.3}s); \
-                     treating as a step failure",
-                    self.solver.step_index
-                );
-                hard_tripped = true;
-            }
-        }
-        if !hard_tripped {
-            if let Some(soft) = self.policy.soft_step_secs {
-                if elapsed > soft {
-                    counters::add(Counter::WatchdogTrips, 1);
-                    sem_obs::trace::note("watchdog_soft", elapsed);
-                    report.watchdog_trips += 1;
-                    eprintln!(
-                        "terasem: step {} exceeded soft wall-clock budget ({elapsed:.3}s > {soft:.3}s)",
-                        self.solver.step_index
-                    );
-                }
-            }
-        }
-        hard_tripped
+        self.policy.checkpoint_dir.is_some()
+            && self
+                .policy
+                .checkpoint_every_steps
+                .is_some_and(|every| step.saturating_sub(self.last_ckpt_step) >= every.max(1))
     }
 
     fn emit_run_record(&self, report: &RunReport, outcome: &str, errors: usize) {
@@ -511,7 +404,6 @@ impl RunSupervisor {
             .u64("steps", self.solver.step_index as u64)
             .u64("steps_this_run", report.steps.len() as u64)
             .u64("step_errors", errors as u64)
-            .u64("watchdog_trips", report.watchdog_trips as u64)
             .u64("checkpoints_written", report.checkpoints_written as u64)
             .bool("resumed", report.resumed_from.is_some())
             .u64("resumed_from", report.resumed_from.unwrap_or(0));
@@ -560,67 +452,32 @@ impl RunSupervisor {
             resumed_from: self.resumed_from,
             ..RunReport::default()
         };
-        let mut history: Vec<StepError> = Vec::new();
         while (self.solver.step_index as u64) < target_step {
-            let t0 = Instant::now();
-            let result = self.solver.step();
-            let elapsed = t0.elapsed().as_secs_f64();
-            let hard_tripped = self.watchdogs(elapsed, &mut report);
-            let failed = match result {
-                Ok(stats) => {
-                    if stats.recoveries > 0 {
-                        self.consecutive_recovered += 1;
-                    } else {
-                        self.consecutive_recovered = 0;
-                    }
-                    if let Err(why) = observe(&self.solver, &stats) {
-                        report.steps.push(stats);
-                        self.emit_run_record(&report, "aborted", history.len());
-                        // No exit checkpoint: see run_to_with docs.
-                        return Err(RunError {
-                            reason: GiveUpReason::Aborted(why),
-                            history,
-                            report,
-                        });
-                    }
-                    report.steps.push(stats);
-                    if let Some(max) = self.policy.max_consecutive_recovered_steps {
-                        if self.consecutive_recovered >= max.max(1) {
-                            self.exit_checkpoint(&mut report);
-                            self.emit_run_record(&report, "failed", history.len());
-                            return Err(RunError {
-                                reason: GiveUpReason::RecoveryThrashing,
-                                history,
-                                report,
-                            });
-                        }
-                    }
-                    hard_tripped
-                }
+            let stats = match self.solver.step() {
+                Ok(stats) => stats,
                 Err(e) => {
-                    // The solver is rolled back to its pre-step state;
-                    // a tolerated failure retries the same step.
-                    history.push(e);
-                    true
-                }
-            };
-            if failed {
-                self.failures += 1;
-                if self.failures > self.policy.max_total_step_errors {
+                    // The solver is rolled back to its pre-step state,
+                    // which the exit checkpoint persists.
                     self.exit_checkpoint(&mut report);
-                    self.emit_run_record(&report, "failed", history.len());
+                    self.emit_run_record(&report, "failed", 1);
                     return Err(RunError {
-                        reason: GiveUpReason::StepErrorBudgetExhausted,
-                        history,
+                        reason: GiveUpReason::StepFailed,
+                        error: Some(e),
                         report,
                     });
                 }
-                report.failures_tolerated += 1;
-                // Cheapest remedy before the retry / next step: discard
-                // the projection basis (recovery ladder rung 1).
-                self.solver.clear_projection_history();
-                continue;
+            };
+            if let Err(why) = observe(&self.solver, &stats) {
+                report.steps.push(stats);
+                self.emit_run_record(&report, "aborted", 0);
+                // No exit checkpoint: see run_to_with docs.
+                return Err(RunError {
+                    reason: GiveUpReason::Aborted(why),
+                    error: None,
+                    report,
+                });
             }
+            report.steps.push(stats);
             if self.checkpoint_due() {
                 match self.write_checkpoint_now() {
                     Ok(Some(_)) => report.checkpoints_written += 1,
@@ -630,8 +487,7 @@ impl RunSupervisor {
             }
         }
         self.exit_checkpoint(&mut report);
-        self.emit_run_record(&report, "completed", history.len());
-        report.resumed_from = self.resumed_from;
+        self.emit_run_record(&report, "completed", 0);
         Ok(report)
     }
 }
@@ -645,11 +501,6 @@ mod tests {
         let p = RunPolicy::default();
         assert!(p.checkpoint_dir.is_none());
         assert!(p.checkpoint_every_steps.is_none());
-        assert!(p.checkpoint_every_secs.is_none());
-        assert!(p.soft_step_secs.is_none());
-        assert!(p.hard_step_secs.is_none());
-        assert_eq!(p.max_total_step_errors, 0);
-        assert!(p.max_consecutive_recovered_steps.is_none());
         assert_eq!(p.keep_last, 3);
     }
 
@@ -673,9 +524,7 @@ mod tests {
 
     #[test]
     fn give_up_reason_formats() {
-        let s = format!("{}", GiveUpReason::StepErrorBudgetExhausted);
-        assert!(s.contains("budget"), "{s}");
-        let t = format!("{}", GiveUpReason::RecoveryThrashing);
-        assert!(t.contains("thrashing"), "{t}");
+        let s = format!("{}", GiveUpReason::Aborted("divergence".into()));
+        assert!(s.contains("divergence"), "{s}");
     }
 }

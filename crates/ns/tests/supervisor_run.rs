@@ -8,8 +8,8 @@
 //! - A torn newest checkpoint (truncated at any offset, or scribbled
 //!   over) is skipped and the previous valid file is used.
 //! - Retention keeps exactly `keep_last` files over a long run.
-//! - Give-up always exits through a final checkpoint and a structured
-//!   `RunError` carrying the full failure history.
+//! - A step error ends the run at once, through a final checkpoint and
+//!   a structured `RunError` carrying the error.
 
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -104,7 +104,6 @@ fn default_policy_supervised_run_matches_plain_loop_bitwise() {
     assert_eq!(report.steps.len(), 5);
     assert_eq!(report.checkpoints_written, 0);
     assert!(report.final_checkpoint.is_none());
-    assert_eq!(report.watchdog_trips, 0);
     assert_fields_bitwise_equal(&plain, sup.solver(), "supervised vs plain");
 }
 
@@ -242,22 +241,18 @@ fn retention_keeps_exactly_k_checkpoints_over_a_long_run() {
 }
 
 #[test]
-fn give_up_exits_through_a_final_checkpoint_with_full_history() {
+fn give_up_exits_through_a_final_checkpoint_with_the_step_error() {
     let _g = lock();
     let dir = scratch("giveup");
-    // Recovery disabled: every attempt of step 3 fails. The budget
-    // tolerates two failures (each retries the rolled-back step), the
-    // third exhausts it.
-    let run = RunPolicy {
-        max_total_step_errors: 2,
-        ..RunPolicy::checkpointing(&dir, 100, 3)
-    };
+    // Recovery disabled: every attempt of step 3 fails, and the first
+    // step error ends the run.
+    let run = RunPolicy::checkpointing(&dir, 100, 3);
     let mut sup = RunSupervisor::new(taylor_green("nan:u@3x99", RecoveryPolicy::default(), run));
-    let err = sup.run_to(6).expect_err("persistent fault must exhaust the budget");
-    assert_eq!(err.reason, GiveUpReason::StepErrorBudgetExhausted);
-    assert_eq!(err.history.len(), 3, "every step error is on record");
-    assert!(err.history.iter().all(|e| e.step == 3));
-    assert_eq!(err.report.failures_tolerated, 2);
+    let err = sup
+        .run_to(6)
+        .expect_err("persistent fault must end the run");
+    assert_eq!(err.reason, GiveUpReason::StepFailed);
+    assert_eq!(err.error.as_ref().expect("the step error").step, 3);
     assert_eq!(err.report.steps.len(), 2, "steps 1 and 2 committed");
     // The solver sits at the rolled-back pre-step state, healthy.
     assert_eq!(sup.solver().step_index, 2);

@@ -42,9 +42,6 @@ pub enum Counter {
     /// Checkpoints committed to disk by the run supervisor
     /// (`sem_ns::supervisor` — atomic tmp+rename writes only).
     CheckpointsWritten,
-    /// Per-step wall-clock watchdog trips (soft or hard budget
-    /// exceeded) observed by the run supervisor.
-    WatchdogTrips,
     /// Runs resumed from an on-disk checkpoint via
     /// `resume_from_latest`.
     Resumes,
@@ -87,7 +84,7 @@ pub enum Counter {
 }
 
 /// Number of counters.
-pub const NUM_COUNTERS: usize = 24;
+pub const NUM_COUNTERS: usize = 23;
 
 impl Counter {
     /// All counters, in declaration order.
@@ -102,7 +99,6 @@ impl Counter {
         Counter::FaultsInjected,
         Counter::Recoveries,
         Counter::CheckpointsWritten,
-        Counter::WatchdogTrips,
         Counter::Resumes,
         Counter::TraceDropped,
         Counter::NetFaultsInjected,
@@ -131,7 +127,6 @@ impl Counter {
             Counter::FaultsInjected => "faults_injected",
             Counter::Recoveries => "recoveries",
             Counter::CheckpointsWritten => "checkpoints_written",
-            Counter::WatchdogTrips => "watchdog_trips",
             Counter::Resumes => "resumes",
             Counter::TraceDropped => "trace_dropped",
             Counter::NetFaultsInjected => "net_faults_injected",

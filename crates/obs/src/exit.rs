@@ -23,7 +23,7 @@
 //! | 9    | `CHAOS_KILL`         | chaos harnesses   | deterministic self-kill (`--kill`, `kill_at=`) |
 //! | 10   | `JOB_DRAINED`        | `sem-serve` worker| job preempted by drain: checkpointed, resumable, not failed |
 //! | 11   | `JOB_BUDGET`         | `sem-serve` worker| per-job wall-clock budget exhausted (checkpointed) |
-//! | 12   | `JOB_GAVE_UP`        | `sem-serve` worker| the supervised solve gave up (step-error budget / thrashing) |
+//! | 12   | `JOB_GAVE_UP`        | `sem-serve` worker| the supervised solve gave up (a step failed after the recovery ladder) |
 
 /// Success.
 pub const OK: i32 = 0;
@@ -56,8 +56,9 @@ pub const JOB_DRAINED: i32 = 10;
 /// `sem-serve` worker: the per-job wall-clock budget was exhausted.
 /// The job exits through a checkpoint (a bigger budget could resume it).
 pub const JOB_BUDGET: i32 = 11;
-/// `sem-serve` worker: the supervised solve gave up (step-error budget
-/// exhausted or recovery thrashing; see `sem_ns::GiveUpReason`).
+/// `sem-serve` worker: the supervised solve gave up — a step failed
+/// after the recovery ladder (`sem_ns::GiveUpReason::StepFailed`), and
+/// the run exited through a checkpoint of the last committed step.
 pub const JOB_GAVE_UP: i32 = 12;
 
 /// The full registry: `(code, name, one-line meaning)`, sorted by code.

@@ -50,7 +50,7 @@ const ROW: [AtomicU64; NUM_BUCKETS] = [ZERO; NUM_BUCKETS];
 static CELLS: [[AtomicU64; NUM_BUCKETS]; NUM_PHASES] = [ROW; NUM_PHASES];
 
 /// Record one `ns`-long sample for `phase`. Called from the span guard's
-/// drop (already gated on the enabled flag and phase mask).
+/// drop (already gated on the enabled flag).
 #[inline]
 pub fn record(phase: Phase, ns: u64) {
     CELLS[phase as usize][bucket_index(ns)].fetch_add(1, Ordering::Relaxed);

@@ -105,11 +105,10 @@ pub fn rank() -> Option<u32> {
 }
 
 /// Enable metrics if the `TERASEM_METRICS` environment variable is set
-/// to `1` or `true`, and apply the companion env vars: the per-phase
-/// mask `TERASEM_METRICS_PHASES` (see [`spans::init_phases_from_env`]),
-/// the sink selector `TERASEM_METRICS_SINK` (see
-/// [`sink::init_sink_from_env`]), and the rank stamp `TERASEM_RANK`
-/// (see [`set_rank`]). Returns the resulting enabled state.
+/// to `1` or `true`, and apply the companion env vars: the sink
+/// selector `TERASEM_METRICS_SINK` (see [`sink::init_sink_from_env`])
+/// and the rank stamp `TERASEM_RANK` (see [`set_rank`]). Returns the
+/// resulting enabled state.
 /// (`TERASEM_TRACE` is handled separately by [`trace::init_from_env`],
 /// since the caller owns writing the export file at run end.)
 pub fn init_from_env() -> bool {
@@ -128,13 +127,12 @@ pub fn init_from_env() -> bool {
             }
         }
     }
-    spans::init_phases_from_env();
     sink::init_sink_from_env();
     enabled()
 }
 
 /// Reset all counters, span accumulators, and latency histograms to zero
-/// (the enabled flag, phase mask, sink, and trace log are left
+/// (the enabled flag, sink, and trace log are left
 /// unchanged). Intended for experiment binaries that measure deltas
 /// between workload sections.
 pub fn reset() {

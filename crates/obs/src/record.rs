@@ -28,7 +28,9 @@ use crate::spans::{self, Phase, SpanSnapshot};
 ///     per-rank `terasem.rank` telemetry record family (sem-net).
 /// v6: adds the per-step `oifs_substeps` count (RK4 substeps per Δt the
 ///     OIFS sweep ran, sized from the step's CFL; 0 under EXT).
-pub const SCHEMA_VERSION: u64 = 6;
+/// v7: drops the `watchdog_trips` counter and the `terasem.run` field of
+///     the same name (the run supervisor has no wall-clock watchdogs).
+pub const SCHEMA_VERSION: u64 = 7;
 
 /// The `"type"` tag of a per-timestep record.
 pub const STEP_RECORD_TYPE: &str = "terasem.step";
@@ -224,7 +226,7 @@ pub fn latency_hist_obj(hist: &HistSnapshot) -> JsonObj {
     o
 }
 
-/// Field names every `terasem.step` record must carry (schema v6). Used
+/// Field names every `terasem.step` record must carry (schema v7). Used
 /// by the schema tests and mirrored by `scripts/metrics_smoke.sh`.
 pub const REQUIRED_FIELDS: &[&str] = &[
     "type",

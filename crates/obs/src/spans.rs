@@ -19,13 +19,12 @@
 //! makes mechanical — the `sem-report` tool does exactly that for its
 //! per-phase table.
 //!
-//! ## Cost and masking
+//! ## Cost
 //!
 //! While metrics are disabled the guard holds no timestamp and drop does
 //! nothing, so the cost is one relaxed load per scope. With metrics on,
-//! individual phases can still be opted out through the phase enable
-//! mask ([`set_phase_mask`] / `TERASEM_METRICS_PHASES`), so probe cost
-//! is opt-in per subsystem.
+//! every phase is recorded: self times are inclusive time minus the
+//! children's, so a phase left out would silently inflate its parent's.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -118,77 +117,11 @@ const ZERO: AtomicU64 = AtomicU64::new(0);
 static NANOS: [AtomicU64; NUM_PHASES] = [ZERO; NUM_PHASES];
 static CALLS: [AtomicU64; NUM_PHASES] = [ZERO; NUM_PHASES];
 
-/// Per-phase enable mask: bit `p as usize` gates `Phase p`. Default
-/// all-ones (every phase instrumented once metrics are on).
-static PHASE_MASK: AtomicU64 = AtomicU64::new(u64::MAX);
-
-/// Is `phase` currently enabled by the phase mask? (Independent of the
-/// global [`crate::enabled`] switch, which gates everything.)
-#[inline]
-pub fn phase_enabled(phase: Phase) -> bool {
-    PHASE_MASK.load(Ordering::Relaxed) & (1u64 << phase as usize) != 0
-}
-
-/// Set the per-phase enable mask (bit `p as usize` enables `Phase p`).
-/// `u64::MAX` (the default) enables every phase.
-pub fn set_phase_mask(mask: u64) {
-    PHASE_MASK.store(mask, Ordering::Relaxed);
-}
-
-/// Current per-phase enable mask.
-pub fn phase_mask() -> u64 {
-    PHASE_MASK.load(Ordering::Relaxed)
-}
-
-/// Parse a `TERASEM_METRICS_PHASES`-style comma-separated list of phase
-/// names (`"pressure_cg,schwarz,step"`) into a mask. Unknown names are
-/// reported in the error. An empty/whitespace list means "all phases".
-pub fn parse_phase_list(s: &str) -> Result<u64, String> {
-    let names: Vec<&str> = s
-        .split(',')
-        .map(str::trim)
-        .filter(|t| !t.is_empty())
-        .collect();
-    if names.is_empty() {
-        return Ok(u64::MAX);
-    }
-    let mut mask = 0u64;
-    for name in names {
-        match Phase::parse(name) {
-            Some(p) => mask |= 1u64 << p as usize,
-            None => {
-                return Err(format!(
-                    "unknown phase {name:?} (valid: {})",
-                    Phase::ALL.map(|p| p.name()).join(",")
-                ))
-            }
-        }
-    }
-    Ok(mask)
-}
-
-/// Apply the `TERASEM_METRICS_PHASES` environment variable to the phase
-/// mask (no-op when unset; one warning per process on stderr — naming
-/// the variable and the bad token — and no change when the list fails
-/// to parse). Returns the resulting mask.
-pub fn init_phases_from_env() -> u64 {
-    if let Ok(v) = std::env::var("TERASEM_METRICS_PHASES") {
-        match parse_phase_list(&v) {
-            Ok(mask) => set_phase_mask(mask),
-            Err(e) => {
-                crate::warn::invalid_env("TERASEM_METRICS_PHASES", &v, &format!("{e}; mask unchanged"));
-            }
-        }
-    }
-    phase_mask()
-}
-
 /// Open a span over `phase`; the elapsed time is recorded when the
-/// returned guard drops. Free while metrics are disabled; one mask test
-/// more while the phase is masked out.
+/// returned guard drops. Free while metrics are disabled.
 #[inline]
 pub fn span(phase: Phase) -> SpanGuard {
-    let start = (crate::enabled() && phase_enabled(phase)).then(Instant::now);
+    let start = crate::enabled().then(Instant::now);
     if start.is_some() {
         crate::trace::begin(phase);
     }
@@ -326,39 +259,10 @@ mod tests {
     }
 
     #[test]
-    fn masked_phases_record_nothing_while_others_do() {
-        let _g = crate::test_guard();
-        let prev = crate::enabled();
-        crate::set_enabled(true);
-        reset_spans();
-        set_phase_mask(1 << Phase::PressureCg as usize);
-        {
-            let _a = span(Phase::PressureCg);
-            let _b = span(Phase::Schwarz);
-            spin(50);
-        }
-        assert_eq!(phase_calls(Phase::PressureCg), 1);
-        assert_eq!(phase_calls(Phase::Schwarz), 0);
-        assert_eq!(phase_seconds(Phase::Schwarz), 0.0);
-        set_phase_mask(u64::MAX);
-        crate::set_enabled(prev);
-        reset_spans();
-    }
-
-    #[test]
     fn phase_list_parsing() {
-        assert_eq!(parse_phase_list(""), Ok(u64::MAX));
-        assert_eq!(parse_phase_list("  "), Ok(u64::MAX));
-        assert_eq!(
-            parse_phase_list("pressure_cg, schwarz"),
-            Ok(1 << Phase::PressureCg as usize | 1 << Phase::Schwarz as usize)
-        );
-        assert_eq!(parse_phase_list("step"), Ok(1 << Phase::Step as usize));
-        assert!(parse_phase_list("pressure_cg,bogus").is_err());
         // Round-trip every phase name.
         for p in Phase::ALL {
             assert_eq!(Phase::parse(p.name()), Some(p));
-            assert_eq!(parse_phase_list(p.name()), Ok(1 << p as usize));
         }
         assert_eq!(Phase::parse("nope"), None);
     }

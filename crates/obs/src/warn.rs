@@ -1,7 +1,7 @@
 //! One-shot environment-variable diagnostics.
 //!
 //! The `TERASEM_*` knobs are read from hot-ish paths (fault plans are
-//! re-read per solver construction, the phase mask per binary init), so
+//! re-read per solver construction, the sink per binary init), so
 //! a malformed value must not spam stderr on every read — but silently
 //! ignoring it hides typos. [`invalid_env`] follows the
 //! `TERASEM_THREADS` convention from `sem_comm::par`: exactly one

@@ -62,7 +62,7 @@ impl PressureSolver {
         PressureSolver {
             e: EOperator::new(ops),
             precond,
-            projection: RhsProjection::with_rtol(ops.n_pressure(), lmax, opts.dependence_rtol),
+            projection: RhsProjection::new(ops.n_pressure(), lmax),
             opts,
             ex_scratch: vec![0.0; ops.n_pressure()],
             jacobi_fallback: false,
@@ -75,7 +75,7 @@ impl PressureSolver {
         PressureSolver {
             e: EOperator::new(ops),
             precond: None,
-            projection: RhsProjection::with_rtol(ops.n_pressure(), lmax, opts.dependence_rtol),
+            projection: RhsProjection::new(ops.n_pressure(), lmax),
             opts,
             ex_scratch: vec![0.0; ops.n_pressure()],
             jacobi_fallback: false,
@@ -264,7 +264,6 @@ mod tests {
                 tol: 0.0,
                 rtol: 1e-9,
                 max_iter: 1000,
-                ..Default::default()
             },
         );
         let mut g = manufactured_rhs(&ops, 0.0);
@@ -296,7 +295,6 @@ mod tests {
             tol: 1e-7,
             rtol: 0.0,
             max_iter: 1000,
-            ..Default::default()
         };
         // Without projection.
         let mut s0 = PressureSolver::new(&ops, 0, opts);
@@ -325,7 +323,6 @@ mod tests {
             tol: 0.0,
             rtol: 1e-9,
             max_iter: 1000,
-            ..Default::default()
         };
         let mut s = PressureSolver::new(&ops, 10, opts);
         let mut first_resid = None;

@@ -445,7 +445,6 @@ mod tests {
                 tol: 0.0,
                 rtol: 1e-8,
                 max_iter: 3000,
-                ..Default::default()
             },
         );
         assert!(res.converged, "E solve did not converge: {res:?}");

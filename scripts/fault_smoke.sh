@@ -14,14 +14,23 @@
 #
 # Stage 3: the same smoke with no fault plan must pass the strict gate —
 # the baseline is clean and the guard machinery is invisible when idle.
+#
+# Stage 4: the give-up path. A fault that fires on every attempt of
+# step 3 exhausts the recovery ladder; the supervised run must end at
+# that first step error (exit 3) through a final checkpoint of step 2,
+# the only checkpoint left, and emit one `terasem.run` record with
+# outcome "failed" and one step error, which `sem-report --strict`
+# flags as a run that gave up (exit 5).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ERR=$(mktemp)
 SINKFILE=$(mktemp)
 CLEANSINK=$(mktemp)
+GIVEUPSINK=$(mktemp)
 REPORT=$(mktemp)
-trap 'rm -f "$ERR" "$SINKFILE" "$CLEANSINK" "$REPORT"' EXIT
+CKPTDIR=$(mktemp -d)
+trap 'rm -f "$ERR" "$SINKFILE" "$CLEANSINK" "$GIVEUPSINK" "$REPORT"; rm -rf "$CKPTDIR"' EXIT
 
 cargo build -q --release --offline -p sem-bench \
     --bin fig3_shear_layer --bin sem-report
@@ -95,4 +104,41 @@ grep -q "strict: PASS" "$REPORT" || {
     echo "fault_smoke: FAIL — clean baseline missing strict PASS verdict" >&2
     exit 1
 }
-echo "fault_smoke: OK (all fault kinds recovered; strict gate trips when it should)"
+echo "fault_smoke: uninjected baseline passes the strict gate"
+
+# ---- stage 4: an unrecoverable step ends the run through a checkpoint --
+set +e
+TERASEM_FAULT='indef_op@3x99;seed=1' TERASEM_CHECKPOINT_DIR="$CKPTDIR" \
+    TERASEM_METRICS_SINK="file:$GIVEUPSINK" "$FIG3" --smoke >/dev/null 2>"$ERR"
+RC=$?
+set -e
+if [ "$RC" -ne 3 ]; then
+    echo "fault_smoke: FAIL — unrecoverable run exited $RC, want 3" >&2
+    cat "$ERR" >&2
+    exit 1
+fi
+CKPTS=$(ls "$CKPTDIR")
+if [ "$CKPTS" != "ckpt_00000002.ckpt" ]; then
+    echo "fault_smoke: FAIL — want only the exit checkpoint ckpt_00000002.ckpt, found:" >&2
+    echo "$CKPTS" >&2
+    exit 1
+fi
+RUNREC=$(grep '"type":"terasem.run"' "$GIVEUPSINK" || true)
+if [ "$(grep -c . <<< "$RUNREC")" -ne 1 ] ||
+    ! grep -q '"outcome":"failed"' <<< "$RUNREC" ||
+    ! grep -q '"step_errors":1,' <<< "$RUNREC"; then
+    echo "fault_smoke: FAIL — want one terasem.run record of a failed run with one step error:" >&2
+    echo "$RUNREC" >&2
+    exit 1
+fi
+set +e
+"$SEMREPORT" "$GIVEUPSINK" --strict > "$REPORT"
+RC=$?
+set -e
+if [ "$RC" -ne 5 ]; then
+    echo "fault_smoke: FAIL — strict gate exited $RC on a run that gave up, want 5" >&2
+    tail -5 "$REPORT" >&2
+    exit 1
+fi
+echo "fault_smoke: unrecoverable step ends the run at step 2 through a checkpoint (exit 3; strict exit 5)"
+echo "fault_smoke: OK (all fault kinds recovered; give-up exits through a checkpoint; strict gate trips when it should)"

@@ -4,7 +4,7 @@
 # Stage 1: run a short shear-layer solve with metrics enabled
 # (fig3_shear_layer --smoke) on the default stdout sink and validate the
 # emitted per-timestep JSON records — one `JSON {...}` line per step,
-# each carrying the required schema-v6 fields, including the rank stamp
+# each carrying the required schema-v7 fields, including the rank stamp
 # (null in single-process runs), the latency histogram objects, the
 # recovery trail, and the OIFS substep count (the smoke solve is OIFS,
 # so every record must report at least one; see
@@ -79,7 +79,7 @@ for i, r in enumerate(records):
     missing = [k for k in REQUIRED if k not in r]
     assert not missing, f"record {i}: missing fields {missing}"
     assert r["type"] == "terasem.step", f"record {i}: type {r['type']!r}"
-    assert r["schema"] == 6, f"record {i}: schema {r['schema']}"
+    assert r["schema"] == 7, f"record {i}: schema {r['schema']}"
     # Single-process run: the rank stamp is present but null.
     assert r["rank"] is None, f"record {i}: rank {r['rank']!r}"
     assert r["step"] == i + 1, f"record {i}: step {r['step']}"
@@ -112,11 +112,11 @@ for a, b in zip(records, records[1:]):
         assert b["counters"][key] - a["counters"][key] == b["counters_delta"][key], \
             f"{key} delta mismatch at step {b['step']}"
 
-print(f"metrics_smoke: {len(records)} step records + 1 run record validated (schema 6)")
+print(f"metrics_smoke: {len(records)} step records + 1 run record validated (schema 7)")
 EOF
 elif command -v jq >/dev/null 2>&1; then
     jq -e 'select(.type == "terasem.step")
-           | select(.schema != 6
+           | select(.schema != 7
                   or (.counters.mxm_flops < 0) or (has("cfl") | not)
                   or (.oifs_substeps < 1)
                   or (has("rank") | not)

@@ -131,7 +131,7 @@ assert sorted(r["rank"] for r in recs) == list(range(nranks)), "rank ids"
 aligned = set()
 for r in recs:
     assert r["type"] == "terasem.rank", r["type"]
-    assert r["schema"] == 6, f"schema {r['schema']}"
+    assert r["schema"] == 7, f"schema {r['schema']}"
     assert r["ranks"] == nranks and r["steps"] == steps
     assert r["spans"]["step"]["calls"] >= 1, "no step spans"
     assert r["counters"]["gs_words"] > 0, "no gather-scatter counters"
