@@ -17,8 +17,9 @@ use sem_bench::snapshot::Snapshot;
 use sem_bench::timing::BenchGroup;
 use sem_linalg::backend::{set_backend, Backend};
 use sem_mesh::generators::{box2d, box3d};
+use sem_obs::counters::{self, Counter};
 use sem_ops::convect::{contravariant, convect, convect_contravariant};
-use sem_ops::laplace::{helmholtz_local, stiffness_flops_per_elem, stiffness_local};
+use sem_ops::laplace::{helmholtz_local, stiffness_local};
 use sem_ops::pressure::EOperator;
 use sem_ops::SemOps;
 
@@ -36,7 +37,14 @@ fn main() {
         let n = ops.n_velocity();
         let u: Vec<f64> = (0..n).map(|i| (i as f64 * 0.13).sin()).collect();
         let mut out = vec![0.0; n];
-        let flops = ops.k() as u64 * stiffness_flops_per_elem(ops.geo.dim, ops.geo.n);
+        // Throughput flops: the mxm flop account of one stiffness call
+        // (Helmholtz runs the same products), metered with the counters
+        // on; they go off again so the timed loops count nothing.
+        sem_obs::set_enabled(true);
+        let flops0 = counters::get(Counter::MxmFlops);
+        stiffness_local(ops, &u, &mut out);
+        let flops = counters::get(Counter::MxmFlops) - flops0;
+        sem_obs::set_enabled(false);
         // std. = scalar backend (reference kernels), perf. = simd backend
         // (explicit-SIMD mxm + fused Helmholtz). set_backend is process-
         // wide, so the choice reaches the par worker threads too.

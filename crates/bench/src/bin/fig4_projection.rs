@@ -14,7 +14,7 @@ use sem_bench::{fmt_secs, header, parse_scale, timed, Scale};
 
 fn main() {
     let scale = parse_scale();
-    // `TERASEM_METRICS=1` (with `_SINK`/`_PHASES`/`TERASEM_RANK`) turns
+    // `TERASEM_METRICS=1` (with `_SINK`/`TERASEM_RANK`) turns
     // on one step record per step from every solver below.
     let metrics = sem_obs::init_from_env();
     let (kx, ky, n, steps) = match scale {

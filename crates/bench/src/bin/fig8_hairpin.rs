@@ -16,9 +16,12 @@ use sem_bench::{fmt_secs, header, parse_scale, Scale};
 
 fn main() {
     let scale = parse_scale();
-    // `TERASEM_METRICS=1` (with `_SINK`/`_PHASES`/`TERASEM_RANK`) turns
+    // `TERASEM_METRICS=1` (with `_SINK`/`TERASEM_RANK`) turns
     // on one step record per step from every solver below.
     let metrics = sem_obs::init_from_env();
+    // Counters on either way: each step's flops are its increment of the
+    // one flop account (the mxm counter), which Table 4 reads too.
+    sem_obs::set_enabled(true);
     let trace_path = sem_obs::trace::init_from_env();
     let (k, n, dt) = match scale {
         Scale::Quick => ([8usize, 3, 4], 5, 4e-3),

@@ -79,7 +79,7 @@ struct StepProfile {
 
 fn main() {
     let scale = parse_scale();
-    // `TERASEM_METRICS=1` (with `_SINK`/`_PHASES`/`TERASEM_RANK`) turns
+    // `TERASEM_METRICS=1` (with `_SINK`/`TERASEM_RANK`) turns
     // on one step record per step from every solver below.
     let metrics = sem_obs::init_from_env();
     header("Table 4: ASCI-Red-333 total time and GFLOPS, K = 8168, N = 15, 26 steps");

@@ -205,7 +205,7 @@ mod tests {
         s.entry("16x14x16").label("simd").num("mflops", 1234.5);
         s.entry("2x14x2").num("mflops", 99.0).num("speedup", 1.5);
         let text = s.to_json();
-        assert!(sem_obs::json::is_valid(&text), "{text}");
+        assert!(Json::parse(&text).is_some(), "{text}");
         assert_eq!(validate(&text), Ok(2), "{text}");
     }
 

@@ -107,9 +107,9 @@ pub fn mxm_with(
     c: &mut [f64],
 ) {
     check_dims(a, n1, n2, b, n3, c);
-    // All mxm entry points funnel through here (mxm() and the tensor
-    // contractions both call mxm_with), so this is the one metering
-    // point for the paper's flop accounting — the concrete kernels
+    // All mxm entry points funnel through here or `mxm_acc_with` (mxm()
+    // and the tensor contractions call one of the two), so these are the
+    // metering points of the one flop account — the concrete kernels
     // below are deliberately not instrumented to avoid double counting.
     sem_obs::counters::add(sem_obs::Counter::MxmFlops, mxm_flops(n1, n2, n3));
     sem_obs::counters::add(sem_obs::Counter::MxmCalls, 1);
@@ -122,9 +122,10 @@ pub fn mxm_with(
 /// [`mxm_with`] would produce it, followed by one add onto the existing
 /// entry — so `mxm_acc_with(k, …)` is bitwise-equal to `mxm_with(k, …)`
 /// into scratch plus an elementwise `c[i] += scratch[i]`. Metered like
-/// [`mxm_with`] (the `n₁·n₃` accumulation adds are charged by the
-/// operator-level formulas, as the reference paths' explicit sum loops
-/// are).
+/// [`mxm_with`], at `2·n₁·n₂·n₃`: the `n₁·n₃` accumulation adds are
+/// pointwise work, which the one flop account leaves out, as it leaves
+/// out the reference paths' explicit sum loops, so both paths meter the
+/// same.
 pub fn mxm_acc_with(
     kernel: MxmKernel,
     a: &[f64],

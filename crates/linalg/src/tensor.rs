@@ -17,7 +17,7 @@
 //! `sem-ops` precompute both orientations once.
 
 use crate::matrix::Matrix;
-use crate::mxm::{mxm_acc_with, mxm_flops, mxm_with, MxmKernel};
+use crate::mxm::{mxm_acc_with, mxm_with, MxmKernel};
 
 /// `out = (A_y ⊗ A_x) u` for a 2D field.
 ///
@@ -52,13 +52,6 @@ pub fn kron2_apply_with(
     mxm_with(kernel, u, ny_in, nx_in, axt.as_slice(), nx_out, w);
     // OUT = Ay · W (contract over j)
     mxm_with(kernel, ay.as_slice(), ny_out, ny_in, w, nx_out, out);
-}
-
-/// Flop count for one [`kron2_apply`].
-pub fn kron2_flops(ay: &Matrix, axt: &Matrix) -> u64 {
-    let (ny_in, ny_out) = (ay.cols(), ay.rows());
-    let (nx_in, nx_out) = (axt.rows(), axt.cols());
-    mxm_flops(ny_in, nx_in, nx_out) + mxm_flops(ny_out, ny_in, nx_out)
 }
 
 /// `out = (A_z ⊗ A_y ⊗ A_x) u` for a 3D field.
@@ -122,16 +115,6 @@ pub fn kron3_apply_with(
         ny_out * nx_out,
         out,
     );
-}
-
-/// Flop count for one [`kron3_apply`].
-pub fn kron3_flops(az: &Matrix, ay: &Matrix, axt: &Matrix) -> u64 {
-    let (nz_in, nz_out) = (az.cols(), az.rows());
-    let (ny_in, ny_out) = (ay.cols(), ay.rows());
-    let (nx_in, nx_out) = (axt.rows(), axt.cols());
-    mxm_flops(nz_in * ny_in, nx_in, nx_out)
-        + nz_in as u64 * mxm_flops(ny_out, ny_in, nx_out)
-        + mxm_flops(nz_out, nz_in, ny_out * nx_out)
 }
 
 /// `out = (I ⊗ … ⊗ A_x) u`: apply an operator along `x` only.
@@ -414,13 +397,5 @@ mod tests {
         let mut got = base[..ny * nx].to_vec();
         apply_y_2d_acc_with(k, &dy, nx, u2, &mut got);
         assert_eq!(got, want, "apply_y_2d_acc bitwise");
-    }
-
-    #[test]
-    fn flop_counts_positive_and_consistent() {
-        let a = Matrix::identity(8);
-        let at = a.transpose();
-        assert!(kron2_flops(&a, &at) > 0);
-        assert!(kron3_flops(&a, &a, &at) > 0);
     }
 }

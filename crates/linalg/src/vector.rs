@@ -1,8 +1,8 @@
 //! Level-1 vector helpers shared by the iterative solvers.
 //!
 //! These are deliberately simple, allocation-free loops; the optimizer
-//! vectorizes them well, and keeping them in one place lets the solver
-//! crates account for their flops consistently.
+//! vectorizes them well. Their work is pointwise, so it is not in the
+//! `mxm` flop account (`sem_obs::Counter::MxmFlops`).
 
 /// Dot product `xᵀy`.
 ///

@@ -17,8 +17,6 @@
 //!   mesh (Table 2's substitute for the cylinder start-up problem), and a
 //!   bump-deformed channel (Fig. 8's substitute for the hemisphere
 //!   roughness element).
-//! * [`refine`] — quad/oct refinement (the paper's mesh families are
-//!   produced by "rounds of quad-refinement").
 //! * [`partition`] — element partitioners: linear, recursive coordinate
 //!   bisection, and recursive spectral bisection (Pothen–Simon–Liou), the
 //!   scheme the paper uses to minimize shared vertices between processors.
@@ -27,7 +25,6 @@ pub mod generators;
 pub mod geom;
 pub mod numbering;
 pub mod partition;
-pub mod refine;
 pub mod topology;
 
 pub use geom::Geometry;

@@ -1,6 +1,6 @@
 //! Property-based tests of the mesh substrate: geometric invariants
 //! (measure, Jacobian positivity) under random box shapes and orders,
-//! numbering counts, refinement conservation, and partition balance.
+//! numbering counts, and partition balance.
 //!
 //! Properties run as explicit seeded loops over [`sem_linalg::rng`]'s
 //! SplitMix64 generator; a failure message prints the exact case seed.
@@ -8,8 +8,7 @@
 use sem_linalg::rng::forall;
 use sem_mesh::generators::{box2d, box3d, AnnulusParams};
 use sem_mesh::partition::{part_sizes, partition_rcb, partition_rsb};
-use sem_mesh::refine::refine;
-use sem_mesh::{Geometry, GlobalNumbering, VertexNumbering};
+use sem_mesh::{Geometry, GlobalNumbering};
 
 const CASES: usize = 100;
 
@@ -61,24 +60,6 @@ fn periodic_dof_counts() {
         let n_px = GlobalNumbering::new(&m_px, &g_px).n_global;
         assert_eq!(n_none, (kx * n + 1) * (ky * n + 1));
         assert_eq!(n_px, (kx * n) * (ky * n + 1));
-    });
-}
-
-/// Refinement multiplies element count by 2^d and conserves measure.
-#[test]
-fn refinement_conserves() {
-    forall("refinement_conserves", 0x3e50_0004, CASES, |rng| {
-        let (kx, ky) = (rng.range(1, 4), rng.range(1, 4));
-        let n = rng.range(2, 5);
-        let mesh = box2d(kx, ky, [0.0, 1.3], [0.0, 0.7], false, false);
-        let fine = refine(&mesh);
-        assert_eq!(fine.num_elems(), 4 * mesh.num_elems());
-        let g0 = Geometry::new(&mesh, n);
-        let g1 = Geometry::new(&fine, n);
-        assert!((g0.total_measure() - g1.total_measure()).abs() < 1e-10);
-        // Conformity: refined vertex numbering has the structured count.
-        let vn = VertexNumbering::new(&fine);
-        assert_eq!(vn.n_global, (2 * kx + 1) * (2 * ky + 1));
     });
 }
 

@@ -32,7 +32,11 @@ pub struct StepStats {
     /// RK4 substeps per Δt the OIFS sweep ran, sized from `cfl` (0
     /// under EXT).
     pub oifs_substeps: usize,
-    /// Flops spent in this step (instrumented).
+    /// Flops spent in this step: the step's increment of the one flop
+    /// account, `sem_obs::Counter::MxmFlops` (the `mxm` products; the
+    /// pointwise work is not in it), so it equals the step record's
+    /// `counters_delta.mxm_flops`. Like every counter it is process-wide,
+    /// and it reads 0 while metrics are off (`sem_obs::set_enabled`).
     pub flops: u64,
     /// Wall-clock seconds for the step.
     pub seconds: f64,

@@ -43,7 +43,7 @@ use crate::recovery::{
     MAX_DT_HALVINGS, MAX_ENERGY_GROWTH,
 };
 use sem_obs::fault::{self as obs_fault, FaultSite};
-use sem_obs::Phase;
+use sem_obs::{Counter, Phase};
 use sem_ops::convect::{contravariant, convect_contravariant};
 use sem_ops::filter::ElementFilter;
 use sem_ops::laplace::helmholtz_local;
@@ -260,7 +260,6 @@ impl NsSolver {
         let spans0 = sem_obs::spans::span_snapshot();
         let hist0 = sem_obs::hist::hist_snapshot();
         let step_span = sem_obs::span(Phase::Step);
-        let flops0 = self.ops.flops_so_far();
         let guarded = self.cfg.recovery.enabled || self.cfg.faults.is_some();
         let mut stats = if guarded {
             self.guarded_step()?
@@ -268,7 +267,7 @@ impl NsSolver {
             self.attempt_step().0
         };
         drop(step_span);
-        stats.flops = self.ops.flops_so_far() - flops0;
+        stats.flops = sem_obs::counters::get(Counter::MxmFlops) - counters0.get(Counter::MxmFlops);
         stats.seconds = wall.elapsed().as_secs_f64();
         if self.cfg.metrics {
             let scalar_active = self.cfg.boussinesq.is_some() || !self.scalars.is_empty();
@@ -1166,23 +1165,16 @@ mod tests {
                 assert!(cfls.contains(&st.cfl), "Δt = {dt}: CFL {}", st.cfl);
                 assert_eq!(st.oifs_substeps, want, "Δt = {dt}, CFL {}", st.cfl);
             }
-            // The SemOps flops of the next step's history sweep: per
-            // velocity evaluation one `contravariant`, per field stage
-            // one `convect_contravariant` (see the convection tests).
+            // The next step's history sweep: velocity evaluations and
+            // stages of the 2 velocity fields (see the convection tests).
             let cfl_now = cfl(&s.ops, &s.vel, s.cfg.dt);
             s.push_level();
-            let k = s.cfg.torder;
-            let f0 = s.ops.flops_so_far();
-            let (_, subs) = s.history_rhs(k, s.time + s.cfg.dt, cfl_now);
-            let swept = s.ops.flops_so_far() - f0;
-            let n = s.ops.n_velocity() as u64;
-            let per_eval = 2 * 3 * n;
-            let per_elem = sem_ops::convect::ref_derivative_flops_per_elem(2, 8);
-            let per_stage = s.ops.k() as u64 * per_elem + 3 * n;
-            let (w, m) = (want as u64, k as u64);
-            let want_flops = (1 + 2 * w * m) * per_eval + 2 * 4 * w * m * per_stage;
+            let m = s.cfg.torder;
+            crate::convection::tally::take();
+            let (_, subs) = s.history_rhs(m, s.time + s.cfg.dt, cfl_now);
             assert_eq!(subs, want);
-            assert_eq!(swept, want_flops);
+            let tally = crate::convection::tally::take();
+            assert_eq!(tally, (1 + 2 * want * m, 8 * want * m));
         }
     }
 

@@ -16,7 +16,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub enum Counter {
     /// Floating-point operations executed by the `mxm` kernel family
     /// (2·n₁·n₂·n₃ per product — the paper's Table 3/4 accounting; mxm
-    /// is > 90% of all flops in a spectral element solve).
+    /// is > 90% of all flops in a spectral element solve). This is the
+    /// one flop account: step records, `StepStats::flops` and every
+    /// GFLOPS figure read it, and only `mxm_with` and `mxm_acc_with`
+    /// add to it. Pointwise work (dot products, geometric-factor
+    /// contractions, diagonal shifts) is not in it.
     MxmFlops,
     /// Number of `mxm` products dispatched.
     MxmCalls,

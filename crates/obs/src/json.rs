@@ -1,11 +1,10 @@
 //! Minimal JSON-line support (zero-dependency policy: no serde).
 //!
 //! [`JsonObj`] builds one flat-or-nested JSON object as a `String`;
-//! [`is_valid`] is a small recursive-descent syntax checker used by the
-//! schema tests and the `metrics_smoke.sh` validator fallback; [`Json`]
-//! is a small parsed-value tree used by `sem-report` to replay the
-//! JSON-lines a run emitted. None of these aims to be a general JSON
-//! library — just enough to emit, sanity-check, and replay the
+//! [`Json`] is a small recursive-descent parser into a value tree, used
+//! by `sem-report` to replay the JSON-lines a run emitted and by the
+//! schema tests to check what the builders write. Neither aims to be a
+//! general JSON library — just enough to emit, check, and replay the
 //! structured records of [`crate::record`].
 
 /// Escape a string for inclusion in a JSON string literal.
@@ -47,7 +46,7 @@ pub fn fmt_f64(x: f64) -> String {
 /// o.str("type", "demo").u64("n", 3).f64("t", 0.5);
 /// let line = o.finish();
 /// assert_eq!(line, r#"{"type":"demo","n":3,"t":0.5}"#);
-/// assert!(sem_obs::json::is_valid(&line));
+/// assert!(sem_obs::json::Json::parse(&line).is_some());
 /// ```
 #[derive(Debug, Default)]
 pub struct JsonObj {
@@ -142,36 +141,9 @@ impl JsonObj {
     }
 }
 
-/// Minimal JSON syntax validator (objects, arrays, strings, numbers,
-/// `true`/`false`/`null`). Returns `true` iff `s` is one complete JSON
-/// value with nothing but whitespace around it.
-pub fn is_valid(s: &str) -> bool {
-    let b = s.as_bytes();
-    let mut i = 0usize;
-    if !value(b, &mut i) {
-        return false;
-    }
-    skip_ws(b, &mut i);
-    i == b.len()
-}
-
 fn skip_ws(b: &[u8], i: &mut usize) {
     while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
         *i += 1;
-    }
-}
-
-fn value(b: &[u8], i: &mut usize) -> bool {
-    skip_ws(b, i);
-    match b.get(*i) {
-        Some(b'{') => object(b, i),
-        Some(b'[') => array(b, i),
-        Some(b'"') => string(b, i),
-        Some(b't') => literal(b, i, b"true"),
-        Some(b'f') => literal(b, i, b"false"),
-        Some(b'n') => literal(b, i, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, i),
-        _ => false,
     }
 }
 
@@ -182,83 +154,6 @@ fn literal(b: &[u8], i: &mut usize, lit: &[u8]) -> bool {
     } else {
         false
     }
-}
-
-fn object(b: &[u8], i: &mut usize) -> bool {
-    *i += 1; // consume '{'
-    skip_ws(b, i);
-    if b.get(*i) == Some(&b'}') {
-        *i += 1;
-        return true;
-    }
-    loop {
-        skip_ws(b, i);
-        if !string(b, i) {
-            return false;
-        }
-        skip_ws(b, i);
-        if b.get(*i) != Some(&b':') {
-            return false;
-        }
-        *i += 1;
-        if !value(b, i) {
-            return false;
-        }
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b',') => *i += 1,
-            Some(b'}') => {
-                *i += 1;
-                return true;
-            }
-            _ => return false,
-        }
-    }
-}
-
-fn array(b: &[u8], i: &mut usize) -> bool {
-    *i += 1; // consume '['
-    skip_ws(b, i);
-    if b.get(*i) == Some(&b']') {
-        *i += 1;
-        return true;
-    }
-    loop {
-        if !value(b, i) {
-            return false;
-        }
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b',') => *i += 1,
-            Some(b']') => {
-                *i += 1;
-                return true;
-            }
-            _ => return false,
-        }
-    }
-}
-
-fn string(b: &[u8], i: &mut usize) -> bool {
-    if b.get(*i) != Some(&b'"') {
-        return false;
-    }
-    *i += 1;
-    while let Some(&c) = b.get(*i) {
-        match c {
-            b'"' => {
-                *i += 1;
-                return true;
-            }
-            b'\\' => {
-                // Escape: accept any single escaped char (\uXXXX handled
-                // by consuming the 'u' here and the hex as plain chars).
-                *i += 2;
-            }
-            _ => *i += 1,
-        }
-    }
-    false
 }
 
 fn number(b: &[u8], i: &mut usize) -> bool {
@@ -529,7 +424,7 @@ mod tests {
             .obj("pressure", inner)
             .f64("nan_field", f64::NAN);
         let line = o.finish();
-        assert!(is_valid(&line), "invalid: {line}");
+        assert!(Json::parse(&line).is_some(), "invalid: {line}");
         assert!(line.contains("\"nan_field\":null"));
         assert!(line.contains("\"helmholtz_iters\":[5,6]"));
         assert!(line.contains("\"pressure\":{\"iterations\":12"));
@@ -540,7 +435,7 @@ mod tests {
         let mut o = JsonObj::new();
         o.str("k", "a\"b\\c\nd\te");
         let line = o.finish();
-        assert!(is_valid(&line), "invalid: {line}");
+        assert!(Json::parse(&line).is_some(), "invalid: {line}");
         assert_eq!(line, "{\"k\":\"a\\\"b\\\\c\\nd\\te\"}");
     }
 
@@ -548,7 +443,7 @@ mod tests {
     fn float_formats_roundtrip_as_json_numbers() {
         for x in [0.0, -1.5, 1e-30, 2.5e200, 0.002, 123456.75, f64::MIN] {
             let s = fmt_f64(x);
-            assert!(is_valid(&s), "{x} -> {s}");
+            assert!(Json::parse(&s).is_some(), "{x} -> {s}");
             assert_eq!(s.parse::<f64>().unwrap(), x, "{s}");
         }
         assert_eq!(fmt_f64(f64::INFINITY), "null");
@@ -595,17 +490,6 @@ mod tests {
         assert_eq!(v.get("k").and_then(Json::as_str), Some("a\"b\\c\ndA"));
         assert_eq!(Json::parse("  [1, -2.5e3, null]  ").unwrap(),
             Json::Arr(vec![Json::Num(1.0), Json::Num(-2500.0), Json::Null]));
-        for bad in ["", "{", "{\"a\":}", "[1,2", "{} x", "nul"] {
-            assert!(Json::parse(bad).is_none(), "should reject: {bad}");
-        }
-        // as_u64 rejects fractional and negative numbers.
-        assert_eq!(Json::parse("1.5").unwrap().as_u64(), None);
-        assert_eq!(Json::parse("-3").unwrap().as_u64(), None);
-        assert_eq!(Json::parse("3").unwrap().as_u64(), Some(3));
-    }
-
-    #[test]
-    fn validator_accepts_and_rejects() {
         for good in [
             "{}",
             "[]",
@@ -615,7 +499,7 @@ mod tests {
             "  {\"x\": 1}  ",
             r#""just a string""#,
         ] {
-            assert!(is_valid(good), "should accept: {good}");
+            assert!(Json::parse(good).is_some(), "should accept: {good}");
         }
         for bad in [
             "",
@@ -630,8 +514,13 @@ mod tests {
             "\"unterminated",
             "{} trailing",
             "NaN",
+            "nul",
         ] {
-            assert!(!is_valid(bad), "should reject: {bad}");
+            assert!(Json::parse(bad).is_none(), "should reject: {bad}");
         }
+        // as_u64 rejects fractional and negative numbers.
+        assert_eq!(Json::parse("1.5").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("-3").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("3").unwrap().as_u64(), Some(3));
     }
 }

@@ -113,7 +113,10 @@ fn step_record_schema_roundtrips_through_validator() {
 
     assert!(line.starts_with("JSON {"));
     let body = &line["JSON ".len()..];
-    assert!(sem_obs::json::is_valid(body), "invalid JSON: {body}");
+    assert!(
+        sem_obs::json::Json::parse(body).is_some(),
+        "invalid JSON: {body}"
+    );
     for field in REQUIRED_FIELDS {
         assert!(body.contains(&format!("\"{field}\":")), "missing {field}");
     }

@@ -242,7 +242,6 @@ fn seeded_chrome_export_is_valid_and_balanced() {
     assert!(begins > 0, "no events recorded");
 
     let json = trace::chrome_json(&traces);
-    assert!(sem_obs::json::is_valid(&json), "invalid chrome JSON");
     let parsed = Json::parse(&json).expect("chrome JSON parses");
     let events = parsed
         .get("traceEvents")

@@ -14,23 +14,6 @@ use crate::space::SemOps;
 use sem_comm::par;
 use sem_linalg::tensor::{apply_x, apply_y_2d, apply_y_3d, apply_z_3d};
 
-/// Per-element flop count of the reference derivatives `∂u/∂r_d`: the
-/// `mxm` share of [`gradient`] and [`convect_contravariant`].
-pub fn ref_derivative_flops_per_elem(dim: usize, n: usize) -> u64 {
-    let n1 = (n + 1) as u64;
-    if dim == 2 {
-        4 * n1.pow(3)
-    } else {
-        6 * n1.pow(4)
-    }
-}
-
-/// Per-element flop estimate of one full physical gradient.
-pub fn grad_flops_per_elem(dim: usize, n: usize) -> u64 {
-    let d = dim as u64;
-    ref_derivative_flops_per_elem(dim, n) + d * (2 * d - 1) * ((n + 1) as u64).pow(dim as u32)
-}
-
 /// Split flat fields into per-element groups holding each field's
 /// `npts`-node chunk of that element.
 fn per_element(fields: &mut [Vec<f64>], npts: usize, k: usize) -> Vec<Vec<&mut [f64]>> {
@@ -96,7 +79,6 @@ pub fn gradient(ops: &SemOps, u: &[f64], out: &mut [Vec<f64>]) {
             }
         },
     );
-    ops.charge_flops(ops.k() as u64 * grad_flops_per_elem(dim, ops.geo.n));
 }
 
 /// Turn an advecting field `c = [cx, cy(, cz)]` into its contravariant
@@ -142,8 +124,6 @@ pub fn contravariant(ops: &SemOps, c: &mut [Vec<f64>]) {
             }
         },
     );
-    // dim products and dim − 1 sums per output component.
-    ops.charge_flops((dim * (2 * dim - 1) * n) as u64);
 }
 
 /// Convection in contravariant form: `out = Σ_d C_d ∂u/∂r_d`, i.e.
@@ -186,9 +166,6 @@ pub fn convect_contravariant(ops: &SemOps, cc: &[Vec<f64>], u: &[f64], out: &mut
                 }
             }
         },
-    );
-    ops.charge_flops(
-        ops.k() as u64 * ref_derivative_flops_per_elem(dim, ops.geo.n) + ((2 * dim - 1) * n) as u64,
     );
 }
 

@@ -11,7 +11,6 @@ use sem_comm::par;
 pub fn dot_weighted(ops: &SemOps, u: &[f64], v: &[f64]) -> f64 {
     assert_eq!(u.len(), ops.n_velocity(), "dot: u length");
     assert_eq!(v.len(), ops.n_velocity(), "dot: v length");
-    ops.charge_flops(2 * u.len() as u64);
     let wt = &ops.wt;
     par::par_sum(u.len(), |i| wt[i] * u[i] * v[i])
 }
@@ -20,7 +19,6 @@ pub fn dot_weighted(ops: &SemOps, u: &[f64], v: &[f64]) -> f64 {
 /// `√(Σ wt·B̄·u²)` — the discrete `‖u‖_{L²}`.
 pub fn norm_l2(ops: &SemOps, u: &[f64]) -> f64 {
     assert_eq!(u.len(), ops.n_velocity(), "norm: u length");
-    ops.charge_flops(3 * u.len() as u64);
     let (bm, wt) = (&ops.bm_assembled, &ops.wt);
     par::par_sum(u.len(), |i| wt[i] * bm[i] * u[i] * u[i]).sqrt()
 }
@@ -30,7 +28,6 @@ pub fn norm_l2(ops: &SemOps, u: &[f64]) -> f64 {
 pub fn dot_pressure(ops: &SemOps, p: &[f64], q: &[f64]) -> f64 {
     assert_eq!(p.len(), ops.n_pressure(), "dot_pressure: p length");
     assert_eq!(q.len(), ops.n_pressure(), "dot_pressure: q length");
-    ops.charge_flops(2 * p.len() as u64);
     par::par_sum(p.len(), |i| p[i] * q[i])
 }
 

@@ -7,7 +7,7 @@
 
 use crate::space::SemOps;
 use sem_comm::par;
-use sem_linalg::tensor::{kron2_apply, kron2_flops, kron3_apply, kron3_flops};
+use sem_linalg::tensor::{kron2_apply, kron3_apply};
 use sem_linalg::Matrix;
 
 /// Precomputed tensor filter for one discretization.
@@ -37,11 +37,6 @@ impl ElementFilter {
         assert_eq!(u.len(), ops.n_velocity(), "filter: u length");
         let npts = ops.geo.npts;
         let dim = ops.geo.dim;
-        let flops = if dim == 2 {
-            kron2_flops(&self.f, &self.ft)
-        } else {
-            kron3_flops(&self.f, &self.f, &self.ft)
-        };
         par::par_chunks_init(
             u,
             npts,
@@ -55,7 +50,6 @@ impl ElementFilter {
                 ue.copy_from_slice(out);
             },
         );
-        ops.charge_flops(ops.k() as u64 * flops);
     }
 }
 

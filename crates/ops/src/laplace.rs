@@ -26,8 +26,10 @@
 //! the same per-shape [`sem_linalg::MxmKernel::Auto`] selection, the
 //! accumulating products add one full dot per output element (see
 //! `sem_linalg::mxm::mxm_acc_with`), and the directional sums associate
-//! as `(x + y) + z` in both. Flop accounting is also identical, so
-//! `sem-obs` metrics stay comparable across backends.
+//! as `(x + y) + z` in both. Both also run the same `mxm` shapes, so the
+//! one flop account (`sem_obs::Counter::MxmFlops`, metered at the `mxm`
+//! dispatch) reads the same on either path; the pointwise `G` and
+//! Helmholtz-shift work is not in it.
 
 use crate::space::SemOps;
 use sem_comm::par;
@@ -45,17 +47,6 @@ pub fn mass_local(ops: &SemOps, u: &[f64], out: &mut [f64]) {
     assert_eq!(out.len(), ops.n_velocity(), "mass: out length");
     let bm = &ops.geo.bm;
     par::par_fill(out, |i| bm[i] * u[i]);
-    ops.charge_flops(u.len() as u64);
-}
-
-/// Per-element flop count of one stiffness application.
-pub fn stiffness_flops_per_elem(dim: usize, n: usize) -> u64 {
-    let n1 = (n + 1) as u64;
-    if dim == 2 {
-        8 * n1.pow(3) + 6 * n1.pow(2)
-    } else {
-        12 * n1.pow(4) + 15 * n1.pow(3)
-    }
 }
 
 /// Per-worker scratch length of the reference stiffness kernel: `D u`
@@ -200,7 +191,6 @@ pub fn stiffness_local_reference(ops: &SemOps, u: &[f64], out: &mut [f64]) {
             laplace_elem_reference(geo, e, &u[e * npts..(e + 1) * npts], oe, scratch);
         },
     );
-    ops.charge_flops(ops.k() as u64 * stiffness_flops_per_elem(geo.dim, geo.n));
 }
 
 /// [`stiffness_local`] forced onto the fused ("perf.") kernel.
@@ -216,13 +206,6 @@ pub fn stiffness_local_fused(ops: &SemOps, u: &[f64], out: &mut [f64]) {
             laplace_elem_fused(geo, e, &u[e * npts..(e + 1) * npts], oe, scratch);
         },
     );
-    ops.charge_flops(ops.k() as u64 * stiffness_flops_per_elem(geo.dim, geo.n));
-}
-
-/// Flop count of the Helmholtz diagonal shift: `h1·s + h2·bm·u` is 3
-/// multiplies and 1 add per point.
-fn helmholtz_shift_flops(n: usize) -> u64 {
-    4 * n as u64
 }
 
 /// Apply the Helmholtz operator `out = h1·A u + h2·B u` (local).
@@ -256,10 +239,6 @@ pub fn helmholtz_local_reference(ops: &SemOps, u: &[f64], out: &mut [f64], h1: f
             }
         },
     );
-    ops.charge_flops(
-        ops.k() as u64 * stiffness_flops_per_elem(geo.dim, geo.n)
-            + helmholtz_shift_flops(u.len()),
-    );
 }
 
 /// [`helmholtz_local`] forced onto the fused ("perf.") kernel.
@@ -279,10 +258,6 @@ pub fn helmholtz_local_fused(ops: &SemOps, u: &[f64], out: &mut [f64], h1: f64, 
                 oe[i] = h1 * oe[i] + h2 * bm[i] * ue[i];
             }
         },
-    );
-    ops.charge_flops(
-        ops.k() as u64 * stiffness_flops_per_elem(geo.dim, geo.n)
-            + helmholtz_shift_flops(u.len()),
     );
 }
 
@@ -481,36 +456,6 @@ mod tests {
             helmholtz_local(&ops, &u, &mut simd, 0.9, 2.0);
         });
         assert_eq!(scalar, simd, "results must not depend on the backend");
-    }
-
-    #[test]
-    fn flop_accounting_matches_formula() {
-        let ops = ops_2d(2, 5);
-        ops.take_flops();
-        let u = vec![1.0; ops.n_velocity()];
-        let mut out = vec![0.0; ops.n_velocity()];
-        stiffness_local(&ops, &u, &mut out);
-        let got = ops.take_flops();
-        assert_eq!(got, 4 * stiffness_flops_per_elem(2, 5));
-    }
-
-    #[test]
-    fn flop_accounting_identical_across_paths() {
-        let ops = ops_2d(2, 5);
-        let n = ops.n_velocity();
-        let u = vec![1.0; n];
-        let mut out = vec![0.0; n];
-        ops.take_flops();
-        helmholtz_local_reference(&ops, &u, &mut out, 1.0, 1.0);
-        let ref_flops = ops.take_flops();
-        helmholtz_local_fused(&ops, &u, &mut out, 1.0, 1.0);
-        let fused_flops = ops.take_flops();
-        assert_eq!(ref_flops, fused_flops);
-        // Stiffness + the 4-flop/point diagonal shift.
-        assert_eq!(
-            ref_flops,
-            4 * stiffness_flops_per_elem(2, 5) + 4 * n as u64
-        );
     }
 
     #[test]

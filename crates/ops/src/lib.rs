@@ -12,8 +12,9 @@
 //!
 //! * [`space::SemOps`] — the discretization bundle: geometry, numbering,
 //!   gather-scatter handle, Dirichlet mask, assembled mass, and the
-//!   velocity↔pressure interpolation machinery, plus a flop counter
-//!   reproducing the paper's perfmon-validated instrumentation.
+//!   velocity↔pressure interpolation machinery. The operators keep no
+//!   flop count of their own: every contraction runs through `mxm`,
+//!   which meters the one flop account (`sem_obs::Counter::MxmFlops`).
 //! * [`laplace`] — mass, stiffness (Eq. 4) and Helmholtz application.
 //! * [`pressure`] — the discrete divergence `D`, its transpose (weak
 //!   gradient), and the consistent Poisson operator `E = D B⁻¹ Dᵀ`.

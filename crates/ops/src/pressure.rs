@@ -16,19 +16,6 @@ use crate::space::{interp_from_gauss, interp_to_gauss, SemOps};
 use sem_comm::par;
 use sem_linalg::tensor::{apply_x, apply_y_2d, apply_y_3d, apply_z_3d};
 
-/// Per-element flop estimate for one divergence (or weak gradient)
-/// application.
-pub fn div_flops_per_elem(dim: usize, n: usize) -> u64 {
-    let n1 = (n + 1) as u64;
-    let n2 = (n - 1) as u64;
-    if dim == 2 {
-        // 2 comps × 2 diffs × 2(N+1)³ + pointwise + interp.
-        8 * n1.pow(3) + 8 * n1.pow(2) + 2 * (n1 * n1 * n2 + n1 * n2 * n2)
-    } else {
-        18 * n1.pow(4) + 18 * n1.pow(3) + 2 * (n1.pow(3) * n2 + n1 * n1 * n2 * n2 + n1 * n2.pow(3))
-    }
-}
-
 /// Weak divergence `out = D u` for velocity components
 /// `vel = [u, v(, w)]` (each `K (N+1)^d`), producing a pressure-space
 /// field (`K (N−1)^d`).
@@ -82,7 +69,6 @@ pub fn divergence(ops: &SemOps, vel: &[&[f64]], out: &mut [f64]) {
             }
         },
     );
-    ops.charge_flops(ops.k() as u64 * div_flops_per_elem(dim, ops.geo.n));
 }
 
 /// Weak gradient `out = Dᵀ p`: the exact transpose of [`divergence`].
@@ -156,7 +142,6 @@ pub fn gradient_weak(ops: &SemOps, p: &[f64], out: &mut [Vec<f64>]) {
             }
         },
     );
-    ops.charge_flops(ops.k() as u64 * div_flops_per_elem(dim, ops.geo.n));
 }
 
 /// The consistent Poisson operator `E = D B̄⁻¹ Dᵀ` with reusable work
@@ -182,7 +167,6 @@ impl EOperator {
             ops.dssum_mask(comp);
             par::par_map_inplace(comp, |i, v| *v /= bm[i]);
         }
-        ops.charge_flops(self.work.len() as u64 * ops.n_velocity() as u64);
         let refs: Vec<&[f64]> = self.work.iter().map(|c| c.as_slice()).collect();
         divergence(ops, &refs, out);
     }

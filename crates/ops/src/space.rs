@@ -6,7 +6,6 @@ use sem_mesh::numbering::dirichlet_mask;
 use sem_mesh::{Geometry, GlobalNumbering, Mesh};
 use sem_poly::lagrange::interp_matrix;
 use sem_poly::quad::gauss;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Everything needed to apply spectral element operators on one mesh at
 /// one polynomial order: geometry and metric factors, global numbering,
@@ -54,9 +53,6 @@ pub struct SemOps {
     /// Gauss-grid quadrature weights × interpolated Jacobian, per
     /// pressure node (the pressure-space mass diagonal).
     pub jw_gauss: Vec<f64>,
-    /// Running flop count (relaxed atomic; the paper's instrumented
-    /// per-processor flop counter).
-    pub flops: AtomicU64,
 }
 
 impl SemOps {
@@ -121,7 +117,6 @@ impl SemOps {
             interp_vp,
             interp_vp_t,
             jw_gauss,
-            flops: AtomicU64::new(0),
         }
     }
 
@@ -144,22 +139,6 @@ impl SemOps {
     /// Pressure-space vector length (`K (N−1)^d`).
     pub fn n_pressure(&self) -> usize {
         self.geo.k * self.npts_p
-    }
-
-    /// Charge `f` flops to the instrumentation counter.
-    #[inline]
-    pub fn charge_flops(&self, f: u64) {
-        self.flops.fetch_add(f, Ordering::Relaxed);
-    }
-
-    /// Read and reset the flop counter.
-    pub fn take_flops(&self) -> u64 {
-        self.flops.swap(0, Ordering::Relaxed)
-    }
-
-    /// Read the flop counter without resetting.
-    pub fn flops_so_far(&self) -> u64 {
-        self.flops.load(Ordering::Relaxed)
     }
 
     /// Direct-stiffness assembly: gather-scatter `Add` then apply the
@@ -305,15 +284,5 @@ mod tests {
         let lhs: f64 = iu.iter().zip(p.iter()).map(|(a, b)| a * b).sum();
         let rhs: f64 = u.iter().zip(itp.iter()).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-10 * (1.0 + lhs.abs()));
-    }
-
-    #[test]
-    fn flop_counter_accumulates_and_resets() {
-        let ops = ops2d();
-        ops.charge_flops(100);
-        ops.charge_flops(23);
-        assert_eq!(ops.flops_so_far(), 123);
-        assert_eq!(ops.take_flops(), 123);
-        assert_eq!(ops.flops_so_far(), 0);
     }
 }

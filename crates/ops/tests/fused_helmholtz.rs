@@ -1,8 +1,8 @@
 //! The fused element-resident Helmholtz/Laplacian must be **bitwise
 //! identical** to the unfused reference path — on genuinely deformed
 //! geometry (non-constant `G_ij` with nonzero cross terms), in 2D and
-//! 3D, at every thread count, on every backend — and must charge exactly
-//! the same flops to `sem-obs` accounting.
+//! 3D, at every thread count, on every backend. That both meter the same
+//! flops is pinned in `flop_account.rs`.
 
 use sem_comm::par;
 use sem_linalg::backend::{with_backend, Backend};
@@ -120,20 +120,5 @@ fn helmholtz_bitwise_stable_across_threads_and_backends() {
                 "threads={threads} backend={backend:?} must be bitwise stable"
             );
         }
-    }
-}
-
-#[test]
-fn flop_accounting_identical_on_deformed_geometry() {
-    for (ops, what) in [(deformed_2d(7), "2d"), (deformed_3d(4), "3d")] {
-        let u = test_field(&ops, 0xf10b);
-        let mut out = vec![0.0; ops.n_velocity()];
-        ops.take_flops();
-        helmholtz_local_reference(&ops, &u, &mut out, 0.5, 2.0);
-        let reference = ops.take_flops();
-        helmholtz_local_fused(&ops, &u, &mut out, 0.5, 2.0);
-        let fused = ops.take_flops();
-        assert_eq!(reference, fused, "{what}: SemOps flop charge");
-        assert!(reference > 0, "{what}: charge must be nonzero");
     }
 }

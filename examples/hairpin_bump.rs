@@ -63,6 +63,8 @@ fn main() {
         }
     }));
 
+    // Counters on, so each step's flops read the mxm flop account.
+    sem_obs::set_enabled(true);
     for step in 1..=20 {
         let st = s.step().unwrap();
         if step % 4 == 0 || step == 1 {

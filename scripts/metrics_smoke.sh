@@ -20,6 +20,11 @@
 # Stage 3: an experiment binary that is not a smoke mode honours
 # TERASEM_METRICS too — fig4_projection (quick scale: two 60-step runs)
 # writes exactly one step record per step to the file sink.
+#
+# Stage 4: one flop account end to end — fig8_hairpin (quick scale, 26
+# steps) writes one step record per step plus one terasem.run record,
+# every step runs mxm work, and the Mflop total it prints is the sum of
+# its records' counters_delta.mxm_flops.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,10 +34,12 @@ SINKFILE=$(mktemp)
 TRACEFILE=$(mktemp)
 REPORT=$(mktemp)
 FIG4SINK=$(mktemp)
-trap 'rm -f "$OUT" "$SINKFILE" "$TRACEFILE" "$REPORT" "$FIG4SINK"' EXIT
+FIG8SINK=$(mktemp)
+FIG8OUT=$(mktemp)
+trap 'rm -f "$OUT" "$SINKFILE" "$TRACEFILE" "$REPORT" "$FIG4SINK" "$FIG8SINK" "$FIG8OUT"' EXIT
 
 cargo build -q --release --offline -p sem-bench \
-    --bin fig3_shear_layer --bin fig4_projection --bin sem-report
+    --bin fig3_shear_layer --bin fig4_projection --bin fig8_hairpin --bin sem-report
 FIG3=target/release/fig3_shear_layer
 SEMREPORT=target/release/sem-report
 
@@ -90,8 +97,9 @@ for i, r in enumerate(records):
     assert isinstance(r["recovery_trail"], list)
     assert len(r["recovery_trail"]) == r["recoveries"], f"record {i}: trail length"
     assert isinstance(r["helmholtz_iterations"], list)
+    # Every step runs mxm products: the one flop account grows.
     for reg in ("counters", "counters_delta"):
-        assert r[reg]["mxm_flops"] >= 0, f"record {i}: {reg} missing mxm_flops"
+        assert r[reg]["mxm_flops"] > 0, f"record {i}: {reg}.mxm_flops {r[reg]['mxm_flops']}"
     assert r["spans"]["step"]["calls"] == i + 1, f"record {i}: step span calls"
     assert r["spans_delta"]["step"]["calls"] == 1, f"record {i}: step span delta"
     # Schema v2: every phase that ran this step reports quantiles and
@@ -117,7 +125,7 @@ EOF
 elif command -v jq >/dev/null 2>&1; then
     jq -e 'select(.type == "terasem.step")
            | select(.schema != 7
-                  or (.counters.mxm_flops < 0) or (has("cfl") | not)
+                  or (.counters_delta.mxm_flops <= 0) or (has("cfl") | not)
                   or (.oifs_substeps < 1)
                   or (has("rank") | not)
                   or (has("recovery_trail") | not)
@@ -200,4 +208,30 @@ print(f"metrics_smoke: fig4_projection wrote one step record per step ({len(got)
 EOF
 fi
 
-echo "metrics_smoke: OK (stdout sink, file sink, sem-report, chrome export, fig4 records)"
+# ---- stage 4: fig8's printed flops are its step records' flops --------
+FIG8_STEPS=26
+TERASEM_METRICS=1 TERASEM_METRICS_SINK="file:$FIG8SINK" \
+    target/release/fig8_hairpin > "$FIG8OUT" 2>/dev/null
+FIG8LINES=$(grep -c '"type":"terasem.step"' "$FIG8SINK" || true)
+FIG8RUNS=$(grep -c '"type":"terasem.run"' "$FIG8SINK" || true)
+if [ "$FIG8LINES" -ne "$FIG8_STEPS" ] || [ "$FIG8RUNS" -ne 1 ]; then
+    echo "metrics_smoke: FAIL — fig8_hairpin wrote $FIG8LINES step and $FIG8RUNS run" \
+        "records, want $FIG8_STEPS and 1" >&2
+    exit 1
+fi
+if command -v python3 >/dev/null 2>&1; then
+    python3 - "$FIG8SINK" "$FIG8OUT" <<'EOF'
+import json, re, sys
+records = [json.loads(l) for l in open(sys.argv[1])]
+flops = [r["counters_delta"]["mxm_flops"] for r in records if r.get("type") == "terasem.step"]
+assert all(f > 0 for f in flops), f"fig8 steps without mxm flops: {flops}"
+totals = [l for l in open(sys.argv[2]) if l.startswith("totals:")]
+assert len(totals) == 1, f"fig8 printed {len(totals)} totals lines"
+printed = float(re.search(r", ([0-9.]+) Mflop,", totals[0]).group(1))
+recorded = sum(flops) / 1e6
+assert abs(printed - recorded) <= 0.05, f"fig8 prints {printed} Mflop, records sum to {recorded}"
+print(f"metrics_smoke: fig8_hairpin prints {printed} Mflop = its {len(flops)} records' {recorded:.3f}")
+EOF
+fi
+
+echo "metrics_smoke: OK (stdout sink, file sink, sem-report, chrome export, fig4 and fig8 records)"
