@@ -27,7 +27,6 @@ fn taylor_green(scheme: ConvectionScheme, dt: f64) -> NsSolver {
         pressure_cg: CgOptions {
             tol: 1e-7,
             max_iter: 4000,
-            ..Default::default()
         },
         ..Default::default()
     };
@@ -72,7 +71,6 @@ fn main() {
         pressure_cg: CgOptions {
             tol: 1e-7,
             max_iter: 4000,
-            ..Default::default()
         },
         ..Default::default()
     };

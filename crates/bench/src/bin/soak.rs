@@ -28,19 +28,10 @@
 //!   left on disk.
 
 use sem_bench::workloads::shear_layer;
+use sem_linalg::rng::SplitMix64;
 use sem_obs::exit;
 use sem_ns::{FaultPlan, NsSolver, RecoveryPolicy, RunPolicy, RunSupervisor};
 use std::path::{Path, PathBuf};
-
-/// SplitMix64: the workspace's standard tiny PRNG (same finalizer the
-/// fault planner uses for node selection).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
 
 /// A randomized-but-seeded storm: one event per fault kind (every kind
 /// in the grammar, the scalar-targeted and coarse kinds included), each
@@ -48,7 +39,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// doubled (`x2`) so the ladder must escalate past its first rung.
 fn storm_plan(seed: u64, steps: u64) -> String {
     assert!(steps >= 10, "storm needs at least 10 steps to spread over");
-    let mut rng = seed ^ 0x5eed_5eed_5eed_5eed;
+    let mut rng = SplitMix64::new(seed ^ 0x5eed_5eed_5eed_5eed);
     let kinds = [
         "nan:u", "inf:v", "nan:p", "nan:t", "indef_op", "indef_pc", "proj", "gs", "coarse",
     ];
@@ -57,15 +48,15 @@ fn storm_plan(seed: u64, steps: u64) -> String {
     let mut free: Vec<u64> = (2..=steps).collect();
     let mut events = Vec::new();
     for kind in kinds {
-        let at = free.remove((splitmix64(&mut rng) as usize) % free.len());
-        let reps = if kind.starts_with("indef") && splitmix64(&mut rng) % 2 == 0 {
+        let at = free.remove((rng.next_u64() as usize) % free.len());
+        let reps = if kind.starts_with("indef") && rng.next_u64().is_multiple_of(2) {
             "x2"
         } else {
             ""
         };
         events.push(format!("{kind}@{at}{reps}"));
     }
-    events.push(format!("seed={}", splitmix64(&mut rng) % 1_000_000));
+    events.push(format!("seed={}", rng.next_u64() % 1_000_000));
     events.join(";")
 }
 
@@ -173,17 +164,17 @@ fn scratch(tag: &str) -> PathBuf {
 fn run_auto(rounds: u64, seed: u64, steps: u64) {
     for round in 0..rounds {
         let plan = storm_plan(seed.wrapping_add(round), steps);
-        let mut rng = seed.wrapping_add(round) ^ 0xc4a0_5c4a_05c4_a05c;
-        let every = 2 + splitmix64(&mut rng) % 3;
-        let kill = 2 + splitmix64(&mut rng) % (steps - 3);
+        let mut rng = SplitMix64::new(seed.wrapping_add(round) ^ 0xc4a0_5c4a_05c4_a05c);
+        let every = 2 + rng.next_u64() % 3;
+        let kill = 2 + rng.next_u64() % (steps - 3);
         // Randomize parallelism per leg (ROADMAP carry-over): every leg
         // runs at its own seeded TERASEM_THREADS override, and the
         // resume leg is forced onto a *different* count than the kill
         // leg — the crash-only byte-compare below then also pins that
         // results are thread-count independent across a restart.
-        let t_ref = 1 + (splitmix64(&mut rng) % 4) as usize;
-        let t_kill = 1 + (splitmix64(&mut rng) % 4) as usize;
-        let mut t_resume = 1 + (splitmix64(&mut rng) % 4) as usize;
+        let t_ref = 1 + (rng.next_u64() % 4) as usize;
+        let t_kill = 1 + (rng.next_u64() % 4) as usize;
+        let mut t_resume = 1 + (rng.next_u64() % 4) as usize;
         if t_resume == t_kill {
             t_resume = t_kill % 4 + 1;
         }

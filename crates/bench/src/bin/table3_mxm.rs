@@ -3,7 +3,7 @@
 //!
 //! Paper columns `lkm / ghm / csm / f3 / f2` map to our kernel menu
 //! `naive / blocked / unroll4 / f3 / f2` (see `sem-linalg::mxm`), plus
-//! the explicit-SIMD kernel of the pluggable backend. The paper's
+//! the explicit-SIMD kernel (`sem-linalg::simd`). The paper's
 //! finding to reproduce: **no single kernel wins across shapes**,
 //! motivating the per-shape "perf." dispatch.
 //!
@@ -13,13 +13,15 @@
 //!   are not meaningful.
 //! * `--json <path>` — write a `terasem-bench-v1` snapshot (the
 //!   committed `results/BENCH_mxm.json`).
-//! * `--emit-table` — print measured `select_scalar`/`select_simd`
-//!   match arms for `sem-linalg::backend` (order-preserving kernels
-//!   only, so backend choice never changes results bitwise).
+//! * `--emit-table` — print the measured per-shape winners for
+//!   `sem_linalg::mxm::select_kernel`, one table for a host without a
+//!   vector unit and one for the host's ISA (order-preserving kernels
+//!   only, so the host's ISA never changes results bitwise).
 
 use sem_bench::snapshot::Snapshot;
 use sem_bench::{fmt_secs, header, parse_scale, Scale};
 use sem_linalg::mxm::{mxm_flops, mxm_with, MxmKernel};
+use sem_linalg::simd::detected_isa;
 use std::time::Instant;
 
 fn bench_kernel(k: MxmKernel, n1: usize, n2: usize, n3: usize, min_time: f64) -> f64 {
@@ -106,7 +108,7 @@ fn main() {
         }
     };
     header("Table 3: MFLOPS for (n1 x n2) x (n2 x n3) mxm kernels (N = 15 shapes)");
-    println!("backend: {}", sem_linalg::backend::describe());
+    println!("isa: {}", detected_isa().name());
     let shapes = [
         (14usize, 2usize, 14usize),
         (2, 14, 2),
@@ -161,13 +163,14 @@ fn main() {
     );
 
     if emit_table {
-        // Measured selection arms for sem-linalg::backend — restricted
-        // to the order-preserving family so `Auto` stays bitwise
-        // backend-independent.
+        // Measured selection arms for `select_kernel` — restricted to
+        // the order-preserving family so `Auto` stays bitwise
+        // independent of the host's ISA.
         println!();
-        println!("// --- measured selection table (paste into crates/linalg/src/backend.rs) ---");
-        for (with_simd, func) in [(false, "select_scalar"), (true, "select_simd")] {
-            println!("// {func}:");
+        println!("// --- measured selection table (paste into crates/linalg/src/mxm.rs) ---");
+        let host = detected_isa().name();
+        for (with_simd, isa) in [(false, "scalar"), (true, host)] {
+            println!("// isa {isa}:");
             for ((n1, n2, n3), row) in &rows {
                 let (k, mf) = winner(row, &dispatchable(with_simd));
                 println!(

@@ -265,34 +265,6 @@ fn main() {
             fmt_secs(secs)
         );
     }
-    // --- real backend A/B (the modern std.-vs-perf. column pair) --------
-    println!();
-    println!("operator backend A/B (measured, hairpin substitute, 4 steps each):");
-    let mut rates = Vec::new();
-    for (name, b) in [
-        ("scalar (std.)", sem_linalg::Backend::Scalar),
-        ("simd   (perf.)", sem_linalg::Backend::Simd),
-    ] {
-        sem_linalg::backend::set_backend(b);
-        let mut s = hairpin_channel(ksmall, nsmall, 4e-3, 25);
-        s.cfg.metrics = metrics;
-        let c0 = sem_obs::counters::snapshot();
-        let t0 = std::time::Instant::now();
-        for _ in 0..4 {
-            s.step().unwrap();
-        }
-        let secs = t0.elapsed().as_secs_f64();
-        let dflops = sem_obs::counters::snapshot().delta(&c0).get(sem_obs::Counter::MxmFlops);
-        let gf = dflops as f64 / secs / 1e9;
-        println!("  {name}: {} ({gf:.2} GFLOPS mxm)", fmt_secs(secs));
-        rates.push(secs);
-    }
-    sem_linalg::backend::set_backend(sem_linalg::Backend::Auto);
-    println!(
-        "  perf./std. speedup: {:.2}x (results bitwise identical across backends; \
-         paper's std. column costs ~8%)",
-        rates[0] / rates[1]
-    );
     if let Some(path) = trace_path {
         match sem_obs::trace::write_chrome(&path) {
             Ok(threads) => eprintln!("chrome trace ({threads} thread(s)) -> {path}"),

@@ -19,6 +19,9 @@
 //! }
 //! ```
 //!
+//! `backend` is always `auto(<isa>)`: the mxm dispatch follows the
+//! host's ISA, and the field stays because the v1 schema requires it.
+//!
 //! Entry fields besides `name` (and the optional string `label`) are
 //! finite numbers — throughputs, times, speedup ratios; the unit is the
 //! producer's documented convention (MFLOPS for `mxm`, GFLOPS for the
@@ -102,12 +105,13 @@ impl Snapshot {
             "snapshot '{}' has no entries",
             self.topic
         );
+        let isa = sem_linalg::simd::detected_isa().name();
         let mut o = JsonObj::new();
         o.str("schema", SCHEMA)
             .str("topic", &self.topic)
             .str("arch", std::env::consts::ARCH)
-            .str("isa", sem_linalg::backend::detected_isa().name())
-            .str("backend", &sem_linalg::backend::describe());
+            .str("isa", isa)
+            .str("backend", &format!("auto({isa})"));
         if let Some(t) = self.threads {
             o.u64("threads", t);
         }

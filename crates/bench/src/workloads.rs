@@ -17,12 +17,10 @@ pub fn solver_tolerances(eps: f64) -> (CgOptions, CgOptions) {
     (
         CgOptions {
             tol: eps,
-            rtol: 0.0,
             max_iter: 4000,
         },
         CgOptions {
             tol: eps * 1e-2,
-            rtol: 0.0,
             max_iter: 4000,
         },
     )
@@ -158,7 +156,6 @@ pub fn rayleigh_benard(
         pressure_lmax: lmax,
         pressure_cg: CgOptions {
             tol: pressure_tol,
-            rtol: 0.0,
             max_iter: 4000,
         },
         helmholtz_cg,
@@ -206,7 +203,6 @@ pub fn cylinder_startup(
         pressure_lmax: 0, // Table 2 isolates the preconditioner
         pressure_cg: CgOptions {
             tol: eps,
-            rtol: 0.0,
             max_iter: 8000,
         },
         helmholtz_cg,

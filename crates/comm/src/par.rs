@@ -49,8 +49,8 @@
 //! workers borrow the caller's data.
 //!
 //! Workers are plain threads: they inherit no thread-local state of the
-//! caller (a [`with_threads`] override, a `sem_linalg` backend override),
-//! and each flushes its `sem_obs` trace events at the end of every block.
+//! caller (a [`with_threads`] override), and each flushes its `sem_obs`
+//! trace events at the end of every block.
 //!
 //! ## `TERASEM_THREADS` caching
 //!

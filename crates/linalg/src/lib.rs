@@ -9,15 +9,13 @@
 //!   spectral element bases.
 //! * [`mxm`](mod@mxm) — the matrix–matrix product kernel family of the paper's
 //!   Table 3 (`lkm`/`ghm`/`csm`/`f3`/`f2` become `naive`/`blocked`/
-//!   `unroll4`/`f3`/`f2`), plus a per-shape dispatcher mirroring the
-//!   paper's "perf." kernel selection.
+//!   `unroll4`/`f3`/`f2`), plus the per-shape dispatcher
+//!   [`MxmKernel::Auto`] mirroring the paper's "perf." kernel selection,
+//!   with one measured table per host ISA.
 //! * [`simd`] — explicit-SIMD `mxm` variants (AVX2/SSE2 on x86_64, NEON on
 //!   aarch64) that are bitwise-identical to the scalar kernels, with a
-//!   guaranteed scalar fallback on hosts without a vector unit.
-//! * [`backend`] — the pluggable operator backend: the paper's "std." vs
-//!   "perf." configurations as a runtime knob (`TERASEM_BACKEND`), plus the
-//!   auto-tuned per-shape kernel selection table consumed by
-//!   [`MxmKernel::Auto`].
+//!   guaranteed scalar fallback on hosts without a vector unit, and the
+//!   runtime ISA detection both follow.
 //! * [`tensor`] — application of tensor-product operators
 //!   `(A_z ⊗ A_y ⊗ A_x) u` as sequences of mxm calls (Eq. 3 of the paper).
 //! * [`chol`], [`lu`], [`banded`] — direct factorizations used by the
@@ -34,7 +32,6 @@
 //!   property-test harness used across the workspace (no external
 //!   `rand`/`proptest` dependency).
 
-pub mod backend;
 pub mod banded;
 pub mod chol;
 pub mod complex;
@@ -47,7 +44,6 @@ pub mod simd;
 pub mod tensor;
 pub mod vector;
 
-pub use backend::Backend;
 pub use complex::Complex;
 pub use matrix::Matrix;
 pub use mxm::{mxm, MxmKernel};

@@ -27,10 +27,12 @@
 //! `sem-ops` use it to chain `Dᵀ` applications without intermediate
 //! buffers.
 //!
-//! [`MxmKernel::Auto`] consults the backend dispatch
-//! ([`crate::backend::select_kernel`]): per-shape winners measured by
+//! [`MxmKernel::Auto`] picks per shape from the table of the host's ISA
+//! ([`select_kernel`] with [`detected_isa`]): winners measured by
 //! `table3_mxm --emit-table`, restricted to kernels with identical
-//! reduction order so results never depend on the backend in use.
+//! reduction order so results never depend on the host.
+
+use crate::simd::{detected_isa, SimdIsa};
 
 /// Kernel selector, mirroring the paper's per-shape DGEMM choice.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -123,9 +125,7 @@ pub fn mxm_with(
 /// entry — so `mxm_acc_with(k, …)` is bitwise-equal to `mxm_with(k, …)`
 /// into scratch plus an elementwise `c[i] += scratch[i]`. Metered like
 /// [`mxm_with`], at `2·n₁·n₂·n₃`: the `n₁·n₃` accumulation adds are
-/// pointwise work, which the one flop account leaves out, as it leaves
-/// out the reference paths' explicit sum loops, so both paths meter the
-/// same.
+/// pointwise work, which the one flop account leaves out.
 pub fn mxm_acc_with(
     kernel: MxmKernel,
     a: &[f64],
@@ -158,11 +158,46 @@ fn dispatch<const ACC: bool>(
         MxmKernel::Blocked => mxm_blocked_impl::<ACC>(a, n1, n2, b, n3, c),
         MxmKernel::Simd => crate::simd::mxm_simd_impl::<ACC>(a, n1, n2, b, n3, c),
         MxmKernel::Auto => {
-            // Per-shape dispatch: the "perf." configuration of the paper,
-            // tuned per backend/ISA by `table3_mxm --emit-table`.
-            let k = crate::backend::select_kernel(n1, n2, n3);
+            let k = select_kernel(detected_isa(), n1, n2, n3);
             dispatch::<ACC>(k, a, n1, n2, b, n3, c)
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Per-shape kernel selection (the paper's "perf." dispatch).
+//
+// Regenerate with `table3_mxm --emit-table`: it benches the whole menu
+// on the Table 3 shape family and prints these match arms from
+// measurement. Last regenerated on an AVX2 x86_64 host (see
+// results/BENCH_mxm.json for the numbers behind it).
+//
+// Only order-preserving kernels (ascending-i dot accumulation: naive,
+// blocked, f2, f3, simd) appear here, so Auto's results are bitwise
+// independent of the ISA; unroll4 reorders the reduction and is
+// reachable only by explicit request.
+// ---------------------------------------------------------------------
+
+/// The per-shape dispatch of [`MxmKernel::Auto`]: the measured winner
+/// for this shape on a host with vector ISA `isa`. Never returns `Auto`
+/// or a kernel that reorders the reduction.
+pub fn select_kernel(isa: SimdIsa, n1: usize, n2: usize, n3: usize) -> MxmKernel {
+    if isa != SimdIsa::None {
+        // Measured winner on every Table 3 shape, including the tiny
+        // coarse shape (2,14,2): 3.0–18.6 GFLOPS, 1.3–2.5× the best
+        // scalar kernel per shape.
+        MxmKernel::Simd
+    } else if n1 <= 4 && n3 <= 4 {
+        // Tiny C, e.g. the coarse-grid shape (2,14,2): f2 measured
+        // 2137 MFLOPS vs 1483 for f3.
+        MxmKernel::F2
+    } else if n2 <= 20 {
+        // Every remaining Table 3 shape: f3 won, 5.7–11.6 GFLOPS
+        // (e.g. (16,16,256) 11577, (14,2,14) 5703).
+        MxmKernel::F3
+    } else {
+        // Long inner dimension beyond the unrolled dots' sweet spot.
+        MxmKernel::Blocked
     }
 }
 
@@ -172,7 +207,7 @@ pub fn mxm_naive(a: &[f64], n1: usize, n2: usize, b: &[f64], n3: usize, c: &mut 
     mxm_naive_impl::<false>(a, n1, n2, b, n3, c);
 }
 
-fn mxm_naive_impl<const ACC: bool>(
+pub(crate) fn mxm_naive_impl<const ACC: bool>(
     a: &[f64],
     n1: usize,
     n2: usize,
@@ -565,6 +600,32 @@ mod tests {
             let mut c = vec![0.0; n * n];
             mxm_with(k, &eye, n, n, &b, n, &mut c);
             assert_eq!(c, b, "kernel {:?}", k);
+        }
+    }
+
+    #[test]
+    fn select_kernel_never_returns_auto_or_reordering_kernels() {
+        for isa in [SimdIsa::Avx2, SimdIsa::Sse2, SimdIsa::Neon, SimdIsa::None] {
+            for &(n1, n2, n3) in &[
+                (14usize, 2usize, 14usize),
+                (2, 14, 2),
+                (16, 14, 16),
+                (16, 14, 196),
+                (256, 14, 16),
+                (16, 16, 16),
+                (16, 16, 256),
+                (196, 16, 14),
+                (1, 1, 1),
+                (7, 21, 9),
+                (9, 30, 81),
+            ] {
+                let k = select_kernel(isa, n1, n2, n3);
+                assert!(k != MxmKernel::Auto, "{isa:?} ({n1},{n2},{n3})");
+                assert!(
+                    k != MxmKernel::Unroll4,
+                    "Auto must stay order-preserving: {isa:?} ({n1},{n2},{n3})"
+                );
+            }
         }
     }
 

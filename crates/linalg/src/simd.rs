@@ -10,8 +10,8 @@
 //! * a **guaranteed-identical scalar fallback** everywhere else.
 //!
 //! The ISA is picked once per process by runtime feature detection
-//! (`is_x86_feature_detected!`); `TERASEM_BACKEND=scalar` (or
-//! [`crate::backend::with_backend`]) forces the fallback.
+//! ([`detected_isa`]); the per-shape selection of
+//! [`crate::mxm::select_kernel`] and the dispatch below both follow it.
 //!
 //! ## Bitwise determinism
 //!
@@ -24,15 +24,14 @@
 //! c[l][m] = ((a[l][0]·b[0][m] + a[l][1]·b[1][m]) + …) + a[l][n₂−1]·b[n₂−1][m]
 //! ```
 //!
-//! — the same sequence the scalar fallback (and [`crate::mxm::mxm_naive`])
+//! — the same sequence the scalar fallback ([`crate::mxm::mxm_naive`])
 //! performs. SIMD lanes are independent IEEE-754 operations, so the AVX2,
 //! SSE2, NEON and scalar variants are **bitwise identical** on every
 //! input, including remainder lanes and unaligned sizes (all loads are
-//! unaligned loads). This is pinned by `tests/simd_bitwise.rs` and is
-//! what lets `TERASEM_BACKEND` stay a pure performance knob: switching
-//! backends never changes solver results.
+//! unaligned loads). This is pinned by `tests/simd_bitwise.rs`, and it
+//! is why solver results do not depend on the host's ISA.
 
-use crate::backend;
+use std::sync::OnceLock;
 
 /// The SIMD instruction set the kernel family can run on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,7 +42,7 @@ pub enum SimdIsa {
     Sse2,
     /// aarch64 NEON: 2 lanes of f64.
     Neon,
-    /// No vector unit (or forced scalar): the identical fallback.
+    /// No vector unit: the identical scalar fallback.
     None,
 }
 
@@ -59,33 +58,33 @@ impl SimdIsa {
     }
 }
 
-/// The guaranteed-identical scalar fallback: dot-product form with the
-/// exact accumulation order of the vector variants (also the order of
-/// [`crate::mxm::mxm_naive`]). Public so the property tests can compare
-/// the runtime-dispatched kernel against it on any host.
-pub fn mxm_simd_reference<const ACC: bool>(
-    a: &[f64],
-    n1: usize,
-    n2: usize,
-    b: &[f64],
-    n3: usize,
-    c: &mut [f64],
-) {
-    for l in 0..n1 {
-        let arow = &a[l * n2..(l + 1) * n2];
-        let crow = &mut c[l * n3..(l + 1) * n3];
-        for m in 0..n3 {
-            let mut acc = 0.0;
-            for i in 0..n2 {
-                acc += arow[i] * b[i * n3 + m];
+/// The vector ISA runtime feature detection finds on this host, probed
+/// once per process.
+pub fn detected_isa() -> SimdIsa {
+    static DETECTED: OnceLock<SimdIsa> = OnceLock::new();
+    *DETECTED.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return SimdIsa::Avx2;
             }
-            if ACC {
-                crow[m] += acc;
-            } else {
-                crow[m] = acc;
+            if std::arch::is_x86_feature_detected!("sse2") {
+                return SimdIsa::Sse2;
             }
+            SimdIsa::None
         }
-    }
+        #[cfg(target_arch = "aarch64")]
+        {
+            if std::arch::is_aarch64_feature_detected!("neon") {
+                return SimdIsa::Neon;
+            }
+            SimdIsa::None
+        }
+        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+        {
+            SimdIsa::None
+        }
+    })
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -287,9 +286,9 @@ unsafe fn mxm_neon<const ACC: bool>(
     }
 }
 
-/// `C = A·B` (or `C += A·B` with `ACC`) through the best vector unit the
-/// active backend allows. Dimensions must already be validated by the
-/// caller ([`crate::mxm::mxm_with`] does).
+/// `C = A·B` (or `C += A·B` with `ACC`) through the host's vector unit.
+/// Dimensions must already be validated by the caller
+/// ([`crate::mxm::mxm_with`] does).
 pub(crate) fn mxm_simd_impl<const ACC: bool>(
     a: &[f64],
     n1: usize,
@@ -298,23 +297,24 @@ pub(crate) fn mxm_simd_impl<const ACC: bool>(
     n3: usize,
     c: &mut [f64],
 ) {
-    match backend::active_isa() {
-        // SAFETY: active_isa() only reports an ISA after runtime feature
-        // detection confirmed the host supports it; slice bounds are
-        // checked by the caller's check_dims.
+    match detected_isa() {
+        // SAFETY: detected_isa() only reports an ISA after runtime
+        // feature detection confirmed the host supports it; slice bounds
+        // are checked by the caller's check_dims.
         #[cfg(target_arch = "x86_64")]
         SimdIsa::Avx2 => unsafe { mxm_avx2::<ACC>(a, n1, n2, b, n3, c) },
         #[cfg(target_arch = "x86_64")]
         SimdIsa::Sse2 => unsafe { mxm_sse2::<ACC>(a, n1, n2, b, n3, c) },
         #[cfg(target_arch = "aarch64")]
         SimdIsa::Neon => unsafe { mxm_neon::<ACC>(a, n1, n2, b, n3, c) },
-        _ => mxm_simd_reference::<ACC>(a, n1, n2, b, n3, c),
+        _ => crate::mxm::mxm_naive_impl::<ACC>(a, n1, n2, b, n3, c),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mxm::mxm_naive;
     use crate::rng::SplitMix64;
 
     fn check_bitwise(n1: usize, n2: usize, n3: usize, seed: u64) {
@@ -322,7 +322,7 @@ mod tests {
         let a = rng.vec(n1 * n2, -1.0, 1.0);
         let b = rng.vec(n2 * n3, -1.0, 1.0);
         let mut want = vec![0.0; n1 * n3];
-        mxm_simd_reference::<false>(&a, n1, n2, &b, n3, &mut want);
+        mxm_naive(&a, n1, n2, &b, n3, &mut want);
         let mut got = vec![f64::NAN; n1 * n3];
         mxm_simd_impl::<false>(&a, n1, n2, &b, n3, &mut got);
         for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
@@ -354,7 +354,7 @@ mod tests {
         let b = rng.vec(n2 * n3, -1.0, 1.0);
         let c0 = rng.vec(n1 * n3, -1.0, 1.0);
         let mut prod = vec![0.0; n1 * n3];
-        mxm_simd_reference::<false>(&a, n1, n2, &b, n3, &mut prod);
+        mxm_naive(&a, n1, n2, &b, n3, &mut prod);
         let mut got = c0.clone();
         mxm_simd_impl::<true>(&a, n1, n2, &b, n3, &mut got);
         for i in 0..n1 * n3 {

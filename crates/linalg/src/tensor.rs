@@ -17,7 +17,7 @@
 //! `sem-ops` precompute both orientations once.
 
 use crate::matrix::Matrix;
-use crate::mxm::{mxm_acc_with, mxm_with, MxmKernel};
+use crate::mxm::{mxm, mxm_acc_with, MxmKernel};
 
 /// `out = (A_y ⊗ A_x) u` for a 2D field.
 ///
@@ -30,18 +30,6 @@ use crate::mxm::{mxm_acc_with, mxm_with, MxmKernel};
 /// # Panics
 /// Panics on any dimension mismatch.
 pub fn kron2_apply(ay: &Matrix, axt: &Matrix, u: &[f64], out: &mut [f64], work: &mut [f64]) {
-    kron2_apply_with(MxmKernel::Auto, ay, axt, u, out, work)
-}
-
-/// [`kron2_apply`] with an explicit mxm kernel (for std.-vs-perf. studies).
-pub fn kron2_apply_with(
-    kernel: MxmKernel,
-    ay: &Matrix,
-    axt: &Matrix,
-    u: &[f64],
-    out: &mut [f64],
-    work: &mut [f64],
-) {
     let (ny_in, ny_out) = (ay.cols(), ay.rows());
     let (nx_in, nx_out) = (axt.rows(), axt.cols());
     assert_eq!(u.len(), ny_in * nx_in, "kron2: u length");
@@ -49,9 +37,9 @@ pub fn kron2_apply_with(
     assert!(work.len() >= ny_in * nx_out, "kron2: work too small");
     let w = &mut work[..ny_in * nx_out];
     // W = U · Axᵀ  (contract over i)
-    mxm_with(kernel, u, ny_in, nx_in, axt.as_slice(), nx_out, w);
+    mxm(u, ny_in, nx_in, axt.as_slice(), nx_out, w);
     // OUT = Ay · W (contract over j)
-    mxm_with(kernel, ay.as_slice(), ny_out, ny_in, w, nx_out, out);
+    mxm(ay.as_slice(), ny_out, ny_in, w, nx_out, out);
 }
 
 /// `out = (A_z ⊗ A_y ⊗ A_x) u` for a 3D field.
@@ -74,19 +62,6 @@ pub fn kron3_apply(
     out: &mut [f64],
     work: &mut [f64],
 ) {
-    kron3_apply_with(MxmKernel::Auto, az, ay, axt, u, out, work)
-}
-
-/// [`kron3_apply`] with an explicit mxm kernel.
-pub fn kron3_apply_with(
-    kernel: MxmKernel,
-    az: &Matrix,
-    ay: &Matrix,
-    axt: &Matrix,
-    u: &[f64],
-    out: &mut [f64],
-    work: &mut [f64],
-) {
     let (nz_in, nz_out) = (az.cols(), az.rows());
     let (ny_in, ny_out) = (ay.cols(), ay.rows());
     let (nx_in, nx_out) = (axt.rows(), axt.cols());
@@ -98,23 +73,15 @@ pub fn kron3_apply_with(
     let (w1, rest) = work.split_at_mut(w1_len);
     let w2 = &mut rest[..w2_len];
     // Stage 1 (x): one big product over all (k, j) planes.
-    mxm_with(kernel, u, nz_in * ny_in, nx_in, axt.as_slice(), nx_out, w1);
+    mxm(u, nz_in * ny_in, nx_in, axt.as_slice(), nx_out, w1);
     // Stage 2 (y): one product per z slab.
     for k in 0..nz_in {
         let src = &w1[k * ny_in * nx_out..(k + 1) * ny_in * nx_out];
         let dst = &mut w2[k * ny_out * nx_out..(k + 1) * ny_out * nx_out];
-        mxm_with(kernel, ay.as_slice(), ny_out, ny_in, src, nx_out, dst);
+        mxm(ay.as_slice(), ny_out, ny_in, src, nx_out, dst);
     }
     // Stage 3 (z): one big product over the (j, i) plane.
-    mxm_with(
-        kernel,
-        az.as_slice(),
-        nz_out,
-        nz_in,
-        w2,
-        ny_out * nx_out,
-        out,
-    );
+    mxm(az.as_slice(), nz_out, nz_in, w2, ny_out * nx_out, out);
 }
 
 /// `out = (I ⊗ … ⊗ A_x) u`: apply an operator along `x` only.
@@ -122,106 +89,66 @@ pub fn kron3_apply_with(
 /// Works for any dimension: `planes` is the product of the trailing extents
 /// (`ny` in 2D, `ny*nz` in 3D). `axt` is the transposed x operator.
 pub fn apply_x(axt: &Matrix, planes: usize, u: &[f64], out: &mut [f64]) {
-    apply_x_with(MxmKernel::Auto, axt, planes, u, out)
-}
-
-/// [`apply_x`] with an explicit kernel.
-pub fn apply_x_with(kernel: MxmKernel, axt: &Matrix, planes: usize, u: &[f64], out: &mut [f64]) {
     let (nx_in, nx_out) = (axt.rows(), axt.cols());
     assert_eq!(u.len(), planes * nx_in, "apply_x: u length");
     assert_eq!(out.len(), planes * nx_out, "apply_x: out length");
-    mxm_with(kernel, u, planes, nx_in, axt.as_slice(), nx_out, out);
+    mxm(u, planes, nx_in, axt.as_slice(), nx_out, out);
 }
 
 /// `out = (A_y ⊗ I) u` for a 2D field with row length `nx`.
 pub fn apply_y_2d(ay: &Matrix, nx: usize, u: &[f64], out: &mut [f64]) {
-    apply_y_2d_with(MxmKernel::Auto, ay, nx, u, out)
-}
-
-/// [`apply_y_2d`] with an explicit kernel.
-pub fn apply_y_2d_with(kernel: MxmKernel, ay: &Matrix, nx: usize, u: &[f64], out: &mut [f64]) {
     let (ny_in, ny_out) = (ay.cols(), ay.rows());
     assert_eq!(u.len(), ny_in * nx, "apply_y_2d: u length");
     assert_eq!(out.len(), ny_out * nx, "apply_y_2d: out length");
-    mxm_with(kernel, ay.as_slice(), ny_out, ny_in, u, nx, out);
+    mxm(ay.as_slice(), ny_out, ny_in, u, nx, out);
 }
 
 /// `out += (A_y ⊗ I) u`: accumulating form of [`apply_y_2d`].
-pub fn apply_y_2d_acc_with(kernel: MxmKernel, ay: &Matrix, nx: usize, u: &[f64], out: &mut [f64]) {
+pub fn apply_y_2d_acc(ay: &Matrix, nx: usize, u: &[f64], out: &mut [f64]) {
     let (ny_in, ny_out) = (ay.cols(), ay.rows());
     assert_eq!(u.len(), ny_in * nx, "apply_y_2d_acc: u length");
     assert_eq!(out.len(), ny_out * nx, "apply_y_2d_acc: out length");
-    mxm_acc_with(kernel, ay.as_slice(), ny_out, ny_in, u, nx, out);
+    mxm_acc_with(MxmKernel::Auto, ay.as_slice(), ny_out, ny_in, u, nx, out);
 }
 
 /// `out = (I ⊗ A_y ⊗ I) u` for a 3D field (`nz` slabs of `ny_in × nx`).
 pub fn apply_y_3d(ay: &Matrix, nx: usize, nz: usize, u: &[f64], out: &mut [f64]) {
-    apply_y_3d_with(MxmKernel::Auto, ay, nx, nz, u, out)
-}
-
-/// [`apply_y_3d`] with an explicit kernel.
-pub fn apply_y_3d_with(
-    kernel: MxmKernel,
-    ay: &Matrix,
-    nx: usize,
-    nz: usize,
-    u: &[f64],
-    out: &mut [f64],
-) {
     let (ny_in, ny_out) = (ay.cols(), ay.rows());
     assert_eq!(u.len(), nz * ny_in * nx, "apply_y_3d: u length");
     assert_eq!(out.len(), nz * ny_out * nx, "apply_y_3d: out length");
     for k in 0..nz {
         let src = &u[k * ny_in * nx..(k + 1) * ny_in * nx];
         let dst = &mut out[k * ny_out * nx..(k + 1) * ny_out * nx];
-        mxm_with(kernel, ay.as_slice(), ny_out, ny_in, src, nx, dst);
+        mxm(ay.as_slice(), ny_out, ny_in, src, nx, dst);
     }
 }
 
 /// `out += (I ⊗ A_y ⊗ I) u`: accumulating form of [`apply_y_3d`].
-pub fn apply_y_3d_acc_with(
-    kernel: MxmKernel,
-    ay: &Matrix,
-    nx: usize,
-    nz: usize,
-    u: &[f64],
-    out: &mut [f64],
-) {
+pub fn apply_y_3d_acc(ay: &Matrix, nx: usize, nz: usize, u: &[f64], out: &mut [f64]) {
     let (ny_in, ny_out) = (ay.cols(), ay.rows());
     assert_eq!(u.len(), nz * ny_in * nx, "apply_y_3d_acc: u length");
     assert_eq!(out.len(), nz * ny_out * nx, "apply_y_3d_acc: out length");
     for k in 0..nz {
         let src = &u[k * ny_in * nx..(k + 1) * ny_in * nx];
         let dst = &mut out[k * ny_out * nx..(k + 1) * ny_out * nx];
-        mxm_acc_with(kernel, ay.as_slice(), ny_out, ny_in, src, nx, dst);
+        mxm_acc_with(MxmKernel::Auto, ay.as_slice(), ny_out, ny_in, src, nx, dst);
     }
 }
 
 /// `out = (A_z ⊗ I ⊗ I) u` for a 3D field with plane size `nx*ny`.
 pub fn apply_z_3d(az: &Matrix, plane: usize, u: &[f64], out: &mut [f64]) {
-    apply_z_3d_with(MxmKernel::Auto, az, plane, u, out)
-}
-
-/// [`apply_z_3d`] with an explicit kernel.
-pub fn apply_z_3d_with(kernel: MxmKernel, az: &Matrix, plane: usize, u: &[f64], out: &mut [f64]) {
     let (nz_in, nz_out) = (az.cols(), az.rows());
     assert_eq!(u.len(), nz_in * plane, "apply_z_3d: u length");
     assert_eq!(out.len(), nz_out * plane, "apply_z_3d: out length");
-    mxm_with(kernel, az.as_slice(), nz_out, nz_in, u, plane, out);
+    mxm(az.as_slice(), nz_out, nz_in, u, plane, out);
 }
 
 /// `out += (A_z ⊗ I ⊗ I) u`: accumulating form of [`apply_z_3d`].
-pub fn apply_z_3d_acc_with(
-    kernel: MxmKernel,
-    az: &Matrix,
-    plane: usize,
-    u: &[f64],
-    out: &mut [f64],
-) {
+pub fn apply_z_3d_acc(az: &Matrix, plane: usize, u: &[f64], out: &mut [f64]) {
     let (nz_in, nz_out) = (az.cols(), az.rows());
     assert_eq!(u.len(), nz_in * plane, "apply_z_3d_acc: u length");
     assert_eq!(out.len(), nz_out * plane, "apply_z_3d_acc: out length");
-    mxm_acc_with(kernel, az.as_slice(), nz_out, nz_in, u, plane, out);
+    mxm_acc_with(MxmKernel::Auto, az.as_slice(), nz_out, nz_in, u, plane, out);
 }
 
 /// Explicitly form the Kronecker product `A ⊗ B` (test/setup use only —
@@ -369,33 +296,32 @@ mod tests {
         let (nz, ny, nx) = (3, 4, 5);
         let u = randomish(nz * ny * nx, 16);
         let base = randomish(nz * ny * nx, 17);
-        let k = MxmKernel::Auto;
         let mut scratch = vec![0.0; nz * ny * nx];
         // y (3D)
         let dy = randmat(ny, ny, 19);
-        apply_y_3d_with(k, &dy, nx, nz, &u, &mut scratch);
+        apply_y_3d(&dy, nx, nz, &u, &mut scratch);
         let want: Vec<f64> = base.iter().zip(&scratch).map(|(b, s)| b + s).collect();
         let mut got = base.clone();
-        apply_y_3d_acc_with(k, &dy, nx, nz, &u, &mut got);
+        apply_y_3d_acc(&dy, nx, nz, &u, &mut got);
         assert_eq!(got, want, "apply_y_3d_acc bitwise");
         // z
         let dz = randmat(nz, nz, 20);
-        apply_z_3d_with(k, &dz, ny * nx, &u, &mut scratch);
+        apply_z_3d(&dz, ny * nx, &u, &mut scratch);
         let want: Vec<f64> = base.iter().zip(&scratch).map(|(b, s)| b + s).collect();
         let mut got = base.clone();
-        apply_z_3d_acc_with(k, &dz, ny * nx, &u, &mut got);
+        apply_z_3d_acc(&dz, ny * nx, &u, &mut got);
         assert_eq!(got, want, "apply_z_3d_acc bitwise");
         // y (2D): one slab.
         let u2 = &u[..ny * nx];
         let mut s2 = vec![0.0; ny * nx];
-        apply_y_2d_with(k, &dy, nx, u2, &mut s2);
+        apply_y_2d(&dy, nx, u2, &mut s2);
         let want: Vec<f64> = base[..ny * nx]
             .iter()
             .zip(&s2)
             .map(|(b, s)| b + s)
             .collect();
         let mut got = base[..ny * nx].to_vec();
-        apply_y_2d_acc_with(k, &dy, nx, u2, &mut got);
+        apply_y_2d_acc(&dy, nx, u2, &mut got);
         assert_eq!(got, want, "apply_y_2d_acc bitwise");
     }
 }

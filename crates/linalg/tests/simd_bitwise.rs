@@ -1,4 +1,4 @@
-//! Seeded property tests pinning the backend's core guarantee: every
+//! Seeded property tests pinning the mxm dispatch's core guarantee: every
 //! kernel in the order-preserving family — `blocked`, `f2`, `f3`, and
 //! every SIMD variant the host can run — is **bitwise identical** to the
 //! scalar `naive` kernel, over the paper's Table 3 shape menu
@@ -9,9 +9,9 @@
 //! `unroll4` is deliberately absent: it reorders the reduction, which is
 //! why the `Auto` selection table never picks it.
 
-use sem_linalg::backend::{with_backend, Backend};
-use sem_linalg::mxm::{mxm_acc_with, mxm_naive, mxm_with, MxmKernel};
+use sem_linalg::mxm::{mxm_acc_with, mxm_naive, mxm_with, select_kernel, MxmKernel};
 use sem_linalg::rng::{forall, SplitMix64};
+use sem_linalg::simd::{detected_isa, SimdIsa};
 
 /// The order-preserving kernel menu (everything `Auto` may select).
 const ORDER_PRESERVING: [MxmKernel; 5] = [
@@ -108,24 +108,27 @@ fn unaligned_slices_are_bitwise_identical() {
 }
 
 #[test]
-fn auto_dispatch_is_bitwise_identical_across_backends() {
-    // `Auto` may select different kernels per backend, but the result
-    // must be bitwise the same — the knob is pure performance.
-    forall("auto_backends", 0xba5eba11, 16, |rng| {
+fn auto_dispatch_is_bitwise_identical_on_every_isa() {
+    // `Auto` selects from a different table on a host without a vector
+    // unit, but the result must be bitwise the same.
+    forall("auto_isas", 0xba5eba11, 16, |rng| {
         let (n1, n2, n3) = (rng.range(1, 32), rng.range(1, 32), rng.range(1, 32));
         let a = rng.vec(n1 * n2, -1.0, 1.0);
         let b = rng.vec(n2 * n3, -1.0, 1.0);
-        let run = |backend| {
-            with_backend(backend, || {
-                let mut c = vec![0.0; n1 * n3];
-                mxm_with(MxmKernel::Auto, &a, n1, n2, &b, n3, &mut c);
-                c
-            })
+        let run = |kernel| {
+            let mut c = vec![0.0; n1 * n3];
+            mxm_with(kernel, &a, n1, n2, &b, n3, &mut c);
+            c
         };
-        let scalar = run(Backend::Scalar);
-        let simd = run(Backend::Simd);
-        let auto = run(Backend::Auto);
-        assert_eq!(scalar, simd, "({n1},{n2},{n3})");
+        let scalar = run(select_kernel(SimdIsa::None, n1, n2, n3));
+        let host = run(select_kernel(detected_isa(), n1, n2, n3));
+        let auto = run(MxmKernel::Auto);
+        assert_eq!(
+            scalar,
+            host,
+            "({n1},{n2},{n3}) on {}",
+            detected_isa().name()
+        );
         assert_eq!(scalar, auto, "({n1},{n2},{n3})");
     });
 }

@@ -18,6 +18,7 @@
 //! leaves a trace note, so smoke tests can assert the storm actually
 //! happened.
 
+use sem_linalg::rng::SplitMix64;
 use std::fmt;
 use std::time::Duration;
 
@@ -277,17 +278,14 @@ impl NetFaultPlan {
     }
 
     /// Deterministic payload byte index in `[0, n)` for a corrupt
-    /// fault: SplitMix64 finalizer over the plan seed and frame index,
-    /// matching the `sem-guard` `node_index` idiom.
+    /// fault: the first SplitMix64 draw seeded from the plan seed and
+    /// frame index, matching `sem_ns::FaultPlan::node_index`.
     pub fn corrupt_byte(&self, frame: u64, n: usize) -> usize {
         assert!(n > 0, "corrupt_byte on empty frame");
-        let mut z = self
+        let s = self
             .seed
-            .wrapping_add(0x9e37_79b9_7f4a_7c15_u64.wrapping_mul(frame + 1));
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        (z % n as u64) as usize
+            .wrapping_add(0x9e37_79b9_7f4a_7c15_u64.wrapping_mul(frame));
+        (SplitMix64::new(s).next_u64() % n as u64) as usize
     }
 
     /// The added latency of a [`NetFaultKind::Delay`] / stall duration

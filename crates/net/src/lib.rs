@@ -12,7 +12,7 @@
 //!
 //! * Every rank advances the full Navier–Stokes solve. The workspace's
 //!   determinism guarantee (bitwise-identical steps at any
-//!   `TERASEM_THREADS`, any backend, across checkpoint/resume) makes the
+//!   `TERASEM_THREADS`, any host ISA, across checkpoint/resume) makes the
 //!   ranks bitwise replicas — which is both the simplest correct SPMD
 //!   decomposition of a solver whose data distribution is still
 //!   simulated, and a continuously-checked invariant: ranks cross-check

@@ -38,7 +38,6 @@ use sem_comm::{fit_alpha_beta, CostBreakdown, MachineModel};
 use sem_gs::{GsOp, RankGs};
 use sem_mesh::partition::partition_rsb;
 use sem_ns::{valid_generations, GiveUpReason, NsSolver, RunPolicy, RunReport, RunSupervisor};
-use std::io::Read;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -189,25 +188,6 @@ fn kill_steps_from_env(rank: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Exit once stdin reaches EOF. Its write end is held only by the
-/// launcher, so EOF means the launcher is gone: no respawn will come,
-/// and a rank waiting for one would otherwise outlive it.
-fn exit_when_launcher_dies() {
-    std::thread::spawn(|| {
-        let mut buf = [0u8; 64];
-        let mut stdin = std::io::stdin();
-        loop {
-            match stdin.read(&mut buf) {
-                Ok(0) => break,
-                Err(e) if e.kind() != std::io::ErrorKind::Interrupted => break,
-                _ => {}
-            }
-        }
-        log_line!("terasem-net: launcher gone (stdin closed), exiting");
-        std::process::exit(sem_obs::exit::FAILURE);
-    });
-}
-
 /// How one mesh epoch (one transport lifetime) of a rank ended.
 enum EpochOutcome {
     /// Terminal: exit the process with this code.
@@ -226,7 +206,9 @@ enum EpochOutcome {
 /// ranks. A lost peer becomes a process exit only once the epoch number
 /// reaches `--max-restarts`.
 pub fn rank_main(opts: &LaunchOpts, rank: usize, size: usize) -> i32 {
-    exit_when_launcher_dies();
+    // Stdin's write end is held only by the launcher: once it is gone,
+    // no respawn will come.
+    sem_obs::exit::exit_when_parent_dies(&format!("terasem-net rank {rank}"));
     let Ok(sock_base) = std::env::var(ENV_SOCK_DIR) else {
         log_line!("terasem-net rank {rank}: {ENV_SOCK_DIR} unset");
         return EXIT_USAGE;

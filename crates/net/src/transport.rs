@@ -51,6 +51,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::fault::{NetFaultKind, NetFaultPlan};
+use sem_linalg::rng::SplitMix64;
 use sem_obs::{counters, trace, Counter};
 
 /// Largest accepted frame payload (1 GiB): anything bigger is treated as
@@ -576,20 +577,12 @@ fn seq_ahead(a: u32, b: u32) -> u32 {
     a.wrapping_sub(b) & SEQ_MASK
 }
 
-/// SplitMix64 finalizer: the workspace's stock deterministic hash.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Jittered exponential backoff for attempt `attempt` (0-based): base
 /// 2 ms doubling to a 100 ms cap, scaled by a seeded factor in
 /// [0.5, 1.5) so concurrent dialers don't thunder in lockstep.
 fn backoff_delay(seed: u64, attempt: u32) -> Duration {
     let exp_ms = (2u64 << attempt.min(6)).min(100);
-    let jitter = splitmix(seed ^ (attempt as u64) << 17) % 1000;
+    let jitter = SplitMix64::new(seed ^ (attempt as u64) << 17).next_u64() % 1000;
     Duration::from_micros(exp_ms * (500 + jitter))
 }
 
@@ -1001,7 +994,7 @@ impl Transport {
             }
             st.broken_at.unwrap_or_else(Instant::now) + self.tuning.heal_window
         };
-        let seed = splitmix((self.mesh.rank as u64) << 20 | peer as u64);
+        let seed = SplitMix64::new((self.mesh.rank as u64) << 20 | peer as u64).next_u64();
         let mut attempt = 0u32;
         loop {
             if self.resync_epoch().is_some() {

@@ -708,19 +708,12 @@ mod tests {
             (0..=255u8).collect(),
             (0..512).map(|i| (i % 3) as u8).collect(),
         ];
-        // Seeded pseudo-random mixes of runs and noise (SplitMix64).
-        let mut s: u64 = 0x9e3779b97f4a7c15;
-        let mut next = move || {
-            s = s.wrapping_add(0x9e3779b97f4a7c15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^ (z >> 31)
-        };
+        // Seeded pseudo-random mixes of runs and noise.
+        let mut rng = sem_linalg::rng::SplitMix64::new(0x9e3779b97f4a7c15);
         for _ in 0..16 {
             let mut v = Vec::new();
             for _ in 0..64 {
-                let r = next();
+                let r = rng.next_u64();
                 let byte = (r & 0xff) as u8;
                 let len = ((r >> 8) % 200) as usize;
                 if r & (1 << 63) != 0 {

@@ -108,12 +108,10 @@ impl Default for NsConfig {
             pressure_lmax: 25,
             pressure_cg: CgOptions {
                 tol: 1e-8,
-                rtol: 0.0,
                 max_iter: 2000,
             },
             helmholtz_cg: CgOptions {
                 tol: 1e-10,
-                rtol: 0.0,
                 max_iter: 2000,
             },
             schwarz: SchwarzConfig::default(),

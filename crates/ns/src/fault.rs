@@ -18,6 +18,7 @@
 //! [`sem_obs::Counter::FaultsInjected`] and leaves a sticky flag the
 //! solver drains, so tests can assert a fault actually happened.
 
+use sem_linalg::rng::SplitMix64;
 use std::fmt;
 
 /// What to break.
@@ -266,17 +267,14 @@ impl FaultPlan {
     /// Deterministic node index in `[0, n)` for a field fault: hashes
     /// the plan seed with the step and field so distinct faults hit
     /// distinct nodes, but reruns (at any thread count) hit the same
-    /// ones. SplitMix64 finalizer — no state, no external crates.
+    /// ones: the first SplitMix64 draw seeded from all three.
     pub fn node_index(&self, step: usize, field: FieldTarget, n: usize) -> usize {
         assert!(n > 0, "node_index on empty field");
-        let mut z = self
+        let s = self
             .seed
-            .wrapping_add(0x9e37_79b9_7f4a_7c15_u64.wrapping_mul(step as u64 + 1))
+            .wrapping_add(0x9e37_79b9_7f4a_7c15_u64.wrapping_mul(step as u64))
             .wrapping_add(field as u64);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        (z % n as u64) as usize
+        (SplitMix64::new(s).next_u64() % n as u64) as usize
     }
 }
 

@@ -986,12 +986,10 @@ mod tests {
             pressure_lmax: 8,
             pressure_cg: CgOptions {
                 tol: 1e-10,
-                rtol: 0.0,
                 max_iter: 4000,
             },
             helmholtz_cg: CgOptions {
                 tol: 1e-12,
-                rtol: 0.0,
                 max_iter: 4000,
             },
             ..Default::default()

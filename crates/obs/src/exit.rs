@@ -128,6 +128,30 @@ pub fn describe(code: i32) -> Option<&'static str> {
     REGISTRY.iter().find(|(c, _, _)| *c == code).map(|(_, _, d)| *d)
 }
 
+/// Exit with [`FAILURE`] once stdin reaches EOF, watched from a thread of
+/// its own. For a child whose stdin is a pipe only its parent holds (a
+/// rank and its launcher, a worker and its daemon), EOF means the parent
+/// is gone, and a child waiting on it would otherwise outlive it. The
+/// stderr line, prefixed by `label`, is one `write`, so lines of
+/// concurrent children cannot interleave.
+pub fn exit_when_parent_dies(label: &str) {
+    use std::io::{Read, Write};
+    let line = format!("{label}: parent gone (stdin closed), exiting\n");
+    std::thread::spawn(move || {
+        let mut buf = [0u8; 64];
+        let mut stdin = std::io::stdin();
+        loop {
+            match stdin.read(&mut buf) {
+                Ok(0) => break,
+                Err(e) if e.kind() != std::io::ErrorKind::Interrupted => break,
+                _ => {}
+            }
+        }
+        let _ = std::io::stderr().write_all(line.as_bytes());
+        std::process::exit(FAILURE);
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

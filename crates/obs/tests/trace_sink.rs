@@ -5,6 +5,7 @@
 //! These run in their own test binary (one process) and serialize on a
 //! local mutex, since the registries under test are process-global.
 
+use sem_linalg::rng::SplitMix64;
 use sem_obs::hist::{self, bucket_index, HistSnapshot};
 use sem_obs::json::Json;
 use sem_obs::sink::{self, FileSink, MemorySink, SinkHandle};
@@ -17,20 +18,10 @@ fn guard() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// SplitMix64 — the repo's standard seeded generator for tests.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
 /// The synthetic per-element durations: a deterministic spread over
 /// many orders of magnitude, independent of which worker records them.
 fn synthetic_ns(i: usize) -> u64 {
-    let mut s = 0xD00D_F00Du64 ^ (i as u64);
-    100 + splitmix64(&mut s) % 10_000_000
+    100 + SplitMix64::new(0xD00D_F00Du64 ^ (i as u64)).next_u64() % 10_000_000
 }
 
 #[test]
@@ -192,9 +183,9 @@ fn seeded_chrome_export_is_valid_and_balanced() {
     trace::reset_trace();
     trace::set_trace_enabled(true);
 
-    let mut seed = 0xC0FFEEu64;
+    let mut rng = SplitMix64::new(0xC0FFEE);
     for nt in [1usize, 3, 4] {
-        let mut items: Vec<u64> = (0..40).map(|_| splitmix64(&mut seed) % 3).collect();
+        let mut items: Vec<u64> = (0..40).map(|_| rng.next_u64() % 3).collect();
         sem_comm::par::with_threads(nt, || {
             sem_comm::par::par_for_each_init(
                 &mut items,

@@ -10,34 +10,26 @@
 //! mode generalized to many cores; `TERASEM_THREADS` controls the count,
 //! and results are bitwise identical at every thread count).
 //!
-//! Two implementations sit behind [`sem_linalg::backend`] dispatch:
-//!
-//! * the **reference** kernel (the "std." build) stages `D u`, the `G`
-//!   contraction and `Dᵀ` through separate per-direction buffers
-//!   (`2·dim` scratch fields per worker);
-//! * the **fused** kernel (the "perf." build) is element-resident: the
-//!   `G` contraction runs in place over the derivative buffers and the
-//!   `Dᵀ` pass accumulates directly into the output (`dim` scratch
-//!   fields), with the Helmholtz `h1·A + h2·B` diagonal shift folded
-//!   into the same per-element closure instead of a second whole-field
-//!   sweep.
-//!
-//! The two are **bitwise identical**: every matrix product goes through
-//! the same per-shape [`sem_linalg::MxmKernel::Auto`] selection, the
-//! accumulating products add one full dot per output element (see
-//! `sem_linalg::mxm::mxm_acc_with`), and the directional sums associate
-//! as `(x + y) + z` in both. Both also run the same `mxm` shapes, so the
-//! one flop account (`sem_obs::Counter::MxmFlops`, metered at the `mxm`
-//! dispatch) reads the same on either path; the pointwise `G` and
-//! Helmholtz-shift work is not in it.
+//! The element kernel is element-resident: the `G` contraction runs in
+//! place over the derivative buffers, and the `Dᵀ` pass writes the `x`
+//! term into the output and accumulates `y` (and `z`) onto it (`dim`
+//! scratch fields per worker). The Helmholtz `h1·A + h2·B` diagonal
+//! shift is folded into the same per-element closure, not a second
+//! whole-field sweep. Every product goes through the per-shape
+//! [`sem_linalg::MxmKernel::Auto`] selection, and each accumulating
+//! product adds one full dot per output element
+//! (`sem_linalg::mxm::mxm_acc_with`), so the directional sums associate
+//! as `(x + y) + z`: the result is bitwise equal to staging `D u`, `G D u`
+//! and each `Dᵀ` term through separate buffers, the oracle that
+//! `tests/fused_helmholtz.rs` keeps. The one flop account
+//! (`sem_obs::Counter::MxmFlops`, metered at the `mxm` dispatch) counts
+//! the products; the pointwise `G` and Helmholtz-shift work is not in it.
 
 use crate::space::SemOps;
 use sem_comm::par;
 use sem_linalg::tensor::{
-    apply_x, apply_y_2d, apply_y_2d_acc_with, apply_y_3d, apply_y_3d_acc_with, apply_z_3d,
-    apply_z_3d_acc_with,
+    apply_x, apply_y_2d, apply_y_2d_acc, apply_y_3d, apply_y_3d_acc, apply_z_3d, apply_z_3d_acc,
 };
-use sem_linalg::{backend, MxmKernel};
 use sem_mesh::Geometry;
 
 /// Apply the (diagonal) velocity mass matrix: `out = B u` (local,
@@ -49,82 +41,20 @@ pub fn mass_local(ops: &SemOps, u: &[f64], out: &mut [f64]) {
     par::par_fill(out, |i| bm[i] * u[i]);
 }
 
-/// Per-worker scratch length of the reference stiffness kernel: `D u`
-/// and `G D u` each need one buffer per direction (4·npts in 2D,
-/// 6·npts in 3D).
-fn reference_scratch_len(geo: &Geometry) -> usize {
-    2 * geo.dim * geo.npts
-}
-
-/// Per-worker scratch length of the fused kernel: the `G` contraction
+/// Per-worker scratch length of the element kernel: the `G` contraction
 /// runs in place and `Dᵀ` accumulates into the output, so only the
 /// derivative buffers remain (2·npts in 2D, 3·npts in 3D).
-fn fused_scratch_len(geo: &Geometry) -> usize {
+fn scratch_len(geo: &Geometry) -> usize {
     geo.dim * geo.npts
 }
 
-/// Reference per-element Laplacian: `oe = A ue` through separate
-/// derivative and contraction buffers (`scratch` of
-/// [`reference_scratch_len`]).
-fn laplace_elem_reference(geo: &Geometry, e: usize, ue: &[f64], oe: &mut [f64], scratch: &mut [f64]) {
-    let npts = geo.npts;
-    let nx = geo.nx;
-    if geo.dim == 2 {
-        let (ur, rest) = scratch.split_at_mut(npts);
-        let (us, rest) = rest.split_at_mut(npts);
-        let (wr, ws_) = rest.split_at_mut(npts);
-        let ws = &mut ws_[..npts];
-        apply_x(&geo.d1t, nx, ue, ur);
-        apply_y_2d(&geo.d1, nx, ue, us);
-        let g = &geo.g[e * npts * 3..(e + 1) * npts * 3];
-        for i in 0..npts {
-            let (grr, grs, gss) = (g[3 * i], g[3 * i + 1], g[3 * i + 2]);
-            wr[i] = grr * ur[i] + grs * us[i];
-            ws[i] = grs * ur[i] + gss * us[i];
-        }
-        // Dᵀ along x: pass the untransposed D as "axt".
-        apply_x(&geo.d1, nx, wr, ur);
-        apply_y_2d(&geo.d1t, nx, ws, us);
-        for i in 0..npts {
-            oe[i] = ur[i] + us[i];
-        }
-    } else {
-        let (ur, rest) = scratch.split_at_mut(npts);
-        let (us, rest) = rest.split_at_mut(npts);
-        let (ut, rest) = rest.split_at_mut(npts);
-        let (wr, rest) = rest.split_at_mut(npts);
-        let (ws, wt_) = rest.split_at_mut(npts);
-        let wt = &mut wt_[..npts];
-        apply_x(&geo.d1t, nx * nx, ue, ur);
-        apply_y_3d(&geo.d1, nx, nx, ue, us);
-        apply_z_3d(&geo.d1, nx * nx, ue, ut);
-        let g = &geo.g[e * npts * 6..(e + 1) * npts * 6];
-        for i in 0..npts {
-            let (grr, grs, grt) = (g[6 * i], g[6 * i + 1], g[6 * i + 2]);
-            let (gss, gst, gtt) = (g[6 * i + 3], g[6 * i + 4], g[6 * i + 5]);
-            let (a, b, c) = (ur[i], us[i], ut[i]);
-            wr[i] = grr * a + grs * b + grt * c;
-            ws[i] = grs * a + gss * b + gst * c;
-            wt[i] = grt * a + gst * b + gtt * c;
-        }
-        apply_x(&geo.d1, nx * nx, wr, ur);
-        apply_y_3d(&geo.d1t, nx, nx, ws, us);
-        apply_z_3d(&geo.d1t, nx * nx, wt, ut);
-        for i in 0..npts {
-            oe[i] = ur[i] + us[i] + ut[i];
-        }
-    }
-}
-
-/// Fused per-element Laplacian: `oe = A ue` in a single element-resident
+/// Per-element Laplacian: `oe = A ue` in a single element-resident
 /// pass. The `G` contraction overwrites the derivative buffers and the
 /// `Dᵀ` stage writes `x` then *accumulates* `y` (and `z`) straight into
-/// `oe` — same dots, same `(x + y) + z` association, bitwise equal to
-/// [`laplace_elem_reference`]. `scratch` of [`fused_scratch_len`].
-fn laplace_elem_fused(geo: &Geometry, e: usize, ue: &[f64], oe: &mut [f64], scratch: &mut [f64]) {
+/// `oe`. `scratch` of [`scratch_len`].
+fn laplace_elem(geo: &Geometry, e: usize, ue: &[f64], oe: &mut [f64], scratch: &mut [f64]) {
     let npts = geo.npts;
     let nx = geo.nx;
-    let k = MxmKernel::Auto;
     if geo.dim == 2 {
         let (ur, us_) = scratch.split_at_mut(npts);
         let us = &mut us_[..npts];
@@ -138,7 +68,7 @@ fn laplace_elem_fused(geo: &Geometry, e: usize, ue: &[f64], oe: &mut [f64], scra
             us[i] = grs * a + gss * b;
         }
         apply_x(&geo.d1, nx, ur, oe);
-        apply_y_2d_acc_with(k, &geo.d1t, nx, us, oe);
+        apply_y_2d_acc(&geo.d1t, nx, us, oe);
     } else {
         let (ur, rest) = scratch.split_at_mut(npts);
         let (us, ut_) = rest.split_at_mut(npts);
@@ -156,8 +86,8 @@ fn laplace_elem_fused(geo: &Geometry, e: usize, ue: &[f64], oe: &mut [f64], scra
             ut[i] = grt * a + gst * b + gtt * c;
         }
         apply_x(&geo.d1, nx * nx, ur, oe);
-        apply_y_3d_acc_with(k, &geo.d1t, nx, nx, us, oe);
-        apply_z_3d_acc_with(k, &geo.d1t, nx * nx, ut, oe);
+        apply_y_3d_acc(&geo.d1t, nx, nx, us, oe);
+        apply_z_3d_acc(&geo.d1t, nx * nx, ut, oe);
     }
 }
 
@@ -168,42 +98,17 @@ fn check_field_lens(ops: &SemOps, u: &[f64], out: &[f64], what: &str) {
 
 /// Apply the stiffness (Laplacian) operator: `out = A u`, local
 /// (unassembled). Follow with [`SemOps::dssum_mask`] for the global
-/// operator. Dispatches to the fused or reference kernel per the active
-/// [`sem_linalg::backend`]; results are bitwise identical either way.
+/// operator.
 pub fn stiffness_local(ops: &SemOps, u: &[f64], out: &mut [f64]) {
-    if backend::fused_operators() {
-        stiffness_local_fused(ops, u, out)
-    } else {
-        stiffness_local_reference(ops, u, out)
-    }
-}
-
-/// [`stiffness_local`] forced onto the reference ("std.") kernel.
-pub fn stiffness_local_reference(ops: &SemOps, u: &[f64], out: &mut [f64]) {
     check_field_lens(ops, u, out, "stiffness");
     let geo = &ops.geo;
     let npts = geo.npts;
     par::par_chunks_init(
         out,
         npts,
-        || vec![0.0; reference_scratch_len(geo)],
+        || vec![0.0; scratch_len(geo)],
         |scratch, e, oe| {
-            laplace_elem_reference(geo, e, &u[e * npts..(e + 1) * npts], oe, scratch);
-        },
-    );
-}
-
-/// [`stiffness_local`] forced onto the fused ("perf.") kernel.
-pub fn stiffness_local_fused(ops: &SemOps, u: &[f64], out: &mut [f64]) {
-    check_field_lens(ops, u, out, "stiffness");
-    let geo = &ops.geo;
-    let npts = geo.npts;
-    par::par_chunks_init(
-        out,
-        npts,
-        || vec![0.0; fused_scratch_len(geo)],
-        |scratch, e, oe| {
-            laplace_elem_fused(geo, e, &u[e * npts..(e + 1) * npts], oe, scratch);
+            laplace_elem(geo, e, &u[e * npts..(e + 1) * npts], oe, scratch);
         },
     );
 }
@@ -212,47 +117,18 @@ pub fn stiffness_local_fused(ops: &SemOps, u: &[f64], out: &mut [f64]) {
 ///
 /// `h1 = ν` (viscosity), `h2 = β₀/Δt` (the BDF diagonal shift) in the
 /// momentum solves of §4. The mass term is folded into the per-element
-/// closure on both backends — there is no second whole-field sweep.
+/// closure — there is no second whole-field sweep.
 pub fn helmholtz_local(ops: &SemOps, u: &[f64], out: &mut [f64], h1: f64, h2: f64) {
-    if backend::fused_operators() {
-        helmholtz_local_fused(ops, u, out, h1, h2)
-    } else {
-        helmholtz_local_reference(ops, u, out, h1, h2)
-    }
-}
-
-/// [`helmholtz_local`] forced onto the reference ("std.") kernel.
-pub fn helmholtz_local_reference(ops: &SemOps, u: &[f64], out: &mut [f64], h1: f64, h2: f64) {
     check_field_lens(ops, u, out, "helmholtz");
     let geo = &ops.geo;
     let npts = geo.npts;
     par::par_chunks_init(
         out,
         npts,
-        || vec![0.0; reference_scratch_len(geo)],
+        || vec![0.0; scratch_len(geo)],
         |scratch, e, oe| {
             let ue = &u[e * npts..(e + 1) * npts];
-            laplace_elem_reference(geo, e, ue, oe, scratch);
-            let bm = &geo.bm[e * npts..(e + 1) * npts];
-            for i in 0..npts {
-                oe[i] = h1 * oe[i] + h2 * bm[i] * ue[i];
-            }
-        },
-    );
-}
-
-/// [`helmholtz_local`] forced onto the fused ("perf.") kernel.
-pub fn helmholtz_local_fused(ops: &SemOps, u: &[f64], out: &mut [f64], h1: f64, h2: f64) {
-    check_field_lens(ops, u, out, "helmholtz");
-    let geo = &ops.geo;
-    let npts = geo.npts;
-    par::par_chunks_init(
-        out,
-        npts,
-        || vec![0.0; fused_scratch_len(geo)],
-        |scratch, e, oe| {
-            let ue = &u[e * npts..(e + 1) * npts];
-            laplace_elem_fused(geo, e, ue, oe, scratch);
+            laplace_elem(geo, e, ue, oe, scratch);
             let bm = &geo.bm[e * npts..(e + 1) * npts];
             for i in 0..npts {
                 oe[i] = h1 * oe[i] + h2 * bm[i] * ue[i];
@@ -278,7 +154,6 @@ pub fn stiffness(ops: &SemOps, u: &[f64], out: &mut [f64]) {
 mod tests {
     use super::*;
     use crate::fields::dot_weighted;
-    use sem_linalg::backend::{with_backend, Backend};
     use sem_mesh::generators::{box2d, box3d};
     use sem_mesh::Geometry;
     use sem_mesh::Mesh;
@@ -412,50 +287,6 @@ mod tests {
         for i in 0..n {
             assert!((h[i] - (h1 * a[i] + h2 * b[i])).abs() < 1e-11);
         }
-    }
-
-    #[test]
-    fn fused_matches_reference_bitwise_2d() {
-        let ops = ops_2d(3, 6);
-        let n = ops.n_velocity();
-        let u: Vec<f64> = (0..n).map(|i| (((i * 29) % 17) as f64 - 8.0) / 8.0).collect();
-        let mut r = vec![0.0; n];
-        let mut f = vec![0.0; n];
-        stiffness_local_reference(&ops, &u, &mut r);
-        stiffness_local_fused(&ops, &u, &mut f);
-        assert_eq!(r, f, "stiffness fused vs reference");
-        helmholtz_local_reference(&ops, &u, &mut r, 0.3, 11.0);
-        helmholtz_local_fused(&ops, &u, &mut f, 0.3, 11.0);
-        assert_eq!(r, f, "helmholtz fused vs reference");
-    }
-
-    #[test]
-    fn fused_matches_reference_bitwise_3d() {
-        let mesh = box3d(2, 2, 1, [0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [false; 3]);
-        let ops = SemOps::new(mesh, 4);
-        let n = ops.n_velocity();
-        let u: Vec<f64> = (0..n).map(|i| (((i * 37) % 23) as f64 - 11.0) / 11.0).collect();
-        let mut r = vec![0.0; n];
-        let mut f = vec![0.0; n];
-        helmholtz_local_reference(&ops, &u, &mut r, 1.25, 0.5);
-        helmholtz_local_fused(&ops, &u, &mut f, 1.25, 0.5);
-        assert_eq!(r, f, "helmholtz fused vs reference 3D");
-    }
-
-    #[test]
-    fn backend_knob_selects_path_with_identical_results() {
-        let ops = ops_2d(2, 5);
-        let n = ops.n_velocity();
-        let u: Vec<f64> = (0..n).map(|i| ((i % 19) as f64 - 9.0) / 9.0).collect();
-        let mut scalar = vec![0.0; n];
-        let mut simd = vec![0.0; n];
-        with_backend(Backend::Scalar, || {
-            helmholtz_local(&ops, &u, &mut scalar, 0.9, 2.0);
-        });
-        with_backend(Backend::Simd, || {
-            helmholtz_local(&ops, &u, &mut simd, 0.9, 2.0);
-        });
-        assert_eq!(scalar, simd, "results must not depend on the backend");
     }
 
     #[test]

@@ -1,15 +1,12 @@
 //! The one flop account, `Counter::MxmFlops`, metered at the `mxm`
-//! dispatch: the fused and reference Helmholtz and stiffness kernels run
-//! the same products, so they meter the same flops in the same number of
-//! calls, in 2D and 3D. A binary of its own, because the `sem_obs`
-//! counters are process-global.
+//! dispatch: the Helmholtz and stiffness kernels run the same products,
+//! so they meter the same flops in the same number of calls, in 2D and
+//! 3D. A binary of its own, because the `sem_obs` counters are
+//! process-global.
 
 use sem_mesh::generators::{box2d, box3d};
 use sem_obs::counters::{self, Counter};
-use sem_ops::laplace::{
-    helmholtz_local_fused, helmholtz_local_reference, stiffness_local_fused,
-    stiffness_local_reference,
-};
+use sem_ops::laplace::{helmholtz_local, stiffness_local};
 use sem_ops::SemOps;
 
 /// `(MxmFlops, MxmCalls)` metered by `apply`.
@@ -21,7 +18,7 @@ fn metered(apply: impl FnOnce()) -> (u64, u64) {
 }
 
 #[test]
-fn fused_and_reference_kernels_meter_the_same_mxm_work() {
+fn stiffness_and_helmholtz_meter_the_pinned_mxm_work() {
     sem_obs::set_enabled(true);
     // 3×2 box at N = 7: per element, D and Dᵀ take 2 products each of
     // 8×8 by 8×8 (1024 flops), so 6 × 4096 flops in 24 calls. 2×2×2 box
@@ -48,10 +45,8 @@ fn fused_and_reference_kernels_meter_the_same_mxm_work() {
             .collect();
         let mut out = vec![0.0; u.len()];
         let runs = [
-            metered(|| stiffness_local_reference(&ops, &u, &mut out)),
-            metered(|| stiffness_local_fused(&ops, &u, &mut out)),
-            metered(|| helmholtz_local_reference(&ops, &u, &mut out, 0.5, 2.0)),
-            metered(|| helmholtz_local_fused(&ops, &u, &mut out, 0.5, 2.0)),
+            metered(|| stiffness_local(&ops, &u, &mut out)),
+            metered(|| helmholtz_local(&ops, &u, &mut out, 0.5, 2.0)),
         ];
         for got in runs {
             assert_eq!(got, want, "{dim}D: (mxm flops, mxm calls)");

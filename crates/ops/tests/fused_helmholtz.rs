@@ -1,17 +1,14 @@
 //! The fused element-resident Helmholtz/Laplacian must be **bitwise
-//! identical** to the unfused reference path — on genuinely deformed
-//! geometry (non-constant `G_ij` with nonzero cross terms), in 2D and
-//! 3D, at every thread count, on every backend. That both meter the same
-//! flops is pinned in `flop_account.rs`.
+//! identical** to the staged `Dᵀ G D` oracle below — on genuinely
+//! deformed geometry (non-constant `G_ij` with nonzero cross terms), in
+//! 2D and 3D, and at every thread count. What it meters is pinned in
+//! `flop_account.rs`.
 
 use sem_comm::par;
-use sem_linalg::backend::{with_backend, Backend};
-use sem_ops::laplace::{
-    helmholtz_local, helmholtz_local_fused, helmholtz_local_reference, stiffness_local_fused,
-    stiffness_local_reference,
-};
-use sem_ops::SemOps;
+use sem_linalg::tensor::{apply_x, apply_y_2d, apply_y_3d, apply_z_3d};
 use sem_mesh::{BcTag, Geometry, Mesh};
+use sem_ops::laplace::{helmholtz_local, stiffness_local};
+use sem_ops::SemOps;
 
 /// Quarter annulus 1 ≤ ρ ≤ 2 at order `n`: curved 2D geometry with full
 /// cross-term metrics.
@@ -66,17 +63,69 @@ fn test_field(ops: &SemOps, seed: u64) -> Vec<f64> {
     rng.vec(ops.n_velocity(), -1.0, 1.0)
 }
 
+/// The oracle: `A u = Dᵀ G D u` staged element by element through
+/// separate buffers — `D u` per direction, `G D u` per direction, each
+/// `Dᵀ` term on its own — and summed as `(x + y) + z`.
+fn stiffness_oracle(ops: &SemOps, u: &[f64]) -> Vec<f64> {
+    let geo = &ops.geo;
+    let (npts, nx, dim) = (geo.npts, geo.nx, geo.dim);
+    let ng = dim * (dim + 1) / 2;
+    let mut out = vec![0.0; u.len()];
+    let mut d = vec![vec![0.0; npts]; dim];
+    let mut w = vec![vec![0.0; npts]; dim];
+    for e in 0..geo.k {
+        let ue = &u[e * npts..(e + 1) * npts];
+        let g = &geo.g[e * npts * ng..(e + 1) * npts * ng];
+        let oe = &mut out[e * npts..(e + 1) * npts];
+        if dim == 2 {
+            apply_x(&geo.d1t, nx, ue, &mut d[0]);
+            apply_y_2d(&geo.d1, nx, ue, &mut d[1]);
+            for i in 0..npts {
+                let (grr, grs, gss) = (g[3 * i], g[3 * i + 1], g[3 * i + 2]);
+                w[0][i] = grr * d[0][i] + grs * d[1][i];
+                w[1][i] = grs * d[0][i] + gss * d[1][i];
+            }
+            // Dᵀ along x: pass the untransposed D as "axt".
+            apply_x(&geo.d1, nx, &w[0], &mut d[0]);
+            apply_y_2d(&geo.d1t, nx, &w[1], &mut d[1]);
+            for i in 0..npts {
+                oe[i] = d[0][i] + d[1][i];
+            }
+        } else {
+            apply_x(&geo.d1t, nx * nx, ue, &mut d[0]);
+            apply_y_3d(&geo.d1, nx, nx, ue, &mut d[1]);
+            apply_z_3d(&geo.d1, nx * nx, ue, &mut d[2]);
+            for i in 0..npts {
+                let (grr, grs, grt) = (g[6 * i], g[6 * i + 1], g[6 * i + 2]);
+                let (gss, gst, gtt) = (g[6 * i + 3], g[6 * i + 4], g[6 * i + 5]);
+                let (a, b, c) = (d[0][i], d[1][i], d[2][i]);
+                w[0][i] = grr * a + grs * b + grt * c;
+                w[1][i] = grs * a + gss * b + gst * c;
+                w[2][i] = grt * a + gst * b + gtt * c;
+            }
+            apply_x(&geo.d1, nx * nx, &w[0], &mut d[0]);
+            apply_y_3d(&geo.d1t, nx, nx, &w[1], &mut d[1]);
+            apply_z_3d(&geo.d1t, nx * nx, &w[2], &mut d[2]);
+            for i in 0..npts {
+                oe[i] = d[0][i] + d[1][i] + d[2][i];
+            }
+        }
+    }
+    out
+}
+
 fn pin_bitwise(ops: &SemOps, h1: f64, h2: f64, what: &str) {
     let u = test_field(ops, 0xf05ed);
     let n = ops.n_velocity();
-    let mut reference = vec![0.0; n];
-    let mut fused = vec![f64::NAN; n];
-    stiffness_local_reference(ops, &u, &mut reference);
-    stiffness_local_fused(ops, &u, &mut fused);
-    assert_eq!(reference, fused, "{what}: stiffness fused vs reference");
-    helmholtz_local_reference(ops, &u, &mut reference, h1, h2);
-    helmholtz_local_fused(ops, &u, &mut fused, h1, h2);
-    assert_eq!(reference, fused, "{what}: helmholtz fused vs reference");
+    let oracle = stiffness_oracle(ops, &u);
+    let mut got = vec![f64::NAN; n];
+    stiffness_local(ops, &u, &mut got);
+    assert_eq!(oracle, got, "{what}: stiffness vs oracle");
+    let want: Vec<f64> = (0..n)
+        .map(|i| h1 * oracle[i] + h2 * ops.geo.bm[i] * u[i])
+        .collect();
+    helmholtz_local(ops, &u, &mut got, h1, h2);
+    assert_eq!(want, got, "{what}: helmholtz vs h1·A u + h2·B u");
 }
 
 #[test]
@@ -93,32 +142,22 @@ fn fused_matches_reference_on_deformed_3d() {
 }
 
 #[test]
-fn helmholtz_bitwise_stable_across_threads_and_backends() {
+fn helmholtz_bitwise_stable_across_threads() {
     let ops = deformed_3d(4);
     let u = test_field(&ops, 0xdef0);
     let n = ops.n_velocity();
     let (h1, h2) = (0.02, 150.0);
-    let baseline = {
-        let mut out = vec![0.0; n];
-        par::with_threads(1, || {
-            with_backend(Backend::Scalar, || {
-                helmholtz_local(&ops, &u, &mut out, h1, h2);
-            })
-        });
+    let run = |threads| {
+        let mut out = vec![f64::NAN; n];
+        par::with_threads(threads, || helmholtz_local(&ops, &u, &mut out, h1, h2));
         out
     };
+    let baseline = run(1);
     for threads in [2usize, 3, 5] {
-        for backend in [Backend::Scalar, Backend::Simd, Backend::Auto] {
-            let mut out = vec![f64::NAN; n];
-            par::with_threads(threads, || {
-                with_backend(backend, || {
-                    helmholtz_local(&ops, &u, &mut out, h1, h2);
-                })
-            });
-            assert_eq!(
-                baseline, out,
-                "threads={threads} backend={backend:?} must be bitwise stable"
-            );
-        }
+        assert_eq!(
+            baseline,
+            run(threads),
+            "threads={threads} must be bitwise stable"
+        );
     }
 }

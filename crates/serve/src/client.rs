@@ -4,20 +4,11 @@
 
 use crate::job::JobSpec;
 use crate::proto::{self, field};
+use sem_linalg::rng::SplitMix64;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::Path;
 use std::time::Duration;
-
-/// SplitMix64 — the workspace's standard tiny PRNG, used here to jitter
-/// backoff delays so a rejected fleet doesn't retry in lockstep.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
 
 /// Outcome of one `submit` attempt.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -123,12 +114,12 @@ impl Client {
         max_attempts: u32,
         seed: u64,
     ) -> io::Result<Result<u64, Submit>> {
-        let mut rng = seed ^ 0x5e4e_5e4e_5e4e_5e4e;
+        let mut rng = SplitMix64::new(seed ^ 0x5e4e_5e4e_5e4e_5e4e);
         for attempt in 0..max_attempts.max(1) {
             match self.submit(spec)? {
                 Submit::Admitted(id) => return Ok(Ok(id)),
                 Submit::Overloaded { retry_after_ms } if attempt + 1 < max_attempts => {
-                    let jitter = splitmix64(&mut rng) % (retry_after_ms / 2 + 1);
+                    let jitter = rng.next_u64() % (retry_after_ms / 2 + 1);
                     std::thread::sleep(Duration::from_millis(retry_after_ms + jitter));
                 }
                 terminal => return Ok(Err(terminal)),
@@ -236,16 +227,5 @@ mod tests {
         assert_eq!(resolve_addr(&arg).unwrap(), "127.0.0.1:4242");
         assert!(resolve_addr("@/nonexistent-dir-xyz").is_err());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn jitter_is_seeded_and_bounded() {
-        let mut a = 7u64;
-        let mut b = 7u64;
-        for _ in 0..100 {
-            let x = splitmix64(&mut a);
-            assert_eq!(x, splitmix64(&mut b), "same seed, same stream");
-            assert!(x % (120 / 2 + 1) <= 60);
-        }
     }
 }

@@ -21,7 +21,6 @@ use sem_bench::workloads::shear_layer;
 use sem_ns::{FaultPlan, NsSolver, RecoveryPolicy, RunPolicy, RunSupervisor};
 use sem_obs::exit;
 use sem_obs::sink::{FileSink, SinkHandle};
-use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -97,25 +96,6 @@ pub fn worker_env() -> bool {
     env(ENV_WORKER).is_some()
 }
 
-/// Watch stdin, the pipe whose write end only the daemon holds: EOF
-/// means the daemon is gone, and the worker exits at once. Crash-only —
-/// a checkpoint write cut short is a `.tmp` file the next attempt skips.
-fn exit_when_daemon_dies() {
-    std::thread::spawn(|| {
-        let mut buf = [0u8; 64];
-        let mut stdin = std::io::stdin();
-        loop {
-            match stdin.read(&mut buf) {
-                Ok(0) => break,
-                Err(e) if e.kind() != std::io::ErrorKind::Interrupted => break,
-                _ => {}
-            }
-        }
-        eprintln!("sem-serve worker: daemon gone (stdin closed), exiting");
-        std::process::exit(exit::FAILURE);
-    });
-}
-
 /// Worker entry point; never returns. All failure paths are structured
 /// exits — a worker must never leave the daemon guessing.
 pub fn worker_main() -> ! {
@@ -136,7 +116,9 @@ pub fn worker_main() -> ! {
         .unwrap_or(600.0);
 
     signal::install_term_handler();
-    exit_when_daemon_dies();
+    // Crash-only: a checkpoint write cut short by the daemon's death is
+    // a `.tmp` file the next attempt skips.
+    exit::exit_when_parent_dies("sem-serve worker");
     // Counters/spans are process-global and gated on this flag; the
     // solver's per-record sink/rank routing handles attribution.
     sem_obs::set_enabled(true);

@@ -13,9 +13,6 @@ use sem_linalg::vector::{axpy, xpby};
 pub struct CgOptions {
     /// Absolute tolerance on the (preconditioned) residual norm √(rᵀz).
     pub tol: f64,
-    /// Relative tolerance against the initial residual norm (whichever of
-    /// absolute/relative is hit first stops the iteration).
-    pub rtol: f64,
     /// Iteration cap.
     pub max_iter: usize,
 }
@@ -24,7 +21,6 @@ impl Default for CgOptions {
     fn default() -> Self {
         CgOptions {
             tol: 1e-12,
-            rtol: 0.0,
             max_iter: 2000,
         }
     }
@@ -131,7 +127,7 @@ pub fn pcg(
     project(&mut z);
     let mut rz = dot(&r, &z);
     let initial_residual = rz.abs().sqrt();
-    let target = opts.tol.max(opts.rtol * initial_residual);
+    let target = opts.tol;
     if initial_residual <= target {
         return CgResult {
             iterations: 0,
@@ -493,7 +489,6 @@ mod tests {
             &CgOptions {
                 tol: 1e-12,
                 max_iter: 500,
-                ..Default::default()
             },
         );
         assert!(!res.converged);
@@ -518,29 +513,5 @@ mod tests {
         );
         assert!(res.converged);
         assert_eq!(res.breakdown, None);
-    }
-
-    #[test]
-    fn relative_tolerance_stops_early() {
-        let n = 50;
-        let a = laplacian(n);
-        let b = vec![1.0; n];
-        let mut x = vec![0.0; n];
-        let res = pcg(
-            &mut x,
-            &b,
-            |p, ap| a.matvec_into(p, ap),
-            |r, z| z.copy_from_slice(r),
-            plain_dot,
-            |_| {},
-            &CgOptions {
-                tol: 0.0,
-                rtol: 1e-2,
-                ..Default::default()
-            },
-        );
-        assert!(res.converged);
-        assert!(res.residual <= 1e-2 * res.initial_residual);
-        assert!(res.iterations < n);
     }
 }

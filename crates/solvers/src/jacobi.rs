@@ -201,7 +201,6 @@ mod tests {
             CgOptions {
                 tol: 1e-12,
                 max_iter: 3000,
-                ..Default::default()
             },
         );
         let mut x = vec![0.0; n];
@@ -227,7 +226,6 @@ mod tests {
         let opts = CgOptions {
             tol: 1e-11,
             max_iter: 5000,
-            ..Default::default()
         };
         let solver = HelmholtzSolver::new(&ops, h1, h2, opts);
         let mut x1 = vec![0.0; n];

@@ -261,8 +261,7 @@ mod tests {
             &ops,
             0,
             CgOptions {
-                tol: 0.0,
-                rtol: 1e-9,
+                tol: 1e-11,
                 max_iter: 1000,
             },
         );
@@ -293,7 +292,6 @@ mod tests {
         // relative depth and projection would not change the count.
         let opts = CgOptions {
             tol: 1e-7,
-            rtol: 0.0,
             max_iter: 1000,
         };
         // Without projection.
@@ -320,8 +318,7 @@ mod tests {
     fn initial_residual_drops_with_history() {
         let ops = ops2d(2, 5);
         let opts = CgOptions {
-            tol: 0.0,
-            rtol: 1e-9,
+            tol: 1e-11,
             max_iter: 1000,
         };
         let mut s = PressureSolver::new(&ops, 10, opts);

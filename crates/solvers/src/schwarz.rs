@@ -442,8 +442,7 @@ mod tests {
                 v.iter_mut().for_each(|x| *x -= m);
             },
             &CgOptions {
-                tol: 0.0,
-                rtol: 1e-8,
+                tol: 1e-10,
                 max_iter: 3000,
             },
         );

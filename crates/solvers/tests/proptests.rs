@@ -46,7 +46,6 @@ fn cg_converges_on_spd() {
             &CgOptions {
                 tol: 1e-10,
                 max_iter: 10 * n + 20,
-                ..Default::default()
             },
         );
         assert!(res.converged);

@@ -12,6 +12,8 @@ cargo test -q --offline -p sem-obs
 # tested optimized too: ordering bugs often show only there, and the
 # benchmark measures an optimized build.
 cargo test -q --release --offline -p sem-comm
+# So are the runtime-chosen `unsafe` SIMD mxm kernels, for the same reason.
+cargo test -q --release --offline -p sem-linalg
 cargo bench --no-run --offline -p sem-bench
 scripts/metrics_smoke.sh
 scripts/fault_smoke.sh

@@ -34,12 +34,10 @@ fn orr_sommerfeld_growth_rate_end_to_end() {
         pressure_cg: CgOptions {
             tol: 1e-10,
             max_iter: 4000,
-            ..Default::default()
         },
         helmholtz_cg: CgOptions {
             tol: 1e-12,
             max_iter: 4000,
-            ..Default::default()
         },
         ..Default::default()
     };
@@ -109,7 +107,6 @@ fn bump_channel_3d_steps_stably() {
         pressure_cg: CgOptions {
             tol: 1e-6,
             max_iter: 4000,
-            ..Default::default()
         },
         schwarz: SchwarzConfig {
             overlap: 0,
@@ -155,7 +152,6 @@ fn filter_stabilizes_underresolved_shear_layer() {
             pressure_cg: CgOptions {
                 tol: 1e-7,
                 max_iter: 4000,
-                ..Default::default()
             },
             ..Default::default()
         };

@@ -35,7 +35,6 @@ fn poisson_spectral_convergence_under_p_refinement() {
             CgOptions {
                 tol: 1e-13,
                 max_iter: 4000,
-                ..Default::default()
             },
         );
         let mut u = vec![0.0; ops.n_velocity()];
@@ -89,7 +88,6 @@ fn helmholtz_on_curved_annulus() {
         CgOptions {
             tol: 1e-12,
             max_iter: 4000,
-            ..Default::default()
         },
     );
     let mut u0 = vec![0.0; ops.n_velocity()];
@@ -131,7 +129,6 @@ fn pressure_solver_on_annulus_with_all_components() {
         CgOptions {
             tol: 1e-8,
             max_iter: 5000,
-            ..Default::default()
         },
     );
     let mut iters = Vec::new();
@@ -211,7 +208,6 @@ fn schwarz_variants_agree_on_solution() {
             &CgOptions {
                 tol: 1e-10,
                 max_iter: 5000,
-                ..Default::default()
             },
         );
         assert!(res.converged, "({overlap}, {local:?})");
