@@ -1,4 +1,5 @@
-//! Microbench of the gather-scatter kernel (§6): scalar vs vector mode,
+//! Microbench of the gather-scatter kernel (§6): scalar vs vector mode
+//! (three component-major fields in one exchange),
 //! and the distributed form's per-op cost with all ranks in one process
 //! (pack, in-process delivery, fold).
 //! Runs on the in-repo harness ([`sem_bench::timing`]).
@@ -25,7 +26,7 @@ fn main() {
     });
     let mut uv: Vec<f64> = (0..nl * 3).map(|i| (i as f64 * 0.17).cos()).collect();
     group.bench("vector3_add", || {
-        gs.gs_vec(&mut uv, 3, GsOp::Add);
+        gs.gs_fields(&mut uv, 3, GsOp::Add);
         std::hint::black_box(&mut uv);
     });
     // Distributed over 8 ranks in one process (RSB partition).

@@ -1,6 +1,7 @@
 //! Microbench behind Table 3: the mxm kernel family on representative
-//! SEM shapes (square operator, long-C, coarse mapping). Runs on the
-//! in-repo harness ([`sem_bench::timing`]).
+//! SEM shapes (square operator, long-C, coarse mapping), plus the
+//! narrow products of the `E = D B̄⁻¹ Dᵀ` apply at the hairpin's
+//! `N = 5`. Runs on the in-repo harness ([`sem_bench::timing`]).
 
 use sem_bench::timing::BenchGroup;
 use sem_linalg::mxm::{mxm_flops, mxm_with, MxmKernel};
@@ -11,6 +12,11 @@ fn main() {
         (16, 14, 196),               // pressure interpolation, long C
         (2, 14, 2),                  // coarse mapping (2 × N₂)·(N₂ × 2)
         (256, 16, 16),               // z-direction 3D contraction
+        (36, 6, 6),                  // N = 5: x-direction derivative
+        (6, 6, 6),                   // N = 5: y-slab derivative
+        (16, 4, 6),                  // N = 5: Gauss → GLL, x stage
+        (36, 6, 4),                  // N = 5: GLL → Gauss, x stage
+        (4, 6, 4),                   // N = 5: GLL → Gauss, y slab
     ];
     for (n1, n2, n3) in shapes {
         let mut group = BenchGroup::new(&format!("mxm_{n1}x{n2}x{n3}"));

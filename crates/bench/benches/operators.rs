@@ -7,7 +7,8 @@
 //! Runs on the in-repo harness ([`sem_bench::timing`]).
 //!
 //! Each entry carries the operator's median time per call
-//! (`median_s`), plus `gflops` for stiffness and Helmholtz.
+//! (`median_s`), plus `gflops` for stiffness, Helmholtz and `E`: one
+//! call's metered `mxm` flops over its median.
 //! Set `TERASEM_BENCH_JSON=<path>` to also write a `terasem-bench-v1`
 //! snapshot (the committed `results/BENCH_operators.json`).
 
@@ -19,6 +20,13 @@ use sem_ops::convect::{contravariant, convect, convect_contravariant};
 use sem_ops::laplace::{helmholtz_local, stiffness_local};
 use sem_ops::pressure::EOperator;
 use sem_ops::SemOps;
+
+/// The `mxm` flops `apply` meters (the counters must be on).
+fn metered_flops(apply: impl FnOnce()) -> u64 {
+    let flops0 = counters::get(Counter::MxmFlops);
+    apply();
+    counters::get(Counter::MxmFlops) - flops0
+}
 
 fn main() {
     // 2D: K = 64, N = 8.
@@ -34,13 +42,17 @@ fn main() {
         let n = ops.n_velocity();
         let u: Vec<f64> = (0..n).map(|i| (i as f64 * 0.13).sin()).collect();
         let mut out = vec![0.0; n];
+        let np = ops.n_pressure();
+        let p: Vec<f64> = (0..np).map(|i| (i as f64 * 0.29).cos()).collect();
+        let mut ep = vec![0.0; np];
+        let mut e = EOperator::new(ops);
         // Throughput flops: the mxm flop account of one stiffness call
-        // (Helmholtz runs the same products), metered with the counters
-        // on; they go off again so the timed loops count nothing.
+        // (Helmholtz runs the same products) and of one E call, metered
+        // with the counters on; they go off again so the timed loops
+        // count nothing.
         sem_obs::set_enabled(true);
-        let flops0 = counters::get(Counter::MxmFlops);
-        stiffness_local(ops, &u, &mut out);
-        let flops = counters::get(Counter::MxmFlops) - flops0;
+        let flops = metered_flops(|| stiffness_local(ops, &u, &mut out));
+        let e_flops = metered_flops(|| e.apply(ops, &p, &mut ep));
         sem_obs::set_enabled(false);
         let mut group = BenchGroup::new(&format!("operators_{label}"));
         group.sample_size(20);
@@ -55,11 +67,7 @@ fn main() {
             std::hint::black_box(&mut out);
         });
         medians.push(("helmholtz", s.median));
-        let np = ops.n_pressure();
-        let p: Vec<f64> = (0..np).map(|i| (i as f64 * 0.29).cos()).collect();
-        let mut ep = vec![0.0; np];
-        let mut e = EOperator::new(ops);
-        let s = group.bench("consistent_poisson_e", || {
+        let s = group.throughput("consistent_poisson_e", e_flops, || {
             e.apply(ops, &p, &mut ep);
             std::hint::black_box(&mut ep);
         });
@@ -84,8 +92,13 @@ fn main() {
         for (op, median) in medians {
             let e = snap.entry(&format!("{label}/{op}"));
             e.num("median_s", median);
-            if op == "stiffness" || op == "helmholtz" {
-                e.num("gflops", flops as f64 / median / 1e9);
+            let op_flops = match op {
+                "stiffness" | "helmholtz" => Some(flops),
+                "consistent_poisson_e" => Some(e_flops),
+                _ => None,
+            };
+            if let Some(f) = op_flops {
+                e.num("gflops", f as f64 / median / 1e9);
             }
         }
     }

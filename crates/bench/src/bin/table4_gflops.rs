@@ -73,7 +73,11 @@ struct StepProfile {
     flops: f64,
     press_iters: f64,
     helm_iters: f64,
+    /// Gather-scatter calls per step: each pays the message latencies.
     gs_ops: f64,
+    /// Scalar fields exchanged per step: each moves one field's shared
+    /// copies (a multi-field call counts once per field).
+    gs_fields: f64,
     cg_allreduce: f64,
 }
 
@@ -100,6 +104,7 @@ fn main() {
         press_iters: 0.0,
         helm_iters: 0.0,
         gs_ops: 0.0,
+        gs_fields: 0.0,
         cg_allreduce: 0.0,
     };
     // Flops and gather-scatter counts come from the sem_obs registries
@@ -120,19 +125,29 @@ fn main() {
     let dc = sem_obs::counters::snapshot().delta(&c0);
     prof.flops = dc.get(sem_obs::Counter::MxmFlops) as f64;
     prof.gs_ops = dc.get(sem_obs::Counter::GsCalls) as f64;
+    // One scalar field's shared copies: the words one field moves.
+    let num = &s.ops.num;
+    let field_words = num
+        .ids
+        .iter()
+        .filter(|&&g| num.multiplicity[g] >= 2)
+        .count();
+    prof.gs_fields = dc.get(sem_obs::Counter::GsWords) as f64 / field_words as f64;
     let inv = 1.0 / steps as f64;
     prof.flops *= inv;
     prof.press_iters *= inv;
     prof.helm_iters *= inv;
     prof.gs_ops *= inv;
+    prof.gs_fields *= inv;
     prof.cg_allreduce *= inv;
     println!(
         "  measured: {:.1} Mflop/step (mxm), {:.1} pressure + {:.1} Helmholtz iters/step, \
-         {:.0} gather-scatters/step",
+         {:.0} gather-scatters/step moving {:.0} fields",
         prof.flops / 1e6,
         prof.press_iters,
         prof.helm_iters,
-        prof.gs_ops
+        prof.gs_ops,
+        prof.gs_fields
     );
 
     // --- scale to the paper's problem -----------------------------------
@@ -202,7 +217,9 @@ fn main() {
         let mut coarse_frac = 0.0;
         for (_, m) in &models {
             let t_compute = flops_step_big / (p as f64 * m.flop_rate);
-            let t_gs = prof.gs_ops * (nbrs_per_rank * m.latency + bytes_per_gs * m.inv_bandwidth);
+            // Latency per call, bandwidth per field exchanged.
+            let t_gs = prof.gs_ops * nbrs_per_rank * m.latency
+                + prof.gs_fields * bytes_per_gs * m.inv_bandwidth;
             let t_allreduce = prof.cg_allreduce * m.allreduce_time(p, 8);
             let t_coarse = prof.press_iters * xxt.parallel_cost(p, m).total();
             let t_step = t_compute + t_gs + t_allreduce + t_coarse;

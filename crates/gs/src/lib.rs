@@ -14,7 +14,8 @@
 //!
 //! [`GsHandle`] reproduces that interface for one address space (element
 //! loops run through `sem_comm::par`), including the **vector mode** for
-//! multiple degrees of freedom per node and the general set of
+//! multiple degrees of freedom per node ([`GsHandle::gs_fields`]: several
+//! component-major fields in one exchange) and the general set of
 //! commutative/associative reduction operations.
 //!
 //! [`RankGs`] is the distributed form: one rank's local node array, one

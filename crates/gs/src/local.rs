@@ -140,6 +140,26 @@ impl GsHandle {
     /// Panics if `u.len()` differs from the init length.
     pub fn gs(&self, u: &mut [f64], op: GsOp) {
         assert_eq!(u.len(), self.n_local, "gs_op: vector length mismatch");
+        self.gs_fields(u, 1, op);
+    }
+
+    /// Vector mode (the paper's multi-dof-per-node `gs_op`): `u` holds
+    /// `fields` scalar fields component-major — field `f` is
+    /// `u[f·n..(f + 1)·n]`, `n` = [`GsHandle::n_local`] — and all of
+    /// them are exchanged in one sweep over the groups. Each field's
+    /// copies fold exactly as [`GsHandle::gs`] folds them, so the result
+    /// is bitwise-equal to `fields` separate `gs` calls. It is metered as
+    /// one call moving `fields` words per shared copy, and an injected
+    /// exchange drop skips it whole, leaving every field untouched.
+    ///
+    /// # Panics
+    /// Panics if `u.len() != n_local * fields`.
+    pub fn gs_fields(&self, u: &mut [f64], fields: usize, op: GsOp) {
+        assert_eq!(
+            u.len(),
+            self.n_local * fields,
+            "gs_fields: vector length mismatch"
+        );
         if sem_obs::fault::fire(sem_obs::fault::FaultSite::GsExchange) {
             // Injected exchange drop: skip the combine entirely, leaving
             // every shared copy stale — finite but wrong, detectable only
@@ -147,66 +167,41 @@ impl GsHandle {
             // (`sem_obs::fault::take_fired`).
             return;
         }
-        self.charge_exchange(1);
-        self.fold(u, op);
+        self.charge_exchange(fields);
+        self.fold(u, fields, op);
     }
 
-    /// The gather-scatter fold loop, shared by [`GsHandle::gs`] and
-    /// [`crate::RankGs::fold`]: each group's copies are combined with `op`
-    /// from its identity in stored order, and the result is written back
-    /// to every copy. Both store a group's copies in ascending canonical
-    /// (serial) position, which is what makes a distributed fold
-    /// bitwise-equal to the serial one.
-    pub(crate) fn fold(&self, u: &mut [f64], op: GsOp) {
+    /// The gather-scatter fold loop, shared by [`GsHandle::gs_fields`]
+    /// and [`crate::RankGs::fold`]: `u` holds `fields` fields of
+    /// `n_local` slots, component-major. Each group's copies are combined
+    /// with `op` from its identity in stored order, field by field, and
+    /// the result is written back to every copy. Both store a group's
+    /// copies in ascending canonical (serial) position, which is what
+    /// makes a distributed fold bitwise-equal to the serial one.
+    pub(crate) fn fold(&self, u: &mut [f64], fields: usize, op: GsOp) {
         for g in 0..self.num_groups() {
             let lo = self.offsets[g] as usize;
             let hi = self.offsets[g + 1] as usize;
-            let mut acc = op.identity();
-            for &i in &self.idx[lo..hi] {
-                acc = op.combine(acc, u[i as usize]);
-            }
-            for &i in &self.idx[lo..hi] {
-                u[i as usize] = acc;
-            }
-        }
-    }
-
-    /// Vector mode: `u` holds `stride` degrees of freedom per node,
-    /// node-major (`u[node * stride + c]`); all components are exchanged
-    /// in one pass (the paper's multi-dof-per-vertex mode).
-    ///
-    /// # Panics
-    /// Panics if `u.len() != n_local * stride`.
-    pub fn gs_vec(&self, u: &mut [f64], stride: usize, op: GsOp) {
-        assert_eq!(u.len(), self.n_local * stride, "gs_vec: length mismatch");
-        self.charge_exchange(stride);
-        let mut acc = vec![0.0; stride];
-        for g in 0..self.num_groups() {
-            let lo = self.offsets[g] as usize;
-            let hi = self.offsets[g + 1] as usize;
-            acc.iter_mut().for_each(|a| *a = op.identity());
-            for &i in &self.idx[lo..hi] {
-                let base = i as usize * stride;
-                for c in 0..stride {
-                    acc[c] = op.combine(acc[c], u[base + c]);
+            let copies = &self.idx[lo..hi];
+            for f in 0..fields {
+                let base = f * self.n_local;
+                let mut acc = op.identity();
+                for &i in copies {
+                    acc = op.combine(acc, u[base + i as usize]);
                 }
-            }
-            for &i in &self.idx[lo..hi] {
-                let base = i as usize * stride;
-                u[base..base + stride].copy_from_slice(&acc);
+                for &i in copies {
+                    u[base + i as usize] = acc;
+                }
             }
         }
     }
 
     /// Charge one exchange to the sem-obs counters: every shared-node
-    /// copy touched is one word read+combined per dof component — the
+    /// copy touched is one word read+combined per field — the
     /// communication volume the paper's RSB partitioning minimizes.
     #[inline]
-    pub(crate) fn charge_exchange(&self, stride: usize) {
-        sem_obs::counters::add(
-            sem_obs::Counter::GsWords,
-            (self.idx.len() * stride) as u64,
-        );
+    pub(crate) fn charge_exchange(&self, fields: usize) {
+        sem_obs::counters::add(sem_obs::Counter::GsWords, (self.idx.len() * fields) as u64);
         sem_obs::counters::add(sem_obs::Counter::GsCalls, 1);
     }
 
@@ -282,20 +277,14 @@ mod tests {
     fn vector_mode_matches_scalar_per_component() {
         let ids = simple_ids();
         let h = GsHandle::new(&ids);
-        let stride = 3;
-        let mut uv: Vec<f64> = (0..ids.len() * stride).map(|i| i as f64).collect();
-        let mut scalars: Vec<Vec<f64>> = (0..stride)
-            .map(|c| (0..ids.len()).map(|i| (i * stride + c) as f64).collect())
-            .collect();
-        h.gs_vec(&mut uv, stride, GsOp::Add);
+        let (n, fields) = (ids.len(), 3);
+        let mut uv: Vec<f64> = (0..n * fields).map(|i| i as f64).collect();
+        let mut scalars: Vec<Vec<f64>> = uv.chunks(n).map(<[f64]>::to_vec).collect();
+        h.gs_fields(&mut uv, fields, GsOp::Add);
         for s in scalars.iter_mut() {
             h.gs(s, GsOp::Add);
         }
-        for node in 0..ids.len() {
-            for c in 0..stride {
-                assert_eq!(uv[node * stride + c], scalars[c][node]);
-            }
-        }
+        assert_eq!(uv, scalars.concat());
     }
 
     #[test]

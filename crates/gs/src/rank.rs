@@ -211,7 +211,7 @@ impl RankGs {
         );
         let mut ext: Vec<f64> = u.iter().chain(inbox.iter().flatten()).copied().collect();
         self.groups.charge_exchange(1);
-        self.groups.fold(&mut ext, op);
+        self.groups.fold(&mut ext, 1, op);
         u.copy_from_slice(&ext[..self.n_local]);
     }
 }

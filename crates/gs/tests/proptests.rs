@@ -69,26 +69,26 @@ fn gs_minmax_idempotent() {
     });
 }
 
-/// Vector mode equals per-component scalar application.
+/// Vector mode (`gs_fields` over component-major fields) equals
+/// per-field scalar application bit for bit, for every reduction op.
 #[test]
 fn gs_vector_mode_equivalence() {
     forall("gs_vector_mode_equivalence", 0x65c0_0003, CASES, |rng| {
         let ids = random_ids(rng);
-        let stride = rng.range(1, 4);
+        let fields = rng.range(1, 4);
         let h = GsHandle::new(&ids);
         let n = ids.len();
-        let mut uv = rng.vec(n * stride, -5.0, 5.0);
-        let mut per: Vec<Vec<f64>> = (0..stride)
-            .map(|c| (0..n).map(|i| uv[i * stride + c]).collect())
-            .collect();
-        h.gs_vec(&mut uv, stride, GsOp::Add);
-        for comp in per.iter_mut() {
-            h.gs(comp, GsOp::Add);
-        }
-        for i in 0..n {
-            for c in 0..stride {
-                assert!((uv[i * stride + c] - per[c][i]).abs() < 1e-12);
+        let data = rng.vec(n * fields, -5.0, 5.0);
+        for op in [GsOp::Add, GsOp::Mul, GsOp::Min, GsOp::Max] {
+            let mut uv = data.clone();
+            h.gs_fields(&mut uv, fields, op);
+            let mut per: Vec<Vec<f64>> = data.chunks(n).map(<[f64]>::to_vec).collect();
+            for field in per.iter_mut() {
+                h.gs(field, op);
             }
+            let want: Vec<u64> = per.concat().iter().map(|v| v.to_bits()).collect();
+            let got: Vec<u64> = uv.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "{op:?}, {fields} fields");
         }
     });
 }

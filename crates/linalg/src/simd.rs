@@ -30,6 +30,19 @@
 //! input, including remainder lanes and unaligned sizes (all loads are
 //! unaligned loads). This is pinned by `tests/simd_bitwise.rs`, and it
 //! is why solver results do not depend on the host's ISA.
+//!
+//! ## Row blocking for narrow `C`
+//!
+//! Walking `C` one row at a time leaves a narrow product (`n₃ < 8`,
+//! e.g. the `(36,6,6)` x-contraction at `N = 5`) with one or two
+//! 4-lane accumulators per row: each row is a single dependent add
+//! chain, and the adder's latency, not its throughput, sets the rate.
+//! The AVX2 kernel therefore runs four rows of `A` per step on narrow
+//! `C`, reusing each loaded row of `B` across them, so 4–12 independent
+//! chains are in flight. Blocking changes which elements are computed
+//! together, never the arithmetic of any one element, so the sequence
+//! above — and bitwise identity with the scalar fallback — holds on
+//! this path too. SSE2 and NEON keep the per-row loop.
 
 use std::sync::OnceLock;
 
@@ -160,6 +173,128 @@ unsafe fn mxm_avx2<const ACC: bool>(
             m += 1;
         }
     }
+}
+
+/// [`mxm_avx2`] for a narrow `C` (`n₃ < 8`): whole 4-row blocks
+/// through [`mxm_avx2_rows4`], then the leftover rows through the
+/// per-row loop. A separate entry, so that wider products run the
+/// per-row kernel with nothing in front of it.
+///
+/// # Safety
+/// As [`mxm_avx2_rows4`], with `N3 = n3`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn mxm_avx2_narrow<const ACC: bool>(
+    a: &[f64],
+    n1: usize,
+    n2: usize,
+    b: &[f64],
+    n3: usize,
+    c: &mut [f64],
+) {
+    let done = match n3 {
+        1 => mxm_avx2_rows4::<ACC, 1>(a, n1, n2, b, c),
+        2 => mxm_avx2_rows4::<ACC, 2>(a, n1, n2, b, c),
+        3 => mxm_avx2_rows4::<ACC, 3>(a, n1, n2, b, c),
+        4 => mxm_avx2_rows4::<ACC, 4>(a, n1, n2, b, c),
+        5 => mxm_avx2_rows4::<ACC, 5>(a, n1, n2, b, c),
+        6 => mxm_avx2_rows4::<ACC, 6>(a, n1, n2, b, c),
+        7 => mxm_avx2_rows4::<ACC, 7>(a, n1, n2, b, c),
+        _ => 0,
+    };
+    mxm_avx2::<ACC>(&a[done * n2..], n1 - done, n2, b, n3, &mut c[done * n3..]);
+}
+
+/// The row-blocked path of [`mxm_avx2`] for a narrow `C` of `N3 < 8`
+/// columns: rows `l..l + 4` per step, each loaded row of `B` reused
+/// across the four rows of `A`. A row of `C` splits into a 4-lane
+/// block (`N3 ≥ 4`), a 2-lane block and a scalar column (odd `N3`), so
+/// `4 × (1 to 3)` accumulators run side by side; each still sums its
+/// element's products in ascending `i` from zero, multiply then add,
+/// with `ACC`'s one add onto `C` last. Returns the first row not done
+/// (`n₁` rounded down to a multiple of 4).
+///
+/// # Safety
+/// The host must support AVX2, and `a`, `b` and `c` must hold at least
+/// `n1·n2`, `n2·N3` and `n1·N3` values ([`crate::mxm::mxm_with`]'s
+/// dimension check guarantees both lengths).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn mxm_avx2_rows4<const ACC: bool, const N3: usize>(
+    a: &[f64],
+    n1: usize,
+    n2: usize,
+    b: &[f64],
+    c: &mut [f64],
+) -> usize {
+    use std::arch::x86_64::*;
+    // Column split, fixed per instantiation: [0, m2) in 4 lanes,
+    // [m2, m2 + 2) in 2 lanes, column N3 − 1 in a scalar.
+    let w4 = N3 >= 4;
+    let m2 = if w4 { 4 } else { 0 };
+    let w2 = N3 - m2 >= 2;
+    let w1 = N3 % 2 == 1;
+    let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    let mut l = 0;
+    while l + 4 <= n1 {
+        let mut v4 = [_mm256_setzero_pd(); 4];
+        let mut v2 = [_mm_setzero_pd(); 4];
+        let mut v1 = [0.0f64; 4];
+        for i in 0..n2 {
+            let brow = bp.add(i * N3);
+            let b4 = if w4 {
+                _mm256_loadu_pd(brow)
+            } else {
+                _mm256_setzero_pd()
+            };
+            let b2 = if w2 {
+                _mm_loadu_pd(brow.add(m2))
+            } else {
+                _mm_setzero_pd()
+            };
+            let b1 = if w1 { *brow.add(N3 - 1) } else { 0.0 };
+            for r in 0..4 {
+                let ai = *ap.add((l + r) * n2 + i);
+                if w4 {
+                    v4[r] = _mm256_add_pd(v4[r], _mm256_mul_pd(_mm256_set1_pd(ai), b4));
+                }
+                if w2 {
+                    v2[r] = _mm_add_pd(v2[r], _mm_mul_pd(_mm_set1_pd(ai), b2));
+                }
+                if w1 {
+                    v1[r] += ai * b1;
+                }
+            }
+        }
+        for r in 0..4 {
+            let crow = cp.add((l + r) * N3);
+            if w4 {
+                let mut acc = v4[r];
+                if ACC {
+                    acc = _mm256_add_pd(_mm256_loadu_pd(crow), acc);
+                }
+                _mm256_storeu_pd(crow, acc);
+            }
+            if w2 {
+                let mut acc = v2[r];
+                if ACC {
+                    acc = _mm_add_pd(_mm_loadu_pd(crow.add(m2)), acc);
+                }
+                _mm_storeu_pd(crow.add(m2), acc);
+            }
+            if w1 {
+                let slot = crow.add(N3 - 1);
+                if ACC {
+                    *slot += v1[r];
+                } else {
+                    *slot = v1[r];
+                }
+            }
+        }
+        l += 4;
+    }
+    l
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -301,6 +436,10 @@ pub(crate) fn mxm_simd_impl<const ACC: bool>(
         // SAFETY: detected_isa() only reports an ISA after runtime
         // feature detection confirmed the host supports it; slice bounds
         // are checked by the caller's check_dims.
+        #[cfg(target_arch = "x86_64")]
+        SimdIsa::Avx2 if n3 < 8 && n1 >= 4 => unsafe {
+            mxm_avx2_narrow::<ACC>(a, n1, n2, b, n3, c)
+        },
         #[cfg(target_arch = "x86_64")]
         SimdIsa::Avx2 => unsafe { mxm_avx2::<ACC>(a, n1, n2, b, n3, c) },
         #[cfg(target_arch = "x86_64")]

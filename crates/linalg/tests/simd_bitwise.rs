@@ -3,7 +3,8 @@
 //! every SIMD variant the host can run — is **bitwise identical** to the
 //! scalar `naive` kernel, over the paper's Table 3 shape menu
 //! (`n ∈ {2, N₂, N₁, N₂², N₁²}` for `N = 15`), remainder-lane widths,
-//! and unaligned (offset) slices. The accumulating entry point
+//! the AVX2 kernel's four-row blocks for narrow `C`, and unaligned
+//! (offset) slices. The accumulating entry point
 //! `mxm_acc_with` is likewise pinned to "full dot, then one add".
 //!
 //! `unroll4` is deliberately absent: it reorders the reduction, which is
@@ -24,6 +25,10 @@ const ORDER_PRESERVING: [MxmKernel; 5] = [
 
 /// Paper shape menu for N = 15: N₁ = 16, N₂ = 14.
 const PAPER_DIMS: [usize; 5] = [2, 14, 16, 196, 256];
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
 
 fn check_shape(rng: &mut SplitMix64, n1: usize, n2: usize, n3: usize) {
     let a = rng.vec(n1 * n2, -1.0, 1.0);
@@ -103,6 +108,41 @@ fn unaligned_slices_are_bitwise_identical() {
                 "kernel {} differs on unaligned ({n1},{n2},{n3})+({oa},{ob},{oc})",
                 k.name()
             );
+        }
+    });
+}
+
+#[test]
+fn narrow_row_blocks_are_bitwise_identical() {
+    // Narrow C (n3 < 8) runs four rows of A per step on AVX2: n1 sweeps
+    // whole blocks, every leftover-row count and the (36,·,·) shapes of
+    // the N = 5 operators; n3 sweeps every lane split of a narrow row;
+    // every operand sits at an unaligned offset, and both the
+    // overwriting and the accumulating entry point are pinned.
+    forall("narrow_row_blocks", 0x40b10c, 2, |rng| {
+        for n1 in (1..=9).chain([36]) {
+            for n2 in [4, 6] {
+                for n3 in 1..=7 {
+                    let (oa, ob, oc) = (rng.range(1, 4), rng.range(1, 4), rng.range(1, 4));
+                    let a = rng.vec(oa + n1 * n2, -1.0, 1.0);
+                    let b = rng.vec(ob + n2 * n3, -1.0, 1.0);
+                    let (a, b) = (&a[oa..], &b[ob..]);
+                    let mut want = vec![0.0; n1 * n3];
+                    mxm_naive(a, n1, n2, b, n3, &mut want);
+                    let base = rng.vec(oc + n1 * n3, -1.0, 1.0);
+                    let acc_want: Vec<f64> =
+                        base[oc..].iter().zip(&want).map(|(c, d)| c + d).collect();
+                    for k in [MxmKernel::Simd, MxmKernel::Auto] {
+                        let what = format!("{} ({n1},{n2},{n3})+({oa},{ob},{oc})", k.name());
+                        let mut got = vec![f64::NAN; oc + n1 * n3];
+                        mxm_with(k, a, n1, n2, b, n3, &mut got[oc..]);
+                        assert_eq!(bits(&got[oc..]), bits(&want), "{what}");
+                        let mut acc_got = base.clone();
+                        mxm_acc_with(k, a, n1, n2, b, n3, &mut acc_got[oc..]);
+                        assert_eq!(bits(&acc_got[oc..]), bits(&acc_want), "{what} acc");
+                    }
+                }
+            }
         }
     });
 }

@@ -47,7 +47,7 @@ use sem_obs::{Counter, Phase};
 use sem_ops::convect::{contravariant, convect_contravariant};
 use sem_ops::filter::ElementFilter;
 use sem_ops::laplace::helmholtz_local;
-use sem_ops::pressure::{divergence, gradient_weak};
+use sem_ops::pressure::{divergence, gradient_assembled, gradient_weak};
 use sem_ops::SemOps;
 use sem_solvers::jacobi::HelmholtzSolver;
 use sem_solvers::pressure_solver::PressureSolveStats;
@@ -595,12 +595,15 @@ impl NsSolver {
         for (p, &d) in self.pressure.iter_mut().zip(dp.iter()) {
             *p += d;
         }
-        let mut w = vec![vec![0.0; n]; self.vel.len()];
-        gradient_weak(&self.ops, &dp, &mut w);
-        for (u, wc) in self.vel.iter_mut().zip(w.iter_mut()) {
-            self.ops.dssum_mask(wc);
+        // u += (1/h2)·B̄⁻¹·mask·Σ Dᵀ δp, every component assembled by one
+        // exchange; the mask (dssum_mask's) comes before the update.
+        let mut w = vec![0.0; self.vel.len() * n];
+        gradient_assembled(&self.ops, &dp, &mut w);
+        let (mask, bm) = (&self.ops.mask, &self.ops.bm_assembled);
+        for (u, wc) in self.vel.iter_mut().zip(w.chunks_exact(n)) {
             for i in 0..n {
-                u[i] += (1.0 / h2) * wc[i] / self.ops.bm_assembled[i];
+                let wm = wc[i] * mask[i];
+                u[i] += (1.0 / h2) * wm / bm[i];
             }
         }
         pstats

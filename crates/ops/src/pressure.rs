@@ -5,16 +5,132 @@
 //!   the Gauss grid, so `(D u)_g = (w J)_g (∇·u)(ξ_g)` with the physical
 //!   divergence interpolated from the GLL grid.
 //! * `Dᵀ` ([`gradient_weak`]): the exact discrete transpose (weak
-//!   gradient), pressure → velocity.
+//!   gradient), pressure → velocity; [`gradient_assembled`] also
+//!   direct-stiffness sums all its components in one exchange.
 //! * `E = D B̄⁻¹ Dᵀ` ([`EOperator`]): the Stokes Schur complement
 //!   ("consistent Poisson") governing the pressure, applied matrix-free
 //!   with the assembled velocity mass `B̄` and the velocity Dirichlet mask
 //!   folded in. `E` is symmetric positive semidefinite with the constant
 //!   nullspace on enclosed flows; the solvers pin it by mean removal.
+//!
+//! `D` and `Dᵀ` each have one element kernel, which every entry point
+//! here calls. The `Dᵀ` kernel writes the `x` term of each component
+//! and accumulates `y` (and `z`) onto it through the `_acc` tensor
+//! applies, one full dot then one add per output element, so its sums
+//! associate as `(x + y) + z` exactly as staging each term through a
+//! scratch buffer would.
 
 use crate::space::{interp_from_gauss, interp_to_gauss, SemOps};
 use sem_comm::par;
-use sem_linalg::tensor::{apply_x, apply_y_2d, apply_y_3d, apply_z_3d};
+use sem_gs::GsOp;
+use sem_linalg::tensor::{
+    apply_x, apply_y_2d, apply_y_2d_acc, apply_y_3d, apply_y_3d_acc, apply_z_3d, apply_z_3d_acc,
+};
+
+/// Per-worker scratch of either element kernel, in velocity-element
+/// fields: four nodal buffers plus the tensor interpolation's work.
+const ELEM_SCRATCH: usize = 7;
+
+/// `oe = D u` on element `e`, where `ue[c]` is the element's slice of
+/// velocity component `c`.
+fn div_elem(ops: &SemOps, e: usize, ue: &[&[f64]], oe: &mut [f64], scratch: &mut [f64]) {
+    let geo = &ops.geo;
+    let (dim, npts, nptsp, nx) = (geo.dim, geo.npts, ops.npts_p, geo.nx);
+    let (dr, rest) = scratch.split_at_mut(npts);
+    let (ds, rest) = rest.split_at_mut(npts);
+    let (dt, rest) = rest.split_at_mut(npts);
+    let (divu, work) = rest.split_at_mut(npts);
+    divu.fill(0.0);
+    let dd = dim * dim;
+    let drdx = geo.drdx[e * npts * dd..(e + 1) * npts * dd].chunks_exact(dd);
+    for (c, uc) in ue.iter().enumerate() {
+        // ∂u_c/∂x_c = Σ_a (∂r_a/∂x_c) ∂u_c/∂r_a.
+        if dim == 2 {
+            apply_x(&geo.d1t, nx, uc, dr);
+            apply_y_2d(&geo.d1, nx, uc, ds);
+            for (((dv, d), &r), &s) in divu.iter_mut().zip(drdx.clone()).zip(&*dr).zip(&*ds) {
+                *dv += d[c] * r + d[2 + c] * s;
+            }
+        } else {
+            apply_x(&geo.d1t, nx * nx, uc, dr);
+            apply_y_3d(&geo.d1, nx, nx, uc, ds);
+            apply_z_3d(&geo.d1, nx * nx, uc, dt);
+            let drst = dr.iter().zip(&*ds).zip(&*dt);
+            for ((dv, d), ((&r, &s), &t)) in divu.iter_mut().zip(drdx.clone()).zip(drst) {
+                *dv += d[c] * r + d[3 + c] * s + d[6 + c] * t;
+            }
+        }
+    }
+    interp_to_gauss(dim, &ops.interp_vp, &ops.interp_vp_t, divu, oe, work);
+    let jw = &ops.jw_gauss[e * nptsp..(e + 1) * nptsp];
+    for (o, &w) in oe.iter_mut().zip(jw) {
+        *o *= w;
+    }
+}
+
+/// `out[c] = (Dᵀ p)_c` on element `e` for every component `c`, where
+/// `pe` is the element's pressure and `out[c]` the element's slice of
+/// component `c`. `q = Iᵀ (w J p)` is formed once for all components.
+fn grad_elem(ops: &SemOps, e: usize, pe: &[f64], out: &mut [&mut [f64]], scratch: &mut [f64]) {
+    let geo = &ops.geo;
+    let (dim, npts, nptsp, nx) = (geo.dim, geo.npts, ops.npts_p, geo.nx);
+    let (q, rest) = scratch.split_at_mut(npts);
+    let (tjw, rest) = rest.split_at_mut(nptsp);
+    let (wr, rest) = rest.split_at_mut(npts);
+    let (ws, rest) = rest.split_at_mut(npts);
+    let (wt, work) = rest.split_at_mut(npts);
+    let jw = &ops.jw_gauss[e * nptsp..(e + 1) * nptsp];
+    for ((t, &w), &p) in tjw.iter_mut().zip(jw).zip(pe) {
+        *t = w * p;
+    }
+    interp_from_gauss(dim, &ops.interp_vp, &ops.interp_vp_t, tjw, q, work);
+    let dd = dim * dim;
+    let drdx = geo.drdx[e * npts * dd..(e + 1) * npts * dd].chunks_exact(dd);
+    for (c, oc) in out.iter_mut().enumerate() {
+        // wr = (∂r/∂x_c)∘q, ws = (∂s/∂x_c)∘q, wt = (∂t/∂x_c)∘q.
+        if dim == 2 {
+            let wrs = wr.iter_mut().zip(ws.iter_mut());
+            for ((d, &qi), (r, s)) in drdx.clone().zip(&*q).zip(wrs) {
+                *r = d[c] * qi;
+                *s = d[2 + c] * qi;
+            }
+            apply_x(&geo.d1, nx, wr, oc);
+            apply_y_2d_acc(&geo.d1t, nx, ws, oc);
+        } else {
+            let wrst = wr.iter_mut().zip(ws.iter_mut()).zip(wt.iter_mut());
+            for ((d, &qi), ((r, s), t)) in drdx.clone().zip(&*q).zip(wrst) {
+                *r = d[c] * qi;
+                *s = d[3 + c] * qi;
+                *t = d[6 + c] * qi;
+            }
+            apply_x(&geo.d1, nx * nx, wr, oc);
+            apply_y_3d_acc(&geo.d1t, nx, nx, ws, oc);
+            apply_z_3d_acc(&geo.d1t, nx * nx, wt, oc);
+        }
+    }
+}
+
+/// `Dᵀ p` into the velocity fields `comps` (one per dimension): one
+/// element pass over all components.
+fn grad_into<'a>(ops: &SemOps, p: &[f64], comps: impl Iterator<Item = &'a mut [f64]>) {
+    let (dim, npts, nptsp) = (ops.geo.dim, ops.geo.npts, ops.npts_p);
+    // Element-major views: entry e holds element e's slice of each
+    // component (unused slots stay empty in 2D).
+    let mut per_elem: Vec<[&mut [f64]; 3]> = (0..ops.k()).map(|_| Default::default()).collect();
+    for (c, comp) in comps.enumerate() {
+        for (slots, chunk) in per_elem.iter_mut().zip(comp.chunks_exact_mut(npts)) {
+            slots[c] = chunk;
+        }
+    }
+    par::par_for_each_init(
+        &mut per_elem,
+        || vec![0.0; ELEM_SCRATCH * npts],
+        |scratch, e, slots| {
+            let pe = &p[e * nptsp..(e + 1) * nptsp];
+            grad_elem(ops, e, pe, &mut slots[..dim], scratch);
+        },
+    );
+}
 
 /// Weak divergence `out = D u` for velocity components
 /// `vel = [u, v(, w)]` (each `K (N+1)^d`), producing a pressure-space
@@ -27,46 +143,16 @@ pub fn divergence(ops: &SemOps, vel: &[&[f64]], out: &mut [f64]) {
     }
     assert_eq!(out.len(), ops.n_pressure(), "divergence: out length");
     let npts = ops.geo.npts;
-    let nptsp = ops.npts_p;
-    let nx = ops.geo.nx;
-    let geo = &ops.geo;
     par::par_chunks_init(
         out,
-        nptsp,
-        || vec![0.0; 7 * npts],
+        ops.npts_p,
+        || vec![0.0; ELEM_SCRATCH * npts],
         |scratch, e, oe| {
-            let (dr, rest) = scratch.split_at_mut(npts);
-            let (ds, rest) = rest.split_at_mut(npts);
-            let (dt, rest) = rest.split_at_mut(npts);
-            let (divu, work) = rest.split_at_mut(npts);
-            divu.fill(0.0);
-            let dd = dim * dim;
-            for (c, comp) in vel.iter().enumerate() {
-                let ue = &comp[e * npts..(e + 1) * npts];
-                if dim == 2 {
-                    apply_x(&geo.d1t, nx, ue, dr);
-                    apply_y_2d(&geo.d1, nx, ue, ds);
-                } else {
-                    apply_x(&geo.d1t, nx * nx, ue, dr);
-                    apply_y_3d(&geo.d1, nx, nx, ue, ds);
-                    apply_z_3d(&geo.d1, nx * nx, ue, dt);
-                }
-                let base = e * npts * dd;
-                for i in 0..npts {
-                    // ∂u_c/∂x_c = Σ_a (∂r_a/∂x_c) ∂u_c/∂r_a.
-                    let d = &geo.drdx[base + i * dd..base + (i + 1) * dd];
-                    let mut acc = d[c] * dr[i] + d[dim + c] * ds[i];
-                    if dim == 3 {
-                        acc += d[2 * dim + c] * dt[i];
-                    }
-                    divu[i] += acc;
-                }
+            let mut ue: [&[f64]; 3] = [&[]; 3];
+            for (u, comp) in ue.iter_mut().zip(vel) {
+                *u = &comp[e * npts..(e + 1) * npts];
             }
-            interp_to_gauss(dim, &ops.interp_vp, &ops.interp_vp_t, divu, oe, work);
-            let jw = &ops.jw_gauss[e * nptsp..(e + 1) * nptsp];
-            for (o, &w) in oe.iter_mut().zip(jw.iter()) {
-                *o *= w;
-            }
+            div_elem(ops, e, &ue[..dim], oe, scratch);
         },
     );
 }
@@ -80,95 +166,69 @@ pub fn gradient_weak(ops: &SemOps, p: &[f64], out: &mut [Vec<f64>]) {
     for c in out.iter() {
         assert_eq!(c.len(), ops.n_velocity(), "gradient_weak: component length");
     }
-    let npts = ops.geo.npts;
-    let nptsp = ops.npts_p;
-    let nx = ops.geo.nx;
-    let geo = &ops.geo;
-    let k = ops.k();
-    // Split the output components so each element writes its own chunks.
-    let mut outs: Vec<_> = out.iter_mut().map(|c| c.chunks_mut(npts)).collect();
-    // Collect per-element mutable slices component-major.
-    let mut per_elem: Vec<Vec<&mut [f64]>> = (0..k).map(|_| Vec::with_capacity(dim)).collect();
-    for chunks in outs.iter_mut() {
-        for (e, ch) in chunks.by_ref().enumerate() {
-            per_elem[e].push(ch);
-        }
-    }
-    par::par_for_each_init(
-        &mut per_elem,
-        || vec![0.0; 8 * npts],
-        |scratch, e, comps| {
-            let (q, rest) = scratch.split_at_mut(npts);
-            let (tjw, rest) = rest.split_at_mut(nptsp);
-            let (wr, rest) = rest.split_at_mut(npts);
-            let (ws, rest) = rest.split_at_mut(npts);
-            let (wt, rest) = rest.split_at_mut(npts);
-            let (tmp, work) = rest.split_at_mut(npts);
-            let pe = &p[e * nptsp..(e + 1) * nptsp];
-            let jw = &ops.jw_gauss[e * nptsp..(e + 1) * nptsp];
-            for i in 0..nptsp {
-                tjw[i] = jw[i] * pe[i];
-            }
-            interp_from_gauss(ops.geo.dim, &ops.interp_vp, &ops.interp_vp_t, tjw, q, work);
-            let dd = ops.geo.dim * ops.geo.dim;
-            let base = e * npts * dd;
-            for (c, oc) in comps.iter_mut().enumerate() {
-                // wr = (∂r/∂x_c)∘q, ws = (∂s/∂x_c)∘q, wt = (∂t/∂x_c)∘q.
-                for i in 0..npts {
-                    let d = &geo.drdx[base + i * dd..base + (i + 1) * dd];
-                    wr[i] = d[c] * q[i];
-                    ws[i] = d[ops.geo.dim + c] * q[i];
-                    if ops.geo.dim == 3 {
-                        wt[i] = d[2 * ops.geo.dim + c] * q[i];
-                    }
-                }
-                if ops.geo.dim == 2 {
-                    apply_x(&geo.d1, nx, wr, oc);
-                    apply_y_2d(&geo.d1t, nx, ws, tmp);
-                    for i in 0..npts {
-                        oc[i] += tmp[i];
-                    }
-                } else {
-                    apply_x(&geo.d1, nx * nx, wr, oc);
-                    apply_y_3d(&geo.d1t, nx, nx, ws, tmp);
-                    for i in 0..npts {
-                        oc[i] += tmp[i];
-                    }
-                    apply_z_3d(&geo.d1t, nx * nx, wt, tmp);
-                    for i in 0..npts {
-                        oc[i] += tmp[i];
-                    }
-                }
-            }
-        },
-    );
+    grad_into(ops, p, out.iter_mut().map(Vec::as_mut_slice));
+}
+
+/// `w = Σ Dᵀ p`: the weak gradient with its `dim` components
+/// direct-stiffness summed by one multi-field exchange (no mask),
+/// stored component-major — component `c` is `w[c·n..(c + 1)·n]`,
+/// `n` = [`SemOps::n_velocity`]. Bitwise-equal to [`gradient_weak`]
+/// followed by [`SemOps::dssum`] per component.
+pub fn gradient_assembled(ops: &SemOps, p: &[f64], w: &mut [f64]) {
+    let (dim, n) = (ops.geo.dim, ops.n_velocity());
+    assert_eq!(p.len(), ops.n_pressure(), "gradient_assembled: p length");
+    assert_eq!(w.len(), dim * n, "gradient_assembled: w length");
+    grad_into(ops, p, w.chunks_exact_mut(n));
+    ops.gs.gs_fields(w, dim, GsOp::Add);
 }
 
 /// The consistent Poisson operator `E = D B̄⁻¹ Dᵀ` with reusable work
-/// storage (one velocity-space vector per component).
+/// storage (one velocity-space field per component, component-major).
 pub struct EOperator {
-    work: Vec<Vec<f64>>,
+    work: Vec<f64>,
 }
 
 impl EOperator {
     /// Allocate work storage for `ops`.
     pub fn new(ops: &SemOps) -> Self {
         EOperator {
-            work: vec![vec![0.0; ops.n_velocity()]; ops.geo.dim],
+            work: vec![0.0; ops.geo.dim * ops.n_velocity()],
         }
     }
 
-    /// `out = E p`. Sequence: `w = Dᵀ p` → direct-stiffness + velocity
-    /// mask per component → `w /= B̄` → `out = D w`.
+    /// `out = E p` in three steps: one element pass for `w = Dᵀ p` over
+    /// all components, one gather-scatter exchange for all of them
+    /// ([`gradient_assembled`]), and one element pass that forms
+    /// `(w·mask)/B̄` per node on the fly and applies `D` to it.
+    /// Bitwise-equal to the staged sequence [`gradient_weak`] →
+    /// [`SemOps::dssum_mask`] per component → `/B̄` → [`divergence`].
     pub fn apply(&mut self, ops: &SemOps, p: &[f64], out: &mut [f64]) {
-        gradient_weak(ops, p, &mut self.work);
-        let bm = &ops.bm_assembled;
-        for comp in self.work.iter_mut() {
-            ops.dssum_mask(comp);
-            par::par_map_inplace(comp, |i, v| *v /= bm[i]);
-        }
-        let refs: Vec<&[f64]> = self.work.iter().map(|c| c.as_slice()).collect();
-        divergence(ops, &refs, out);
+        assert_eq!(out.len(), ops.n_pressure(), "E apply: out length");
+        gradient_assembled(ops, p, &mut self.work);
+        let (dim, npts, n) = (ops.geo.dim, ops.geo.npts, ops.n_velocity());
+        let (w, mask, bm) = (&self.work, &ops.mask, &ops.bm_assembled);
+        par::par_chunks_init(
+            out,
+            ops.npts_p,
+            || vec![0.0; (dim + ELEM_SCRATCH) * npts],
+            |scratch, e, oe| {
+                let (v, rest) = scratch.split_at_mut(dim * npts);
+                let nodes = e * npts..(e + 1) * npts;
+                let mb = mask[nodes.clone()].iter().zip(&bm[nodes.clone()]);
+                for (c, vc) in v.chunks_exact_mut(npts).enumerate() {
+                    let wc = &w[c * n + nodes.start..c * n + nodes.end];
+                    for ((x, &wi), (&m, &b)) in vc.iter_mut().zip(wc).zip(mb.clone()) {
+                        // The mask of dssum_mask, then the B̄⁻¹ sweep.
+                        *x = wi * m / b;
+                    }
+                }
+                let mut ue: [&[f64]; 3] = [&[]; 3];
+                for (u, vc) in ue.iter_mut().zip(v.chunks_exact(npts)) {
+                    *u = vc;
+                }
+                div_elem(ops, e, &ue[..dim], oe, rest);
+            },
+        );
     }
 }
 
