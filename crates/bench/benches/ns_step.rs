@@ -4,8 +4,9 @@
 //! * `ablation_convection`: EXT2 vs OIFS cost per step (OIFS pays
 //!   subintegration to buy CFL 1–5, i.e. fewer Stokes solves per unit
 //!   time);
-//! * `ablation_pressure`: Schwarz+coarse+projection vs unpreconditioned
-//!   pressure iteration cost inside a real step sequence.
+//! * `ablation_pressure`: the Schwarz+coarse pressure solve with and
+//!   without successive-RHS projection (`L = 10` vs `L = 0`) inside a
+//!   real step sequence.
 //!
 //! Runs on the in-repo harness ([`sem_bench::timing`]).
 

@@ -57,17 +57,8 @@ use sem_ns::supervisor::RUN_RECORD_TYPE;
 use sem_obs::exit;
 use sem_obs::hist::{quantile_from_buckets, HistSnapshot, NUM_BUCKETS};
 use sem_obs::json::Json;
-use sem_obs::record::STEP_RECORD_TYPE;
+use sem_obs::record::{RANK_RECORD_TYPE, SERVE_RECORD_TYPE, STEP_RECORD_TYPE};
 use sem_obs::spans::{Phase, NUM_PHASES};
-
-/// The per-rank record type `sem-net` writes into `terasem.ranks`.
-/// Duplicated by value: `sem-net` depends on this crate, so the literal
-/// cannot be imported from `sem_net::telemetry` without a cycle.
-const RANK_RECORD_TYPE: &str = "terasem.rank";
-
-/// The service-lifecycle record type `sem-serve` journals into
-/// `serve.jsonl`. Duplicated by value for the same no-cycle reason.
-const SERVE_RECORD_TYPE: &str = "terasem.serve";
 
 struct StepRow {
     step: u64,

@@ -27,10 +27,12 @@
 //!   byte-for-byte, and structurally validate every file the storm
 //!   left on disk.
 
-use sem_bench::workloads::shear_layer;
+use sem_bench::workloads::{chaos_kill, shear_dye_job};
 use sem_linalg::rng::SplitMix64;
+use sem_ns::supervisor::checkpoint_path;
+use sem_ns::{NsSolver, RunSupervisor};
 use sem_obs::exit;
-use sem_ns::{FaultPlan, NsSolver, RecoveryPolicy, RunPolicy, RunSupervisor};
+use sem_obs::fault::FaultSite;
 use std::path::{Path, PathBuf};
 
 /// A randomized-but-seeded storm: one event per fault kind (every kind
@@ -40,9 +42,8 @@ use std::path::{Path, PathBuf};
 fn storm_plan(seed: u64, steps: u64) -> String {
     assert!(steps >= 10, "storm needs at least 10 steps to spread over");
     let mut rng = SplitMix64::new(seed ^ 0x5eed_5eed_5eed_5eed);
-    let kinds = [
-        "nan:u", "inf:v", "nan:p", "nan:t", "indef_op", "indef_pc", "proj", "gs", "coarse",
-    ];
+    let fields = ["nan:u", "inf:v", "nan:p", "nan:t"];
+    let kinds = fields.into_iter().chain(FaultSite::ALL.map(FaultSite::name));
     // Sample distinct steps without replacement so at most one event
     // lands per step (keeps every storm ladder-recoverable).
     let mut free: Vec<u64> = (2..=steps).collect();
@@ -60,26 +61,13 @@ fn storm_plan(seed: u64, steps: u64) -> String {
     events.join(";")
 }
 
-/// The soak workload: the fig3 shear layer at smoke scale, plus a
-/// passive scalar so `nan:t` storms have a species solve to poison.
+/// The soak workload: the shared shear-layer-plus-dye job at smoke
+/// scale (4 × 4 elements, N = 6).
 fn build_solver(spec: Option<&str>, dir: &Path, every: u64) -> NsSolver {
-    let mut s = shear_layer(4, 6, 30.0, 1e5, 0.3, 0.002);
-    s.add_scalar("dye", 1e-3, |x, y, _| {
-        (2.0 * std::f64::consts::PI * x).sin() * (2.0 * std::f64::consts::PI * y).cos()
-    });
-    if let Some(spec) = spec {
-        s.cfg.faults = Some(FaultPlan::parse(spec).unwrap_or_else(|e| {
-            eprintln!("soak: bad fault spec {spec:?}: {e}");
-            std::process::exit(exit::USAGE);
-        }));
-        s.cfg.recovery = RecoveryPolicy::enabled();
-    }
-    s.cfg.run = RunPolicy::checkpointing(dir, every, 3);
-    s
-}
-
-fn final_checkpoint_path(dir: &Path, steps: u64) -> PathBuf {
-    dir.join(format!("ckpt_{steps:08}.ckpt"))
+    shear_dye_job(4, 6, spec, dir, every).unwrap_or_else(|e| {
+        eprintln!("soak: {e}");
+        std::process::exit(exit::USAGE);
+    })
 }
 
 /// Structural validation: every `.ckpt` file in `dir` must parse. A
@@ -123,15 +111,8 @@ fn run_leg(spec: Option<&str>, dir: &Path, steps: u64, every: u64, kill_at: Opti
                 eprintln!("soak: FAIL — storm not recovered before the kill point: {e}");
                 std::process::exit(exit::FAILURE);
             }
-            // Simulate the kill landing mid-write: a torn file under the
-            // *next* checkpoint name, and an abandoned staging file. The
-            // restart must skip both and fall back to the step-k file.
-            let intact = std::fs::read(final_checkpoint_path(dir, k)).expect("exit checkpoint");
-            let torn = final_checkpoint_path(dir, k + 1);
-            std::fs::write(&torn, &intact[..intact.len() / 2]).expect("write torn decoy");
-            std::fs::write(dir.join("ckpt_99999999.ckpt.tmp"), b"in-flight").expect("write tmp");
-            eprintln!("soak: killed at step {k} (torn decoy + stray .tmp left behind)");
-            std::process::exit(exit::CHAOS_KILL);
+            let line = format!("soak: killed at step {k} (torn decoy + stray .tmp left behind)");
+            chaos_kill(dir, k, &line);
         }
     }
     match sup.run_to(steps) {
@@ -143,7 +124,7 @@ fn run_leg(spec: Option<&str>, dir: &Path, steps: u64, every: u64, kill_at: Opti
             );
             println!(
                 "soak: final checkpoint {}",
-                final_checkpoint_path(dir, steps).display()
+                checkpoint_path(dir, steps).display()
             );
         }
         Err(e) => {
@@ -198,9 +179,9 @@ fn run_auto(rounds: u64, seed: u64, steps: u64) {
                 .run_to(kill)
                 .unwrap_or_else(|e| panic!("round {round}: pre-kill leg gave up: {e}"));
         });
-        let intact = std::fs::read(final_checkpoint_path(&chaos_dir, kill)).unwrap();
+        let intact = std::fs::read(checkpoint_path(&chaos_dir, kill)).unwrap();
         std::fs::write(
-            final_checkpoint_path(&chaos_dir, kill + 1),
+            checkpoint_path(&chaos_dir, kill + 1),
             &intact[..intact.len() / 3],
         )
         .unwrap();
@@ -213,15 +194,15 @@ fn run_auto(rounds: u64, seed: u64, steps: u64) {
                 .unwrap_or_else(|e| panic!("round {round}: resumed leg gave up: {e}"));
         });
         // The crash-only invariant, byte for byte.
-        let a = std::fs::read(final_checkpoint_path(&ref_dir, steps)).unwrap();
-        let b = std::fs::read(final_checkpoint_path(&chaos_dir, steps)).unwrap();
+        let a = std::fs::read(checkpoint_path(&ref_dir, steps)).unwrap();
+        let b = std::fs::read(checkpoint_path(&chaos_dir, steps)).unwrap();
         assert_eq!(
             a, b,
             "round {round}: resumed final checkpoint differs from the uninterrupted run"
         );
         assert_no_torn_checkpoints(&ref_dir);
         // The decoy was pruned or skipped; every surviving real file must load.
-        let _ = std::fs::remove_file(final_checkpoint_path(&chaos_dir, kill + 1));
+        let _ = std::fs::remove_file(checkpoint_path(&chaos_dir, kill + 1));
         assert_no_torn_checkpoints(&chaos_dir);
         let _ = std::fs::remove_dir_all(&ref_dir);
         let _ = std::fs::remove_dir_all(&chaos_dir);

@@ -23,7 +23,7 @@ struct Row {
 
 fn main() {
     let scale = parse_scale();
-    // `TERASEM_METRICS=1` (with `_SINK`/`TERASEM_RANK`) turns
+    // `TERASEM_METRICS=1` (with `TERASEM_METRICS_SINK`) turns
     // on one step record per step from every solver below.
     let metrics = sem_obs::init_from_env();
     let n = 7;

@@ -11,6 +11,9 @@
 //!
 //! * `--smoke` — minimal timing budget; for CI schema checks, numbers
 //!   are not meaningful.
+//!
+//! Every cell is the median of calibrated samples
+//! ([`sem_bench::timing::sample`]): 5 at quick scale, 11 at `--full`.
 //! * `--json <path>` — write a `terasem-bench-v1` snapshot (the
 //!   committed `results/BENCH_mxm.json`).
 //! * `--emit-table` — print the measured per-shape winners for
@@ -19,13 +22,20 @@
 //!   only, so the host's ISA never changes results bitwise).
 
 use sem_bench::snapshot::Snapshot;
+use sem_bench::timing::sample;
 use sem_bench::{fmt_secs, header, parse_scale, Scale};
 use sem_linalg::mxm::{mxm_flops, mxm_with, MxmKernel};
 use sem_linalg::simd::detected_isa;
 use std::time::Instant;
 
-fn bench_kernel(k: MxmKernel, n1: usize, n2: usize, n3: usize, min_time: f64) -> f64 {
-    // Deterministic data; fresh C each call like the paper's noncached runs.
+/// MFLOPS of kernel `k` on one shape: the median of `samples`
+/// calibrated samples of about `sample_secs` each.
+fn bench_kernel(
+    k: MxmKernel,
+    (n1, n2, n3): (usize, usize, usize),
+    (samples, sample_secs): (usize, f64),
+) -> f64 {
+    // Deterministic data.
     let a: Vec<f64> = (0..n1 * n2)
         .map(|i| ((i * 37 % 101) as f64 - 50.0) / 50.0)
         .collect();
@@ -33,23 +43,11 @@ fn bench_kernel(k: MxmKernel, n1: usize, n2: usize, n3: usize, min_time: f64) ->
         .map(|i| ((i * 73 % 97) as f64 - 48.0) / 48.0)
         .collect();
     let mut c = vec![0.0; n1 * n3];
-    // Warmup.
-    for _ in 0..4 {
+    let s = sample(samples, sample_secs, || {
         mxm_with(k, &a, n1, n2, &b, n3, &mut c);
-    }
-    let mut iters = 16u64;
-    loop {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            mxm_with(k, &a, n1, n2, &b, n3, &mut c);
-            std::hint::black_box(&mut c);
-        }
-        let dt = t0.elapsed().as_secs_f64();
-        if dt >= min_time {
-            return (iters * mxm_flops(n1, n2, n3)) as f64 / dt / 1e6;
-        }
-        iters *= 4;
-    }
+        std::hint::black_box(&mut c);
+    });
+    mxm_flops(n1, n2, n3) as f64 / s.median / 1e6
 }
 
 /// The order-preserving menu the `Auto` dispatch may select from (no
@@ -99,12 +97,13 @@ fn main() {
         .iter()
         .position(|a| a == "--json")
         .map(|i| args.get(i + 1).expect("--json needs a path").clone());
-    let min_time = if smoke {
-        0.001
+    // (samples, seconds per sample) of each cell.
+    let budget = if smoke {
+        (3, 2e-4)
     } else {
         match scale {
-            Scale::Quick => 0.02,
-            Scale::Full => 0.25,
+            Scale::Quick => (5, 4e-3),
+            Scale::Full => (11, 0.025),
         }
     };
     header("Table 3: MFLOPS for (n1 x n2) x (n2 x n3) mxm kernels (N = 15 shapes)");
@@ -142,7 +141,7 @@ fn main() {
         print!("{n1:>5} {n2:>5} {n3:>5} |");
         let mut row = Vec::new();
         for k in kernels {
-            let mf = bench_kernel(k, n1, n2, n3, min_time);
+            let mf = bench_kernel(k, (n1, n2, n3), budget);
             print!("{mf:>9.0}");
             row.push((k, mf));
         }

@@ -5,20 +5,19 @@
 //! (`harness = false` in the manifest), so `cargo bench` still runs
 //! every target.
 //!
-//! For each benchmark the harness warms the closure up, calibrates an
-//! iteration count so one sample takes a measurable slice of time, then
-//! records `k` samples and reports the median/min/mean seconds per
-//! iteration. Medians are robust to the occasional scheduler hiccup,
-//! which is all a laptop-scale harness can promise. One JSON line per
-//! benchmark is also printed (prefixed `JSON`) for machine consumption.
+//! For each benchmark the harness ([`sample`]) warms the closure up,
+//! calibrates an iteration count so one sample takes a measurable slice
+//! of time, then records `k` samples and reports the median/min/mean
+//! seconds per iteration. Medians are robust to the occasional
+//! scheduler hiccup, which is all a laptop-scale harness can promise.
+//! One JSON line per benchmark is also printed (prefixed `JSON`) for
+//! machine consumption.
 //!
 //! Sample count: per-group default (Criterion's old `sample_size`
 //! knob), overridable globally with `TERASEM_BENCH_SAMPLES`.
 
 use std::time::Instant;
 
-/// Warm the closure up for this long before calibrating.
-const WARMUP_SECS: f64 = 0.05;
 /// Target duration of one recorded sample (many iterations batched).
 const TARGET_SAMPLE_SECS: f64 = 0.01;
 
@@ -69,43 +68,8 @@ impl BenchGroup {
         self.run(name, Some(elems), f)
     }
 
-    fn run(&mut self, name: &str, elems: Option<u64>, mut f: impl FnMut()) -> Summary {
-        // Warmup doubles as calibration: estimate the per-iteration cost.
-        let t0 = Instant::now();
-        let mut warm_iters = 0u64;
-        loop {
-            f();
-            warm_iters += 1;
-            if t0.elapsed().as_secs_f64() >= WARMUP_SECS {
-                break;
-            }
-        }
-        let approx = t0.elapsed().as_secs_f64() / warm_iters as f64;
-        let iters = ((TARGET_SAMPLE_SECS / approx).ceil() as u64).max(1);
-
-        let mut times = Vec::with_capacity(self.samples);
-        for _ in 0..self.samples {
-            let t = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            times.push(t.elapsed().as_secs_f64() / iters as f64);
-        }
-        times.sort_by(f64::total_cmp);
-        let min = times[0];
-        let median = if times.len() % 2 == 1 {
-            times[times.len() / 2]
-        } else {
-            0.5 * (times[times.len() / 2 - 1] + times[times.len() / 2])
-        };
-        let mean = times.iter().sum::<f64>() / times.len() as f64;
-        let summary = Summary {
-            median,
-            min,
-            mean,
-            samples: self.samples,
-            iters_per_sample: iters,
-        };
+    fn run(&mut self, name: &str, elems: Option<u64>, f: impl FnMut()) -> Summary {
+        let summary = sample(self.samples, TARGET_SAMPLE_SECS, f);
         self.report(name, elems, summary);
         summary
     }
@@ -129,6 +93,47 @@ impl BenchGroup {
             "JSON {{\"group\":\"{}\",\"bench\":\"{name}\",\"median_s\":{:e},\"min_s\":{:e},\"mean_s\":{:e},\"samples\":{},\"iters_per_sample\":{},\"elems_per_iter\":{elems_json}}}",
             self.group, s.median, s.min, s.mean, s.samples, s.iters_per_sample,
         );
+    }
+}
+
+/// The sampler behind [`BenchGroup`], without its report line: warm `f`
+/// up for five samples' worth of time (which also estimates its cost),
+/// batch enough iterations that one sample takes about `sample_secs`,
+/// and summarize `samples` samples in seconds per iteration.
+pub fn sample(samples: usize, sample_secs: f64, mut f: impl FnMut()) -> Summary {
+    let samples = samples.max(1);
+    let t0 = Instant::now();
+    let mut warm_iters = 0u64;
+    loop {
+        f();
+        warm_iters += 1;
+        if t0.elapsed().as_secs_f64() >= 5.0 * sample_secs {
+            break;
+        }
+    }
+    let approx = t0.elapsed().as_secs_f64() / warm_iters as f64;
+    let iters = ((sample_secs / approx).ceil() as u64).max(1);
+
+    let mut times = Vec::with_capacity(samples);
+    for _ in 0..samples {
+        let t = Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        times.push(t.elapsed().as_secs_f64() / iters as f64);
+    }
+    times.sort_by(f64::total_cmp);
+    let median = if times.len() % 2 == 1 {
+        times[times.len() / 2]
+    } else {
+        0.5 * (times[times.len() / 2 - 1] + times[times.len() / 2])
+    };
+    Summary {
+        median,
+        min: times[0],
+        mean: times.iter().sum::<f64>() / times.len() as f64,
+        samples,
+        iters_per_sample: iters,
     }
 }
 

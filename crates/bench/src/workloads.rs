@@ -1,15 +1,19 @@
 //! Shared workload builders: the flow configurations behind the paper's
 //! tables and figures, reused by the report binaries, the examples, and
-//! the integration tests.
+//! the integration tests; and the chaos job and staged crash shared by
+//! the `soak` harness and the `sem-serve` worker.
 
 use sem_mesh::generators::{annulus, box2d, bump_channel3d, AnnulusParams, BumpChannelParams};
 use sem_ns::config::Boussinesq;
-use sem_ns::{ConvectionScheme, NsConfig, NsSolver};
+use sem_ns::supervisor::checkpoint_path;
+use sem_ns::{ConvectionScheme, FaultPlan, NsConfig, NsSolver, RecoveryPolicy, RunPolicy};
+use sem_obs::fault::FaultSpecError;
 use sem_ops::fields::norm_l2;
 use sem_ops::SemOps;
 use sem_solvers::cg::CgOptions;
 use sem_solvers::schwarz::SchwarzConfig;
 use sem_stability::OrrSommerfeld;
+use std::path::Path;
 
 /// Pressure/velocity tolerances used across the experiments (absolute,
 /// like the paper's ε).
@@ -129,6 +133,49 @@ pub fn shear_layer(
         [u, 0.05 * (2.0 * std::f64::consts::PI * x).sin(), 0.0]
     });
     s
+}
+
+/// The shear-layer-plus-dye job of the `soak` harness and the
+/// `sem-serve` worker: the Fig. 3 shear layer on `kelem × kelem`
+/// elements of order `n`, plus a passive dye so `nan:t` faults have a
+/// species solve to poison. A `TERASEM_FAULT`-grammar `faults` spec
+/// switches the recovery ladder on; checkpoints go into `dir` every
+/// `every` steps, the newest three kept.
+pub fn shear_dye_job(
+    kelem: usize,
+    n: usize,
+    faults: Option<&str>,
+    dir: &Path,
+    every: u64,
+) -> Result<NsSolver, FaultSpecError> {
+    let mut s = shear_layer(kelem, n, 30.0, 1e5, 0.3, 0.002);
+    s.add_scalar("dye", 1e-3, |x, y, _| {
+        (2.0 * std::f64::consts::PI * x).sin() * (2.0 * std::f64::consts::PI * y).cos()
+    });
+    if let Some(spec) = faults {
+        s.cfg.faults = Some(FaultPlan::parse(spec)?);
+        s.cfg.recovery = RecoveryPolicy::enabled();
+    }
+    s.cfg.run = RunPolicy::checkpointing(dir, every, 3);
+    Ok(s)
+}
+
+/// The staged crash of `soak run --kill-at` and `sem-serve`'s `kill_at`
+/// jobs, once step `k`'s checkpoint has committed into `dir`: the kill
+/// lands mid-write, leaving a torn half of that file under step
+/// `k + 1`'s name and an abandoned staging file, and the process dies
+/// with `sem_obs::exit::CHAOS_KILL` after printing `log_line`. The
+/// restart must skip both files and resume from step `k`.
+pub fn chaos_kill(dir: &Path, k: u64, log_line: &str) -> ! {
+    let staged = std::fs::read(checkpoint_path(dir, k)).and_then(|intact| {
+        std::fs::write(checkpoint_path(dir, k + 1), &intact[..intact.len() / 2])?;
+        std::fs::write(dir.join("ckpt_99999999.ckpt.tmp"), b"in-flight")
+    });
+    if let Err(e) = staged {
+        eprintln!("chaos kill: cannot stage the torn checkpoint in {}: {e}", dir.display());
+    }
+    eprintln!("{log_line}");
+    std::process::exit(sem_obs::exit::CHAOS_KILL);
 }
 
 /// The Fig. 4 substitute: 2D Rayleigh–Bénard convection in a 2:1 box,

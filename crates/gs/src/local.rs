@@ -164,7 +164,7 @@ impl GsHandle {
             // Injected exchange drop: skip the combine entirely, leaving
             // every shared copy stale — finite but wrong, detectable only
             // through the fired flag the comm layer reports upward
-            // (`sem_obs::fault::take_fired`).
+            // (`sem_obs::fault::drain`).
             return;
         }
         self.charge_exchange(fields);

@@ -18,9 +18,8 @@
 //!   runtime ISA detection both follow.
 //! * [`tensor`] — application of tensor-product operators
 //!   `(A_z ⊗ A_y ⊗ A_x) u` as sequences of mxm calls (Eq. 3 of the paper).
-//! * [`chol`], [`lu`], [`banded`] — direct factorizations used by the
-//!   Schwarz local solves, coarse-grid baselines (redundant banded LU,
-//!   distributed inverse), and setup phases.
+//! * [`chol`], [`lu`] — dense direct factorizations used by the Schwarz
+//!   local solves, the vertex coarse grid, and setup phases.
 //! * [`eig`] — cyclic-Jacobi symmetric eigensolver and the generalized
 //!   symmetric eigenproblem `A z = λ B z` required by the fast
 //!   diagonalization method (FDM).
@@ -30,9 +29,8 @@
 //!   iterative solvers.
 //! * [`rng`] — a seeded SplitMix64 generator and the explicit seeded-loop
 //!   property-test harness used across the workspace (no external
-//!   `rand`/`proptest` dependency).
+//!   `rand`/`proptest` dependency), and the one FNV-1a hash.
 
-pub mod banded;
 pub mod chol;
 pub mod complex;
 pub mod eig;

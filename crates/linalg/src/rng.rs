@@ -10,6 +10,10 @@
 //!   over `cases` independently-seeded inputs, and on failure report the
 //!   per-case seed so the exact counterexample can be replayed with
 //!   `SplitMix64::new(seed)`.
+//!
+//! Beside them sits the workspace's one deterministic hash, FNV-1a
+//! ([`Fnv1a64`], [`fnv1a64`]): `sem-serve`'s result fingerprint and
+//! `sem-net`'s cross-rank solution hash.
 
 /// SplitMix64 pseudo-random generator (public-domain algorithm).
 #[derive(Clone, Debug)]
@@ -69,6 +73,38 @@ impl SplitMix64 {
     }
 }
 
+/// FNV-1a, 64-bit: stable across platforms and cheap. Feed bytes with
+/// [`Fnv1a64::write`], read the hash with [`Fnv1a64::finish`].
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a64(u64);
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a64 {
+    /// Fold `bytes` into the hash.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    /// The hash of every byte written so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+/// FNV-1a 64 of `bytes`.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a64::default();
+    h.write(bytes);
+    h.finish()
+}
+
 /// Run a property over `cases` independently-seeded inputs.
 ///
 /// Each case `i` gets its own generator seeded with
@@ -105,6 +141,17 @@ mod tests {
         // Known first output of SplitMix64(0) from the reference
         // implementation.
         assert_eq!(SplitMix64::new(0).next_u64(), 0xe220a8397b1dcdaf);
+    }
+
+    #[test]
+    fn fnv_matches_reference_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+        let mut h = Fnv1a64::default();
+        h.write(b"foo");
+        h.write(b"bar");
+        assert_eq!(h.finish(), fnv1a64(b"foobar"), "split writes hash as one");
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! mode. See `sem_net::launch` for the supervision protocol.
 
 use sem_net::launch::{launch_main, parse_args};
-use sem_net::rank::{rank_env, rank_main, EXIT_USAGE};
+use sem_net::rank::{rank_env, rank_main};
+use sem_obs::exit;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -14,7 +15,7 @@ fn main() {
         Ok(o) => o,
         Err(msg) => {
             eprintln!("{msg}");
-            std::process::exit(EXIT_USAGE);
+            std::process::exit(exit::USAGE);
         }
     };
     let code = match rank_env() {

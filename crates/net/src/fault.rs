@@ -5,9 +5,10 @@
 //! dropped, delayed, corrupted, truncated, or duplicated frames, plus
 //! whole-link stalls and severs — fired from a shim inside
 //! [`crate::Transport::send`]. Plans are parsed from the
-//! `TERASEM_NET_FAULT` environment variable with the same grammar shape
-//! as `TERASEM_FAULT` (see [`NetFaultPlan::parse`]), or built
-//! programmatically for tests.
+//! `TERASEM_NET_FAULT` environment variable with the grammar of
+//! `TERASEM_FAULT`, one tokenizer in [`sem_obs::fault`] (see
+//! [`NetFaultPlan::parse`] for the kinds), or built programmatically for
+//! tests.
 //!
 //! Faults are indexed by the rank's 1-based cumulative *outbound data
 //! frame* count, not by wall clock, so a plan fires at exactly the same
@@ -19,7 +20,7 @@
 //! happened.
 
 use sem_linalg::rng::SplitMix64;
-use std::fmt;
+use sem_obs::fault::{self, FaultSpecError, SpecVar};
 use std::time::Duration;
 
 /// What to do to an outbound frame (or its link).
@@ -96,35 +97,61 @@ pub struct NetFaultPlan {
     pub events: Vec<NetFaultEvent>,
 }
 
-/// Parse failure for a `TERASEM_NET_FAULT` spec.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NetFaultSpecError(String);
+/// The `TERASEM_NET_FAULT` variable: items are indexed by outbound data
+/// frame, and `rank=R` pins the plan to one rank.
+const VAR: SpecVar = SpecVar {
+    name: "TERASEM_NET_FAULT",
+    index: "frame",
+    ranked: true,
+};
 
-impl fmt::Display for NetFaultSpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid TERASEM_NET_FAULT spec: {}", self.0)
-    }
-}
-
-impl std::error::Error for NetFaultSpecError {}
-
-fn parse_class(name: &str) -> Option<u8> {
-    match name {
+/// The protocol class a `corrupt:` qualifier names (`any` is `None`).
+fn class_of(name: &str) -> Option<Option<u8>> {
+    Some(match name {
         "exchange" => Some(crate::comm::CLASS_EXCHANGE),
         "gather" => Some(crate::comm::CLASS_GATHER),
         "bcast" => Some(crate::comm::CLASS_BCAST),
         "ping" => Some(crate::comm::CLASS_PING),
         "telemetry" => Some(crate::comm::CLASS_TELEMETRY),
         "any" => None,
-        _ => Some(u8::MAX), // sentinel rejected by the caller
-    }
+        _ => return None,
+    })
+}
+
+/// The kind table: `kind(:qual)?` of one spec item.
+fn event_kind(name: &str, qual: Option<&str>) -> Result<NetFaultKind, String> {
+    // A positive numeric qualifier, or `default` when there is none.
+    let positive = |what: &str, default: u64| match qual {
+        Some(q) => q.parse::<u64>().ok().filter(|&v| v >= 1).ok_or_else(|| format!("bad {what}")),
+        None => Ok(default),
+    };
+    Ok(match (name, qual) {
+        ("drop", None) => NetFaultKind::Drop,
+        ("delay", _) => NetFaultKind::Delay {
+            millis: positive("delay millis", 25)?,
+        },
+        ("corrupt", None) => NetFaultKind::Corrupt { class: None },
+        ("corrupt", Some(q)) => NetFaultKind::Corrupt {
+            class: class_of(q).ok_or_else(|| format!("unknown protocol class `{q}`"))?,
+        },
+        ("truncate", None) => NetFaultKind::Truncate,
+        ("dup", None) => NetFaultKind::Duplicate,
+        ("stall", _) => NetFaultKind::Stall {
+            secs: positive("stall seconds", 1)?,
+        },
+        ("sever", None) => NetFaultKind::Sever,
+        ("drop" | "truncate" | "dup" | "sever", Some(_)) => {
+            return Err(format!("`{name}` takes no qualifier"));
+        }
+        (other, _) => return Err(format!("unknown fault kind `{other}`")),
+    })
 }
 
 impl NetFaultPlan {
-    /// Parse a net-fault spec. Grammar (items separated by `,` or `;`):
+    /// Parse a net-fault spec: the shared grammar of [`sem_obs::fault`]
+    /// (`rank=R` included), with
     ///
     /// ```text
-    /// spec  := item ((',' | ';') item)*
     /// item  := 'seed=' N
     ///        | 'rank=' R
     ///        | kind (':' qual)? '@' frame ('x' count)?
@@ -137,127 +164,26 @@ impl NetFaultPlan {
     /// `frame` is the rank's 1-based cumulative outbound data-frame
     /// index. Examples: `drop@12x3`, `corrupt:exchange@5`, `stall:2@8`,
     /// `sever@20`, `seed=7,rank=1,delay:50@3`.
-    pub fn parse(spec: &str) -> Result<NetFaultPlan, NetFaultSpecError> {
-        let mut plan = NetFaultPlan::default();
-        for raw in spec.split([',', ';']) {
-            let item = raw.trim();
-            if item.is_empty() {
-                continue;
-            }
-            if let Some(seed) = item.strip_prefix("seed=") {
-                plan.seed = seed
-                    .trim()
-                    .parse::<u64>()
-                    .map_err(|_| NetFaultSpecError(format!("bad seed `{item}`")))?;
-                continue;
-            }
-            if let Some(rank) = item.strip_prefix("rank=") {
-                plan.rank = Some(
-                    rank.trim()
-                        .parse::<usize>()
-                        .map_err(|_| NetFaultSpecError(format!("bad rank `{item}`")))?,
-                );
-                continue;
-            }
-            let (head, tail) = item
-                .split_once('@')
-                .ok_or_else(|| NetFaultSpecError(format!("missing `@frame` in `{item}`")))?;
-            let (kind_str, qual) = match head.split_once(':') {
-                Some((k, q)) => (k.trim(), Some(q.trim())),
-                None => (head.trim(), None),
-            };
-            let kind = match (kind_str, qual) {
-                ("drop", None) => NetFaultKind::Drop,
-                ("delay", q) => NetFaultKind::Delay {
-                    millis: match q {
-                        Some(ms) => ms.parse::<u64>().ok().filter(|&v| v >= 1).ok_or_else(
-                            || NetFaultSpecError(format!("bad delay millis in `{item}`")),
-                        )?,
-                        None => 25,
-                    },
-                },
-                ("corrupt", q) => NetFaultKind::Corrupt {
-                    class: match q {
-                        Some(name) => match parse_class(name) {
-                            Some(u8::MAX) => {
-                                return Err(NetFaultSpecError(format!(
-                                    "unknown protocol class `{name}` in `{item}`"
-                                )));
-                            }
-                            c => c,
-                        },
-                        None => None,
-                    },
-                },
-                ("truncate", None) => NetFaultKind::Truncate,
-                ("dup", None) => NetFaultKind::Duplicate,
-                ("stall", q) => NetFaultKind::Stall {
-                    secs: match q {
-                        Some(s) => s.parse::<u64>().ok().filter(|&v| v >= 1).ok_or_else(
-                            || NetFaultSpecError(format!("bad stall seconds in `{item}`")),
-                        )?,
-                        None => 1,
-                    },
-                },
-                ("sever", None) => NetFaultKind::Sever,
-                ("drop" | "truncate" | "dup" | "sever", Some(_)) => {
-                    return Err(NetFaultSpecError(format!(
-                        "`{kind_str}` takes no qualifier (in `{item}`)"
-                    )));
-                }
-                (other, _) => {
-                    return Err(NetFaultSpecError(format!("unknown fault kind `{other}`")));
-                }
-            };
-            let (frame_str, count_str) = match tail.split_once('x') {
-                Some((s, c)) => (s.trim(), Some(c.trim())),
-                None => (tail.trim(), None),
-            };
-            let frame = frame_str
-                .parse::<u64>()
-                .ok()
-                .filter(|&s| s >= 1)
-                .ok_or_else(|| NetFaultSpecError(format!("bad frame index in `{item}`")))?;
-            let count = match count_str {
-                Some(c) => c
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| NetFaultSpecError(format!("bad repeat count in `{item}`")))?,
-                None => 1,
-            };
-            plan.events.push(NetFaultEvent { kind, frame, count });
-        }
-        Ok(plan)
+    pub fn parse(spec: &str) -> Result<NetFaultPlan, FaultSpecError> {
+        let spec = fault::parse_spec(&VAR, spec, event_kind)?;
+        let events = spec.events.into_iter().map(|e| NetFaultEvent {
+            kind: e.kind,
+            frame: e.index,
+            count: e.count,
+        });
+        Ok(NetFaultPlan {
+            seed: spec.seed,
+            rank: spec.rank,
+            events: events.collect(),
+        })
     }
 
-    /// Read the plan from `TERASEM_NET_FAULT` for `rank`. Returns
-    /// `None` when the variable is unset or empty, or when the plan is
-    /// pinned to a different rank. A malformed spec prints one warning
-    /// per process — naming the variable and the bad token — and is
-    /// ignored (the resilience layer must not crash the run it tests).
+    /// Read the plan from `TERASEM_NET_FAULT` for `rank` (see
+    /// [`sem_obs::fault::plan_from_env`]: unset or blank is `None`, a
+    /// malformed spec warns once and is ignored). A plan pinned to a
+    /// different rank is `None` too.
     pub fn from_env(rank: usize) -> Option<NetFaultPlan> {
-        let spec = std::env::var("TERASEM_NET_FAULT").ok()?;
-        if spec.trim().is_empty() {
-            return None;
-        }
-        match NetFaultPlan::parse(&spec) {
-            Ok(plan) => {
-                if plan.rank.is_some_and(|r| r != rank) {
-                    None
-                } else {
-                    Some(plan)
-                }
-            }
-            Err(e) => {
-                sem_obs::warn::invalid_env(
-                    "TERASEM_NET_FAULT",
-                    &spec,
-                    &format!("{e}; ignoring the net-fault plan"),
-                );
-                None
-            }
-        }
+        fault::plan_from_env(&VAR, NetFaultPlan::parse).filter(|p| p.rank.is_none_or(|r| r == rank))
     }
 
     /// The fault scheduled for the 1-based outbound data frame `frame`

@@ -13,14 +13,14 @@
 //! A chaos `--kill` spec is only passed to the first life, mirroring
 //! the soak harness, so respawned ranks run clean. The epoch number is
 //! the recovery counter: once it reaches `--max-restarts`, the next
-//! loss puts every rank down and exits with [`EXIT_RESTARTS_EXHAUSTED`].
+//! loss puts every rank down and exits with [`sem_obs::exit::RESTARTS_EXHAUSTED`].
 //!
 //! On success the launcher additionally proves the replicated-compute
 //! invariant end-to-end: the final checkpoint files of all ranks must be
 //! byte-identical.
 
 use crate::layout::{rank_ckpt_dir, RankLayout};
-use crate::rank::{ENV_EPOCH, ENV_KILL, ENV_RANK, ENV_SIZE, ENV_SOCK_DIR, EXIT_CHAOS_KILL};
+use crate::rank::{ENV_EPOCH, ENV_KILL, ENV_RANK, ENV_SIZE, ENV_SOCK_DIR};
 use sem_mesh::generators::box2d;
 use sem_mesh::partition::{cut_edges, partition_rsb, part_sizes, shared_vertices};
 use sem_ops::SemOps;
@@ -323,10 +323,6 @@ fn final_checkpoints_identical(opts: &LaunchOpts) -> Result<(), String> {
     Ok(())
 }
 
-/// Launcher exit code: the recovery budget (`--max-restarts`) ran out.
-/// (Alias into the shared registry, [`sem_obs::exit`].)
-pub const EXIT_RESTARTS_EXHAUSTED: i32 = sem_obs::exit::RESTARTS_EXHAUSTED;
-
 /// Launcher entry point. Returns the process exit code.
 pub fn launch_main(opts: &LaunchOpts, argv: &[String]) -> i32 {
     if let Err(e) = validate_partition(opts) {
@@ -373,9 +369,9 @@ pub fn launch_main(opts: &LaunchOpts, argv: &[String]) -> i32 {
         };
         for &(r, code) in exited.iter().filter(|&&(_, code)| code != 0) {
             let kind = match code {
-                EXIT_CHAOS_KILL => "chaos kill",
-                7 => "divergence abort",
-                8 => "peer lost",
+                sem_obs::exit::CHAOS_KILL => "chaos kill",
+                sem_obs::exit::NET_DIVERGED => "divergence abort",
+                sem_obs::exit::NET_PEER_LOST => "peer lost",
                 _ => "failure",
             };
             log_line!("terasem-launch: rank {r} exited with code {code} ({kind})");
@@ -394,7 +390,7 @@ pub fn launch_main(opts: &LaunchOpts, argv: &[String]) -> i32 {
                  (--max-restarts {}, {epoch} recovery epoch(s) used)",
                 opts.max_restarts
             );
-            return EXIT_RESTARTS_EXHAUSTED;
+            return sem_obs::exit::RESTARTS_EXHAUSTED;
         }
         epoch += 1;
         to_spawn = exited.into_iter().map(|(r, _)| r).collect();

@@ -36,8 +36,10 @@ use crate::telemetry::{self, RankTelemetry};
 use crate::transport::{NetError, Transport};
 use sem_comm::{fit_alpha_beta, CostBreakdown, MachineModel};
 use sem_gs::{GsOp, RankGs};
+use sem_linalg::rng::Fnv1a64;
 use sem_mesh::partition::partition_rsb;
 use sem_ns::{valid_generations, GiveUpReason, NsSolver, RunPolicy, RunReport, RunSupervisor};
+use sem_obs::exit;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -57,19 +59,6 @@ pub const ENV_KILL: &str = "TERASEM_NET_KILL";
 /// rendezvous on the same epoch socket namespace.
 pub const ENV_EPOCH: &str = "TERASEM_NET_EPOCH";
 
-/// Clean exit. (All exit codes here are aliases into the shared
-/// workspace registry, [`sem_obs::exit`] — the names predate it and
-/// stay for source compatibility.)
-pub const EXIT_OK: i32 = sem_obs::exit::OK;
-/// Configuration rejected (bad partition, bad resume generation).
-pub const EXIT_USAGE: i32 = sem_obs::exit::USAGE;
-/// Cross-rank divergence detected (hash or gather-scatter mismatch).
-pub const EXIT_DIVERGED: i32 = sem_obs::exit::NET_DIVERGED;
-/// A peer died or the transport failed.
-pub const EXIT_PEER_LOST: i32 = sem_obs::exit::NET_PEER_LOST;
-/// Deterministic chaos self-kill (`--kill`), mirroring the soak harness.
-pub const EXIT_CHAOS_KILL: i32 = sem_obs::exit::CHAOS_KILL;
-
 /// Read the child-mode environment: `Some((rank, size))` in a rank
 /// process, `None` in the launcher.
 pub fn rank_env() -> Option<(usize, usize)> {
@@ -87,15 +76,8 @@ pub fn build_solver(opts: &LaunchOpts) -> NsSolver {
 /// FNV-1a over the solution bits: both velocity components, pressure,
 /// time, and step index. Any cross-rank drift flips it.
 fn solution_hash(s: &NsSolver) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x1000_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |word: u64| {
-        for b in word.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut h = Fnv1a64::default();
+    let mut eat = |word: u64| h.write(&word.to_le_bytes());
     for comp in &s.vel {
         for v in comp {
             eat(v.to_bits());
@@ -106,7 +88,7 @@ fn solution_hash(s: &NsSolver) -> u64 {
     }
     eat(s.time.to_bits());
     eat(s.step_index as u64);
-    h
+    h.finish()
 }
 
 /// Error-prefix for a failed collective: `resync:` when a peer
@@ -211,7 +193,7 @@ pub fn rank_main(opts: &LaunchOpts, rank: usize, size: usize) -> i32 {
     sem_obs::exit::exit_when_parent_dies(&format!("terasem-net rank {rank}"));
     let Ok(sock_base) = std::env::var(ENV_SOCK_DIR) else {
         log_line!("terasem-net rank {rank}: {ENV_SOCK_DIR} unset");
-        return EXIT_USAGE;
+        return exit::USAGE;
     };
     let mut epoch: u64 = std::env::var(ENV_EPOCH)
         .ok()
@@ -227,7 +209,7 @@ pub fn rank_main(opts: &LaunchOpts, rank: usize, size: usize) -> i32 {
             Ok(t) => t,
             Err(e) => {
                 log_line!("terasem-net rank {rank}: bootstrap failed: {e}");
-                return EXIT_PEER_LOST;
+                return exit::NET_PEER_LOST;
             }
         };
         let mut comm = NetComm::new(transport);
@@ -245,7 +227,7 @@ pub fn rank_main(opts: &LaunchOpts, rank: usize, size: usize) -> i32 {
         sem_obs::trace::set_trace_enabled(true);
         if let Err(e) = std::fs::create_dir_all(&ckpt_dir) {
             log_line!("terasem-net rank {rank}: cannot create {}: {e}", ckpt_dir.display());
-            return EXIT_USAGE;
+            return exit::USAGE;
         }
         let metrics_path = ckpt_dir.join("metrics.jsonl");
         match sem_obs::sink::FileSink::create(&metrics_path.to_string_lossy()) {
@@ -255,7 +237,7 @@ pub fn rank_main(opts: &LaunchOpts, rank: usize, size: usize) -> i32 {
                     "terasem-net rank {rank}: cannot open metrics sink {}: {e}",
                     metrics_path.display()
                 );
-                return EXIT_USAGE;
+                return exit::USAGE;
             }
         }
     }
@@ -265,7 +247,7 @@ pub fn rank_main(opts: &LaunchOpts, rank: usize, size: usize) -> i32 {
         Ok(l) => l,
         Err(e) => {
             log_line!("terasem-net rank {rank}: {e}");
-            return EXIT_USAGE;
+            return exit::USAGE;
         }
     };
     let gs = layout.gs(rank);
@@ -340,7 +322,7 @@ fn join_epoch(
             }
             Err(e) => {
                 log_line!("terasem-net rank {rank}: resume from generation {g} failed: {e}");
-                return Err(EpochOutcome::Exit(EXIT_USAGE));
+                return Err(EpochOutcome::Exit(exit::USAGE));
             }
         },
         None => log_line!("terasem-net rank {rank}: epoch {epoch}: restarting from scratch"),
@@ -372,7 +354,7 @@ fn run_epoch(
         Ok(t) => t,
         Err(e) => {
             log_line!("terasem-net rank {rank}: epoch {epoch} bootstrap failed: {e}");
-            return EpochOutcome::Exit(EXIT_PEER_LOST);
+            return EpochOutcome::Exit(exit::NET_PEER_LOST);
         }
     };
     let mut comm = NetComm::new(transport);
@@ -383,7 +365,7 @@ fn run_epoch(
     // All transports up and all ranks rewound before stepping.
     if let Err(e) = comm.barrier() {
         log_line!("terasem-net rank {rank}: start barrier failed: {e}");
-        return EpochOutcome::Exit(EXIT_PEER_LOST);
+        return EpochOutcome::Exit(exit::NET_PEER_LOST);
     }
     // Each rank's trace clock is process-local; the instant the *first*
     // start barrier releases is the shared reference that clock-aligns
@@ -394,7 +376,7 @@ fn run_epoch(
         let step = s.step_index as u64;
         if kill_steps.contains(&step) {
             log_line!("terasem-net rank {rank}: chaos kill after committing step {step}");
-            std::process::exit(EXIT_CHAOS_KILL);
+            std::process::exit(exit::CHAOS_KILL);
         }
         if step.is_multiple_of(every) || step == target {
             validate(s, layout, gs, &mut comm)?;
@@ -419,7 +401,7 @@ fn run_epoch(
                 GiveUpReason::Aborted(why) => {
                     abort_outcome(&mut comm, epoch, opts.max_restarts, why)
                 }
-                _ => EpochOutcome::Exit(EXIT_DIVERGED),
+                _ => EpochOutcome::Exit(exit::NET_DIVERGED),
             }
         }
     }
@@ -430,10 +412,10 @@ fn run_epoch(
 /// always terminal.
 fn abort_outcome(comm: &mut NetComm, epoch: u64, max_restarts: usize, why: &str) -> EpochOutcome {
     if !(why.starts_with("peer-lost:") || why.starts_with("resync:")) {
-        return EpochOutcome::Exit(EXIT_DIVERGED);
+        return EpochOutcome::Exit(exit::NET_DIVERGED);
     }
     if epoch >= max_restarts as u64 {
-        return EpochOutcome::Exit(EXIT_PEER_LOST);
+        return EpochOutcome::Exit(exit::NET_PEER_LOST);
     }
     // Best-effort wakeup: peers blocked in long receives on still-alive
     // links fail fast with `NetError::Resync` instead of draining their
@@ -497,7 +479,7 @@ fn finish_run(
         Ok(_) => {}
         Err(e) => {
             log_line!("terasem-net rank {rank}: final stats gather failed: {e}");
-            return EpochOutcome::Exit(EXIT_PEER_LOST);
+            return EpochOutcome::Exit(exit::NET_PEER_LOST);
         }
     }
     if let Some(tel) = tel {
@@ -516,11 +498,11 @@ fn finish_run(
             Ok(None) => {}
             Err(e) => {
                 log_line!("terasem-net rank {rank}: telemetry shipping failed: {e}");
-                return EpochOutcome::Exit(EXIT_PEER_LOST);
+                return EpochOutcome::Exit(exit::NET_PEER_LOST);
             }
         }
     }
-    EpochOutcome::Exit(EXIT_OK)
+    EpochOutcome::Exit(exit::OK)
 }
 
 /// The α–β cost of one neighbor exchange on `layout` under `model`: the
@@ -552,7 +534,7 @@ fn bench_comm_main(opts: &LaunchOpts, comm: &mut NetComm) -> i32 {
     let (rank, size) = (comm.rank(), comm.size());
     if let Err(e) = comm.barrier() {
         log_line!("terasem-net rank {rank}: bench barrier failed: {e}");
-        return EXIT_PEER_LOST;
+        return exit::NET_PEER_LOST;
     }
     // Ping-pong between ranks 0 and 1: half round-trip per sample.
     let mut samples: Vec<(u64, f64)> = Vec::new();
@@ -573,7 +555,7 @@ fn bench_comm_main(opts: &LaunchOpts, comm: &mut NetComm) -> i32 {
                 };
                 if let Err(e) = res {
                     log_line!("terasem-net rank {rank}: ping-pong failed: {e}");
-                    return EXIT_PEER_LOST;
+                    return exit::NET_PEER_LOST;
                 }
                 if rank == 0 && rep >= PING_WARMUP {
                     samples.push((bytes as u64, t0.elapsed().as_secs_f64() / 2.0));
@@ -588,14 +570,14 @@ fn bench_comm_main(opts: &LaunchOpts, comm: &mut NetComm) -> i32 {
         Ok(l) => l,
         Err(e) => {
             log_line!("terasem-net rank {rank}: {e}");
-            return EXIT_USAGE;
+            return exit::USAGE;
         }
     };
     let gs = layout.gs(rank);
     let mut field = layout.extract(rank, &solver.vel[0]);
     if let Err(e) = comm.barrier() {
         log_line!("terasem-net rank {rank}: {e}");
-        return EXIT_PEER_LOST;
+        return exit::NET_PEER_LOST;
     }
     comm.timings = CommTimings::default();
     for _ in 0..OP_REPS {
@@ -603,7 +585,7 @@ fn bench_comm_main(opts: &LaunchOpts, comm: &mut NetComm) -> i32 {
             Ok(inbox) => gs.fold(&mut field, &inbox, GsOp::Add),
             Err(e) => {
                 log_line!("terasem-net rank {rank}: bench exchange failed: {e}");
-                return EXIT_PEER_LOST;
+                return exit::NET_PEER_LOST;
             }
         }
     }
@@ -612,12 +594,12 @@ fn bench_comm_main(opts: &LaunchOpts, comm: &mut NetComm) -> i32 {
     for i in 0..OP_REPS {
         if comm.allreduce_sum(i as f64).is_err() {
             log_line!("terasem-net rank {rank}: bench allreduce failed");
-            return EXIT_PEER_LOST;
+            return exit::NET_PEER_LOST;
         }
     }
     let allreduce_mean = CommTimings::mean_secs(&comm.timings.allreduce);
     if rank != 0 {
-        return EXIT_OK;
+        return exit::OK;
     }
     // Report (rank 0): fit, then model-vs-measured under CostBreakdown.
     println!("terasem-net --bench-comm: {size} rank(s), local Unix-socket transport");
@@ -677,7 +659,7 @@ fn bench_comm_main(opts: &LaunchOpts, comm: &mut NetComm) -> i32 {
             );
         }
     }
-    EXIT_OK
+    exit::OK
 }
 
 #[cfg(test)]

@@ -32,13 +32,11 @@ use sem_gs::RankGs;
 use sem_obs::counters::{self, CounterSnapshot};
 use sem_obs::hist::{self, HistSnapshot};
 use sem_obs::json::{fmt_f64, Json, JsonObj};
-use sem_obs::record::{counters_obj, latency_hist_obj, spans_obj, SCHEMA_VERSION};
+use sem_obs::record::{counters_obj, latency_hist_obj, spans_obj, RANK_RECORD_TYPE, SCHEMA_VERSION};
 use sem_obs::spans::{self, SpanSnapshot};
 use sem_obs::trace;
 use std::path::{Path, PathBuf};
 
-/// The `"type"` tag of a per-rank telemetry record.
-pub const RANK_RECORD_TYPE: &str = "terasem.rank";
 /// Artifact file name: JSON-lines of `terasem.rank` records.
 pub const RANKS_FILE: &str = "terasem.ranks";
 /// Artifact file name: the merged per-rank-lane Chrome trace.

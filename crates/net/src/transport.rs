@@ -107,7 +107,8 @@ pub fn crc32(parts: &[&[u8]]) -> u32 {
 }
 
 // ---------------------------------------------------------------------
-// Frame codec: pure encode/decode (proptested) + streaming reader.
+// Frame codec: encode, and one streaming reader (proptested on byte
+// slices, run on sockets).
 
 /// Structured frame-decode failure: every way a frame can be damaged on
 /// the wire maps to exactly one of these — never a panic or misparse.
@@ -165,88 +166,40 @@ pub fn encode_frame(tag: u32, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decode one frame from the start of `buf`, returning the tag and
-/// payload. Inverse of [`encode_frame`]; every corruption of the buffer
-/// yields a structured [`FrameError`].
-pub fn decode_frame(buf: &[u8]) -> Result<(u32, Vec<u8>), FrameError> {
-    if buf.len() < HEADER {
-        return Err(FrameError::Truncated {
-            need: HEADER,
-            have: buf.len(),
-        });
+/// Read one frame off `stream` — a socket in the reader threads, a
+/// byte slice in the codec's tests — returning its tag and payload.
+/// Inverse of [`encode_frame`]. The outer `Err` is a failed read; every
+/// damaged frame is an inner [`FrameError`], never a panic or a
+/// misparse. A stream that ends cleanly at a frame boundary reads as
+/// `Truncated { have: 0, .. }`.
+pub fn read_frame(stream: &mut impl Read) -> io::Result<Result<(u32, Vec<u8>), FrameError>> {
+    let mut header = Vec::with_capacity(HEADER);
+    stream.by_ref().take(HEADER as u64).read_to_end(&mut header)?;
+    if header.len() < HEADER {
+        let have = header.len();
+        return Ok(Err(FrameError::Truncated { need: HEADER, have }));
     }
-    let tag_b: [u8; 4] = buf[0..4].try_into().unwrap();
-    let len_b: [u8; 8] = buf[4..12].try_into().unwrap();
-    let want = u32::from_le_bytes(buf[12..16].try_into().unwrap());
-    let len = u64::from_le_bytes(len_b);
-    if len > MAX_FRAME {
-        return Err(FrameError::Oversize { len });
-    }
-    let need = HEADER + len as usize;
-    if buf.len() < need {
-        return Err(FrameError::Truncated {
-            need,
-            have: buf.len(),
-        });
-    }
-    let payload = &buf[HEADER..need];
-    let got = crc32(&[&tag_b, &len_b, payload]);
-    if got != want {
-        return Err(FrameError::Crc { want, got });
-    }
-    Ok((u32::from_le_bytes(tag_b), payload.to_vec()))
-}
-
-/// Why a streaming frame read failed.
-enum ReadFail {
-    /// Clean EOF at a frame boundary: the peer closed the stream.
-    Closed,
-    /// EOF mid-frame: the last frame was cut off.
-    Truncated,
-    /// Header declared an absurd length.
-    Oversize,
-    /// CRC mismatch.
-    Crc,
-    /// Any other socket error (reset, shutdown, ...).
-    Io,
-}
-
-fn read_exact_or(stream: &mut impl Read, buf: &mut [u8], mid_frame: bool) -> Result<(), ReadFail> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(if filled == 0 && !mid_frame {
-                    ReadFail::Closed
-                } else {
-                    ReadFail::Truncated
-                });
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return Err(ReadFail::Io),
-        }
-    }
-    Ok(())
-}
-
-/// Read one frame off a stream, verifying the CRC.
-fn read_frame(stream: &mut impl Read) -> Result<(u32, Vec<u8>), ReadFail> {
-    let mut header = [0u8; HEADER];
-    read_exact_or(stream, &mut header, false)?;
     let tag_b: [u8; 4] = header[0..4].try_into().unwrap();
     let len_b: [u8; 8] = header[4..12].try_into().unwrap();
     let want = u32::from_le_bytes(header[12..16].try_into().unwrap());
     let len = u64::from_le_bytes(len_b);
     if len > MAX_FRAME {
-        return Err(ReadFail::Oversize);
+        return Ok(Err(FrameError::Oversize { len }));
     }
-    let mut payload = vec![0u8; len as usize];
-    read_exact_or(stream, &mut payload, true)?;
-    if crc32(&[&tag_b, &len_b, &payload]) != want {
-        return Err(ReadFail::Crc);
+    // The payload grows as bytes arrive, so a corrupt length allocates
+    // only what the stream actually holds.
+    let mut payload = Vec::new();
+    stream.take(len).read_to_end(&mut payload)?;
+    let need = HEADER + len as usize;
+    if payload.len() < len as usize {
+        let have = HEADER + payload.len();
+        return Ok(Err(FrameError::Truncated { need, have }));
     }
-    Ok((u32::from_le_bytes(tag_b), payload))
+    let got = crc32(&[&tag_b, &len_b, &payload]);
+    if got != want {
+        return Ok(Err(FrameError::Crc { want, got }));
+    }
+    Ok(Ok((u32::from_le_bytes(tag_b), payload)))
 }
 
 // ---------------------------------------------------------------------
@@ -592,7 +545,7 @@ fn reader_loop(mesh: Arc<Mesh>, peer: usize, mut stream: UnixStream, conn_id: u6
     let lk = mesh.link(peer);
     loop {
         match read_frame(&mut stream) {
-            Ok((tag, payload)) => {
+            Ok(Ok((tag, payload))) => {
                 let class = (tag & 0xff) as u8;
                 if class >= CLASS_PROBE {
                     match class {
@@ -653,10 +606,10 @@ fn reader_loop(mesh: Arc<Mesh>, peer: usize, mut stream: UnixStream, conn_id: u6
                     return;
                 }
             }
-            Err(fail) => {
-                let damage = match fail {
-                    ReadFail::Closed | ReadFail::Io => Damage::Closed,
-                    ReadFail::Truncated | ReadFail::Oversize | ReadFail::Crc => {
+            failed => {
+                let damage = match failed {
+                    Err(_) | Ok(Err(FrameError::Truncated { have: 0, .. })) => Damage::Closed,
+                    _ => {
                         counters::add(Counter::NetFramesCorrupt, 1);
                         Damage::Corrupt
                     }
@@ -1496,6 +1449,11 @@ mod tests {
         let t = NetTuning::from_lookup(0, |_| None);
         assert_eq!(t.heartbeat, d.heartbeat);
         assert_eq!(t.heal_window, d.heal_window);
+    }
+
+    /// [`read_frame`] over an in-memory frame.
+    fn decode_frame(buf: &[u8]) -> Result<(u32, Vec<u8>), FrameError> {
+        read_frame(&mut &buf[..]).expect("reading a byte slice cannot fail")
     }
 
     #[test]

@@ -3,12 +3,17 @@
 //! The resilience contract of the transport rests on one invariant:
 //! *any* damage to a frame's bytes — header or payload, single flip or
 //! burst — must surface as a structured error, never a panic, hang, or
-//! silent misparse. These properties pin that invariant directly on the
-//! pure codec ([`encode_frame`]/[`decode_frame`]), which is the same
-//! code the streaming reader uses on live sockets.
+//! silent misparse. These properties pin that invariant on the codec
+//! ([`encode_frame`]/[`read_frame`]), reading frames from byte slices
+//! with the same [`read_frame`] the reader threads run on live sockets.
 
 use sem_linalg::rng::forall;
-use sem_net::transport::{crc32, decode_frame, encode_frame, FrameError, NetError};
+use sem_net::transport::{crc32, encode_frame, read_frame, FrameError, NetError};
+
+/// Decode one frame from the start of `buf` through [`read_frame`].
+fn decode_frame(buf: &[u8]) -> Result<(u32, Vec<u8>), FrameError> {
+    read_frame(&mut &buf[..]).expect("reading a byte slice cannot fail")
+}
 
 /// A random tag/payload pair: tags exercise the full class+sequence
 /// space, payloads span empty through a few KiB.

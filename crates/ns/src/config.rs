@@ -75,10 +75,9 @@ pub struct NsConfig {
     /// overriding the process-wide stamp (`sem_obs::set_rank`), so merged
     /// multi-rank telemetry streams — and multiple in-process solvers
     /// tagged with job ids, `sem-serve`-style — stay attributable. `None`
-    /// (the single-process default) keeps the process-wide stamp —
-    /// usually unset, or `TERASEM_RANK` if the embedding binary applied
-    /// it. Only consulted when `metrics` is on; purely observational,
-    /// never read by the numerics.
+    /// (the single-process default) keeps the process-wide stamp,
+    /// unset outside `sem-net` ranks. Only consulted when `metrics` is
+    /// on; purely observational, never read by the numerics.
     pub rank: Option<u32>,
     /// Deterministic fault-injection plan (`None` = no faults). Parsed
     /// from `TERASEM_FAULT` with [`crate::fault::FaultPlan::from_env`] or

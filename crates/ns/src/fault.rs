@@ -19,7 +19,7 @@
 //! solver drains, so tests can assert a fault actually happened.
 
 use sem_linalg::rng::SplitMix64;
-use std::fmt;
+use sem_obs::fault::{self, FaultSite, FaultSpecError, SpecVar};
 
 /// What to break.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,26 +28,15 @@ pub enum FaultKind {
     FieldNan,
     /// Overwrite one (seed-chosen) node of a field with +Inf.
     FieldInf,
-    /// Negate the pressure-operator output for one solve so PCG sees
-    /// `pᵀAp < 0` and reports `IndefiniteOperator`.
-    IndefiniteOperator,
-    /// Negate the preconditioned residual for one solve so PCG sees
-    /// `rᵀz < 0` at entry and reports `IndefinitePreconditioner`.
-    IndefinitePreconditioner,
-    /// NaN-poison the most recent successive-RHS projection basis pair
-    /// *after* its update guards ran; the **next** pressure solve
-    /// starts from a NaN guess and breaks down (cured by clearing the
-    /// projection history).
-    ProjectionCorruption,
-    /// Skip one gather-scatter combine, leaving shared nodal copies
-    /// stale — finite but wrong, detectable only through the fired
-    /// flag the exchange layer reports upward.
-    GsDrop,
-    /// NaN-poison the restricted RHS of one coarse-grid solve inside
-    /// the Schwarz preconditioner; the NaN propagates through the
-    /// Cholesky solve into the preconditioner output and PCG reports a
-    /// NaN `r·z` breakdown.
-    CoarseCorruption,
+    /// Arm one of the solver's injection sites for the attempt: make
+    /// the pressure operator (`indef_op`) or its preconditioner
+    /// (`indef_pc`) indefinite for one solve, NaN-poison the newest
+    /// projection basis pair after its update guards ran so the *next*
+    /// solve breaks down (`proj`), skip one gather-scatter combine
+    /// (`gs`, finite but wrong, detectable only through the fired
+    /// flag), or NaN-poison one coarse-grid RHS inside the Schwarz
+    /// preconditioner (`coarse`). See [`FaultSite`].
+    Site(FaultSite),
 }
 
 impl FaultKind {
@@ -56,11 +45,7 @@ impl FaultKind {
         match self {
             FaultKind::FieldNan => "nan",
             FaultKind::FieldInf => "inf",
-            FaultKind::IndefiniteOperator => "indef_op",
-            FaultKind::IndefinitePreconditioner => "indef_pc",
-            FaultKind::ProjectionCorruption => "proj",
-            FaultKind::GsDrop => "gs",
-            FaultKind::CoarseCorruption => "coarse",
+            FaultKind::Site(site) => site.name(),
         }
     }
 
@@ -86,6 +71,15 @@ pub enum FieldTarget {
 }
 
 impl FieldTarget {
+    /// Every target, in declaration order.
+    const ALL: [FieldTarget; 5] = [
+        FieldTarget::U,
+        FieldTarget::V,
+        FieldTarget::W,
+        FieldTarget::Pressure,
+        FieldTarget::Temperature,
+    ];
+
     /// Spec-grammar name.
     pub fn name(self) -> &'static str {
         match self {
@@ -125,23 +119,44 @@ pub struct FaultPlan {
     pub events: Vec<FaultEvent>,
 }
 
-/// Parse failure for a `TERASEM_FAULT` spec.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FaultSpecError(String);
+/// The `TERASEM_FAULT` variable: items are indexed by step and take no
+/// `rank=`.
+const VAR: SpecVar = SpecVar {
+    name: "TERASEM_FAULT",
+    index: "step",
+    ranked: false,
+};
 
-impl fmt::Display for FaultSpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid TERASEM_FAULT spec: {}", self.0)
+/// The kind table: `kind(:field)?` of one spec item.
+fn event_kind(name: &str, field: Option<&str>) -> Result<(FaultKind, Option<FieldTarget>), String> {
+    let kind = match name {
+        "nan" => FaultKind::FieldNan,
+        "inf" => FaultKind::FieldInf,
+        _ => FaultKind::Site(
+            FaultSite::from_name(name).ok_or_else(|| format!("unknown fault kind `{name}`"))?,
+        ),
+    };
+    let field = match field {
+        Some(f) => Some(
+            FieldTarget::ALL
+                .into_iter()
+                .find(|t| t.name() == f)
+                .ok_or_else(|| format!("unknown field `{f}`"))?,
+        ),
+        None => None,
+    };
+    match (kind.needs_field(), field) {
+        (true, None) => Err(format!("`{name}` needs a field, e.g. `{name}:u@step`")),
+        (false, Some(_)) => Err(format!("`{name}` takes no field qualifier")),
+        _ => Ok((kind, field)),
     }
 }
 
-impl std::error::Error for FaultSpecError {}
-
 impl FaultPlan {
-    /// Parse a fault spec. Grammar (items separated by `,` or `;`):
+    /// Parse a `TERASEM_FAULT` spec: the shared grammar of
+    /// [`sem_obs::fault`] (no `rank=` item), with
     ///
     /// ```text
-    /// spec  := item ((',' | ';') item)*
     /// item  := 'seed=' N
     ///        | kind (':' field)? '@' step ('x' count)?
     /// kind  := 'nan' | 'inf' | 'indef_op' | 'indef_pc' | 'proj' | 'gs' | 'coarse'
@@ -150,110 +165,24 @@ impl FaultPlan {
     ///
     /// Examples: `nan:u@3`, `indef_op@5x2`, `seed=7,inf:p@2;gs@4`.
     pub fn parse(spec: &str) -> Result<FaultPlan, FaultSpecError> {
-        let mut plan = FaultPlan::default();
-        for raw in spec.split([',', ';']) {
-            let item = raw.trim();
-            if item.is_empty() {
-                continue;
-            }
-            if let Some(seed) = item.strip_prefix("seed=") {
-                plan.seed = seed
-                    .trim()
-                    .parse::<u64>()
-                    .map_err(|_| FaultSpecError(format!("bad seed `{item}`")))?;
-                continue;
-            }
-            let (head, tail) = item
-                .split_once('@')
-                .ok_or_else(|| FaultSpecError(format!("missing `@step` in `{item}`")))?;
-            let (kind_str, field_str) = match head.split_once(':') {
-                Some((k, f)) => (k.trim(), Some(f.trim())),
-                None => (head.trim(), None),
-            };
-            let kind = match kind_str {
-                "nan" => FaultKind::FieldNan,
-                "inf" => FaultKind::FieldInf,
-                "indef_op" => FaultKind::IndefiniteOperator,
-                "indef_pc" => FaultKind::IndefinitePreconditioner,
-                "proj" => FaultKind::ProjectionCorruption,
-                "gs" => FaultKind::GsDrop,
-                "coarse" => FaultKind::CoarseCorruption,
-                other => {
-                    return Err(FaultSpecError(format!("unknown fault kind `{other}`")));
-                }
-            };
-            let field = match field_str {
-                Some("u") => Some(FieldTarget::U),
-                Some("v") => Some(FieldTarget::V),
-                Some("w") => Some(FieldTarget::W),
-                Some("p") => Some(FieldTarget::Pressure),
-                Some("t") => Some(FieldTarget::Temperature),
-                Some(other) => {
-                    return Err(FaultSpecError(format!("unknown field `{other}` in `{item}`")));
-                }
-                None => None,
-            };
-            if kind.needs_field() && field.is_none() {
-                return Err(FaultSpecError(format!(
-                    "`{}` needs a field, e.g. `{}:u@step`",
-                    kind.name(),
-                    kind.name()
-                )));
-            }
-            if !kind.needs_field() && field.is_some() {
-                return Err(FaultSpecError(format!(
-                    "`{}` takes no field qualifier",
-                    kind.name()
-                )));
-            }
-            let (step_str, count_str) = match tail.split_once('x') {
-                Some((s, c)) => (s.trim(), Some(c.trim())),
-                None => (tail.trim(), None),
-            };
-            let step = step_str
-                .parse::<usize>()
-                .ok()
-                .filter(|&s| s >= 1)
-                .ok_or_else(|| FaultSpecError(format!("bad step in `{item}`")))?;
-            let count = match count_str {
-                Some(c) => c
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| FaultSpecError(format!("bad repeat count in `{item}`")))?,
-                None => 1,
-            };
-            plan.events.push(FaultEvent {
-                kind,
-                field,
-                step,
-                count,
-            });
-        }
-        Ok(plan)
+        let spec = fault::parse_spec(&VAR, spec, event_kind)?;
+        let events = spec.events.into_iter().map(|e| FaultEvent {
+            kind: e.kind.0,
+            field: e.kind.1,
+            step: e.index as usize,
+            count: e.count as usize,
+        });
+        Ok(FaultPlan {
+            seed: spec.seed,
+            events: events.collect(),
+        })
     }
 
-    /// Read the plan from `TERASEM_FAULT`. Returns `None` when the
-    /// variable is unset or empty; a malformed spec prints one warning
-    /// per process to stderr — naming the variable and the bad token —
-    /// and is ignored (a robustness layer must not crash the run it
-    /// protects).
+    /// Read the plan from `TERASEM_FAULT` (see
+    /// [`sem_obs::fault::plan_from_env`]: unset or blank is `None`, a
+    /// malformed spec warns once and is ignored).
     pub fn from_env() -> Option<FaultPlan> {
-        let spec = std::env::var("TERASEM_FAULT").ok()?;
-        if spec.trim().is_empty() {
-            return None;
-        }
-        match FaultPlan::parse(&spec) {
-            Ok(plan) => Some(plan),
-            Err(e) => {
-                sem_obs::warn::invalid_env(
-                    "TERASEM_FAULT",
-                    &spec,
-                    &format!("{e}; ignoring the fault plan"),
-                );
-                None
-            }
-        }
+        fault::plan_from_env(&VAR, FaultPlan::parse)
     }
 
     /// Events scheduled for attempt `attempt` (0-based) of 1-based step
@@ -291,9 +220,9 @@ mod tests {
         assert_eq!(p.events[0].field, Some(FieldTarget::U));
         assert_eq!(p.events[0].step, 3);
         assert_eq!(p.events[0].count, 1);
-        assert_eq!(p.events[1].kind, FaultKind::IndefiniteOperator);
+        assert_eq!(p.events[1].kind, FaultKind::Site(FaultSite::PressureOperator));
         assert_eq!(p.events[1].count, 2);
-        assert_eq!(p.events[2].kind, FaultKind::GsDrop);
+        assert_eq!(p.events[2].kind, FaultKind::Site(FaultSite::GsExchange));
         assert!(p.events[2].field.is_none());
     }
 
@@ -301,7 +230,7 @@ mod tests {
     fn parse_coarse_kind() {
         let p = FaultPlan::parse("coarse@4x2").unwrap();
         assert_eq!(p.events.len(), 1);
-        assert_eq!(p.events[0].kind, FaultKind::CoarseCorruption);
+        assert_eq!(p.events[0].kind, FaultKind::Site(FaultSite::CoarseRhs));
         assert!(p.events[0].field.is_none());
         assert_eq!(p.events[0].step, 4);
         assert_eq!(p.events[0].count, 2);
@@ -331,6 +260,13 @@ mod tests {
         assert!(FaultPlan::parse("nan:u").is_err()); // missing step
         assert!(FaultPlan::parse("nan:u@2x0").is_err()); // zero repeat
         assert!(FaultPlan::parse("seed=minus").is_err());
+    }
+
+    #[test]
+    fn rank_pins_are_not_part_of_the_grammar() {
+        // `rank=` belongs to TERASEM_NET_FAULT; every rank of a job runs
+        // the same solver plan.
+        assert!(FaultPlan::parse("rank=1,nan:u@3").is_err());
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub enum StepFailure {
     /// blow-up).
     FieldHealth(HealthViolation),
     /// A gather-scatter exchange was dropped during the attempt
-    /// (reported through `sem_obs::fault::take_fired` — the fields are
+    /// (reported through `sem_obs::fault::drain` — the fields are
     /// finite but inconsistent across element boundaries).
     ExchangeDropped,
 }

@@ -629,14 +629,9 @@ impl NsSolver {
             // inconsistent across element boundaries, so the sticky
             // fired flag is the only way to learn about it; the other
             // sites surface through CG breakdowns or the health scan.
-            obs_fault::disarm_all();
-            if obs_fault::take_fired(FaultSite::GsExchange) && failure.is_none() {
+            if obs_fault::drain().contains(FaultSite::GsExchange) && failure.is_none() {
                 failure = Some(StepFailure::ExchangeDropped);
             }
-            let _ = obs_fault::take_fired(FaultSite::PressureOperator);
-            let _ = obs_fault::take_fired(FaultSite::PressurePrecond);
-            let _ = obs_fault::take_fired(FaultSite::ProjectionUpdate);
-            let _ = obs_fault::take_fired(FaultSite::CoarseRhs);
 
             if failure.is_none() {
                 failure = self.health_failure(kinetic);
@@ -758,11 +753,7 @@ impl NsSolver {
                     sem_obs::counters::add(sem_obs::Counter::FaultsInjected, 1);
                     sem_obs::trace::note("fault_injected_field", idx as f64);
                 }
-                FaultKind::IndefiniteOperator => obs_fault::arm(FaultSite::PressureOperator),
-                FaultKind::IndefinitePreconditioner => obs_fault::arm(FaultSite::PressurePrecond),
-                FaultKind::ProjectionCorruption => obs_fault::arm(FaultSite::ProjectionUpdate),
-                FaultKind::GsDrop => obs_fault::arm(FaultSite::GsExchange),
-                FaultKind::CoarseCorruption => obs_fault::arm(FaultSite::CoarseRhs),
+                FaultKind::Site(site) => obs_fault::arm(site),
             }
         }
     }

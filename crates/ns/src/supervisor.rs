@@ -87,41 +87,14 @@ impl RunPolicy {
     }
 
     /// Layer the operator environment over this policy:
-    /// `TERASEM_CHECKPOINT_DIR` (enables checkpointing, default interval
-    /// 5 steps when none is configured), `TERASEM_CHECKPOINT_EVERY`
-    /// (step interval), `TERASEM_KEEP_LAST` (retention). Malformed
-    /// values warn once on stderr (naming the variable and the bad
-    /// token) and leave the configured value in place.
+    /// `TERASEM_CHECKPOINT_DIR` enables checkpointing into that
+    /// directory (every 5 steps when no interval is configured).
     pub fn from_env(mut self) -> Self {
         if let Ok(dir) = std::env::var("TERASEM_CHECKPOINT_DIR") {
             if !dir.trim().is_empty() {
                 self.checkpoint_dir = Some(PathBuf::from(dir));
                 if self.checkpoint_every_steps.is_none() {
                     self.checkpoint_every_steps = Some(5);
-                }
-            }
-        }
-        if let Ok(v) = std::env::var("TERASEM_CHECKPOINT_EVERY") {
-            match v.trim().parse::<u64>() {
-                Ok(n) if n > 0 => self.checkpoint_every_steps = Some(n),
-                _ => {
-                    sem_obs::warn::invalid_env(
-                        "TERASEM_CHECKPOINT_EVERY",
-                        &v,
-                        "not a positive integer; keeping the configured interval",
-                    );
-                }
-            }
-        }
-        if let Ok(v) = std::env::var("TERASEM_KEEP_LAST") {
-            match v.trim().parse::<usize>() {
-                Ok(n) if n > 0 => self.keep_last = n,
-                _ => {
-                    sem_obs::warn::invalid_env(
-                        "TERASEM_KEEP_LAST",
-                        &v,
-                        "not a positive integer; keeping the configured retention",
-                    );
                 }
             }
         }
@@ -203,7 +176,8 @@ fn checkpoint_step_of(name: &str) -> Option<u64> {
         .ok()
 }
 
-fn checkpoint_path(dir: &Path, step: u64) -> PathBuf {
+/// The checkpoint of `step` in `dir`: `ckpt_NNNNNNNN.ckpt`.
+pub fn checkpoint_path(dir: &Path, step: u64) -> PathBuf {
     dir.join(format!("ckpt_{step:08}.ckpt"))
 }
 

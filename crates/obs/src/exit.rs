@@ -4,8 +4,7 @@
 //! binaries — `terasem-launch` owned 2/3/7/8/9, `sem-report --strict`
 //! owned 4/5/6, the `soak` harness reused 2 and 9 — and a new binary
 //! (like `sem-serve`) could only extend the set by grepping for
-//! collisions. Every binary now draws from this one table; the
-//! per-crate `EXIT_*` constants that predate it are re-exports.
+//! collisions. Every binary now draws from this one table.
 //!
 //! The full table (also in the README):
 //!

@@ -105,10 +105,9 @@ pub fn rank() -> Option<u32> {
 }
 
 /// Enable metrics if the `TERASEM_METRICS` environment variable is set
-/// to `1` or `true`, and apply the companion env vars: the sink
-/// selector `TERASEM_METRICS_SINK` (see [`sink::init_sink_from_env`])
-/// and the rank stamp `TERASEM_RANK` (see [`set_rank`]). Returns the
-/// resulting enabled state.
+/// to `1` or `true`, and apply the sink selector `TERASEM_METRICS_SINK`
+/// (see [`sink::init_sink_from_env`]). Returns the resulting enabled
+/// state.
 /// (`TERASEM_TRACE` is handled separately by [`trace::init_from_env`],
 /// since the caller owns writing the export file at run end.)
 pub fn init_from_env() -> bool {
@@ -116,15 +115,6 @@ pub fn init_from_env() -> bool {
         let v = v.trim();
         if v == "1" || v.eq_ignore_ascii_case("true") {
             set_enabled(true);
-        }
-    }
-    if let Ok(v) = std::env::var("TERASEM_RANK") {
-        let v = v.trim();
-        match v.parse::<u32>() {
-            Ok(r) => set_rank(Some(r)),
-            Err(_) => {
-                warn::invalid_env("TERASEM_RANK", v, "expected a rank index; stamp left unset");
-            }
         }
     }
     sink::init_sink_from_env();

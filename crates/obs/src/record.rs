@@ -35,6 +35,14 @@ pub const SCHEMA_VERSION: u64 = 7;
 /// The `"type"` tag of a per-timestep record.
 pub const STEP_RECORD_TYPE: &str = "terasem.step";
 
+/// The `"type"` tag of the per-rank telemetry record `sem-net` writes
+/// into `terasem.ranks`.
+pub const RANK_RECORD_TYPE: &str = "terasem.rank";
+
+/// The `"type"` tag of the service-lifecycle records `sem-serve`
+/// journals into `serve.jsonl`.
+pub const SERVE_RECORD_TYPE: &str = "terasem.serve";
+
 /// One timestep's worth of solver observability data.
 #[derive(Clone, Debug, Default)]
 pub struct StepRecord {

@@ -11,10 +11,12 @@
 //! JSON lines that `sem-report` (and any JSON-lines tool) can read
 //! directly.
 //!
-//! Selection: programmatic via [`set_sink`] (the `NsConfig::sink` field
-//! does this for you), or `TERASEM_METRICS_SINK=stdout|file:<path>|null`
-//! + [`init_sink_from_env`]. Unknown values warn on stderr and fall back
-//! to stdout — a bad env var must not silently eat a run's telemetry.
+//! Selection: process-wide via [`set_sink`], or
+//! `TERASEM_METRICS_SINK=stdout|file:<path>|null` + [`init_sink_from_env`].
+//! Unknown values warn on stderr and fall back to stdout — a bad env var
+//! must not silently eat a run's telemetry. A solver whose
+//! `NsConfig::sink` is set routes its own records there instead and
+//! leaves the process-wide sink alone.
 
 use std::fmt;
 use std::fs::File;

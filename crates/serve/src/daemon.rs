@@ -25,6 +25,7 @@ use crate::worker;
 use sem_obs::counters::{self, Counter};
 use sem_obs::exit;
 use sem_obs::json::JsonObj;
+use sem_obs::record::SERVE_RECORD_TYPE;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::net::{TcpListener, TcpStream};
@@ -32,9 +33,6 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// The `"type"` tag of the daemon's journal records.
-pub const SERVE_RECORD_TYPE: &str = "terasem.serve";
 
 /// Service configuration (all flags have production-ish defaults).
 #[derive(Clone, Debug)]
@@ -457,7 +455,7 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
                                 "ok job={id} checkpoint={} bytes={} hash={:016x}",
                                 path.display(),
                                 bytes.len(),
-                                crate::fnv1a64(&bytes)
+                                sem_linalg::rng::fnv1a64(&bytes)
                             ),
                             Err(e) => format!(
                                 "err internal reason={}",

@@ -43,26 +43,3 @@ pub mod proto;
 pub mod signal;
 pub mod worker;
 
-/// Hash used to fingerprint result artifacts in `result` responses:
-/// FNV-1a 64, rendered as 16 hex digits. Stable across platforms, and
-/// cheap enough to run on every fetch.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
-}

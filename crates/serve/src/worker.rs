@@ -17,8 +17,9 @@
 
 use crate::job::JobSpec;
 use crate::signal;
-use sem_bench::workloads::shear_layer;
-use sem_ns::{FaultPlan, NsSolver, RecoveryPolicy, RunPolicy, RunSupervisor};
+use sem_bench::workloads::{chaos_kill, shear_dye_job};
+use sem_ns::supervisor::checkpoint_path;
+use sem_ns::{NsSolver, RunSupervisor};
 use sem_obs::exit;
 use sem_obs::sink::{FileSink, SinkHandle};
 use std::path::{Path, PathBuf};
@@ -49,32 +50,26 @@ pub fn metrics_path(job_dir: &Path) -> PathBuf {
 
 /// Path of the result artifact: the final checkpoint at `steps`.
 pub fn result_path(job_dir: &Path, steps: u64) -> PathBuf {
-    ckpt_dir(job_dir).join(format!("ckpt_{steps:08}.ckpt"))
+    checkpoint_path(&ckpt_dir(job_dir), steps)
 }
 
-/// Build the job's solver: the soak harness's shear-layer-plus-dye
-/// workload at the spec's size, with per-job metrics routed to the job
-/// directory and compressed periodic checkpoints. Shared with the e2e
-/// tests, which run the identical configuration in-process to produce
-/// the uncontended byte-compare reference.
+/// Build the job's solver: the shared shear-layer-plus-dye job
+/// (`sem_bench::workloads::shear_dye_job`) at the spec's size, with
+/// compressed checkpoints and per-job metrics routed to the job
+/// directory. Shared with the e2e tests, which run the identical
+/// configuration in-process to produce the uncontended byte-compare
+/// reference.
 pub fn build_solver(spec: &JobSpec, job_dir: &Path, job_id: u64, metrics: bool) -> NsSolver {
-    let mut s = shear_layer(spec.elems, spec.order, 30.0, 1e5, 0.3, 0.002);
-    s.add_scalar("dye", 1e-3, |x, y, _| {
-        (2.0 * std::f64::consts::PI * x).sin() * (2.0 * std::f64::consts::PI * y).cos()
-    });
-    if let Some(f) = &spec.fault {
-        // Validated at admission; a parse failure here means the spec
-        // file was hand-edited — treat as usage error, not a crash.
-        s.cfg.faults = Some(FaultPlan::parse(f).unwrap_or_else(|e| {
-            eprintln!("sem-serve worker: bad fault spec {f:?}: {e}");
+    let fault = spec.fault.as_deref();
+    let mut s = shear_dye_job(spec.elems, spec.order, fault, &ckpt_dir(job_dir), spec.every)
+        .unwrap_or_else(|e| {
+            // Validated at admission; a parse failure here means the
+            // spec file was hand-edited — treat as usage error, not a
+            // crash.
+            eprintln!("sem-serve worker: bad fault spec {fault:?}: {e}");
             std::process::exit(exit::USAGE);
-        }));
-        s.cfg.recovery = RecoveryPolicy::enabled();
-    }
-    s.cfg.run = RunPolicy {
-        compress: true,
-        ..RunPolicy::checkpointing(ckpt_dir(job_dir), spec.every, 3)
-    };
+        });
+    s.cfg.run.compress = true;
     if metrics {
         s.cfg.metrics = true;
         s.cfg.rank = Some(job_id as u32);
@@ -132,22 +127,15 @@ pub fn worker_main() -> ! {
     }
 
     // Scripted chaos: die hard after kill_at commits, first attempt
-    // only, leaving a torn decoy + a stray staging file that the retry
-    // must skip (the soak harness's crash signature).
+    // only, leaving the soak harness's crash signature for the retry.
     if let (Some(k), 0) = (spec.kill_at, attempt) {
         if (sup.solver().step_index as u64) < k {
             if let Err(e) = sup.run_to(k) {
                 eprintln!("sem-serve worker: job {job_id} gave up before its kill point: {e}");
                 std::process::exit(exit::JOB_GAVE_UP);
             }
-            let intact = result_path(&job_dir, k);
-            if let Ok(bytes) = std::fs::read(&intact) {
-                let torn = result_path(&job_dir, k + 1);
-                let _ = std::fs::write(&torn, &bytes[..bytes.len() / 2]);
-                let _ = std::fs::write(ckpt_dir(&job_dir).join("ckpt_99999999.ckpt.tmp"), b"in-flight");
-            }
-            eprintln!("sem-serve worker: job {job_id} chaos-killed at step {k}");
-            std::process::exit(exit::CHAOS_KILL);
+            let line = format!("sem-serve worker: job {job_id} chaos-killed at step {k}");
+            chaos_kill(&ckpt_dir(&job_dir), k, &line);
         }
     }
 

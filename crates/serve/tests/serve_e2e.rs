@@ -6,11 +6,12 @@
 //! scratch state directory, so the tests parallelize freely. All waits
 //! are bounded: a hang is a failure, per the service's own contract.
 
+use sem_linalg::rng::fnv1a64;
 use sem_ns::checkpoint::Checkpoint;
 use sem_ns::RunSupervisor;
 use sem_serve::client::{resolve_addr, Client, Submit};
 use sem_serve::job::JobSpec;
-use sem_serve::{fnv1a64, signal, worker};
+use sem_serve::{signal, worker};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};

@@ -19,7 +19,8 @@
 //! * [`sparse`] — CSR symmetric sparse matrices for coarse operators.
 //! * [`xxt`] — the XXᵀ sparse-inverse coarse-grid solver (ref \[24\]) with
 //!   nested-dissection ordering and the Fig. 6 communication model,
-//!   plus the redundant banded-LU and row-distributed-inverse baselines.
+//!   plus closed-form cost models of the Fig. 6 baselines (redundant
+//!   banded LU, row-distributed inverse).
 //! * [`pressure_solver`] — the packaged two-stage pressure solve:
 //!   projection + Schwarz-preconditioned CG on `E`.
 

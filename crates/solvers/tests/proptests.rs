@@ -1,12 +1,10 @@
 //! Property-based tests of the solver layer: CG correctness on random
-//! SPD systems, XXᵀ exactness under arbitrary elimination orders,
-//! banded-vs-dense factorization agreement, and projection-history
-//! algebra.
+//! SPD systems, XXᵀ exactness under arbitrary elimination orders, and
+//! projection-history algebra.
 //!
 //! Properties run as explicit seeded loops over [`sem_linalg::rng`]'s
 //! SplitMix64 generator; a failure message prints the exact case seed.
 
-use sem_linalg::banded::BandedCholesky;
 use sem_linalg::chol::Cholesky;
 use sem_linalg::rng::forall;
 use sem_linalg::Matrix;
@@ -95,36 +93,6 @@ fn nd_no_denser_than_natural() {
             nd.nnz(),
             nat.nnz()
         );
-    });
-}
-
-/// Banded and dense Cholesky agree on banded SPD systems.
-#[test]
-fn banded_matches_dense() {
-    forall("banded_matches_dense", 0x501e_0004, CASES, |rng| {
-        let n = rng.range(3, 20);
-        // kd < n always: the bandwidth is capped by the matrix size.
-        let kd = rng.range(1, 4.min(n));
-        let data = rng.vec(40, 0.1, 2.0);
-        // Diagonally dominant banded SPD.
-        let a = Matrix::from_fn(n, n, |i, j| {
-            let d = i.abs_diff(j);
-            if d == 0 {
-                4.0 + data[i % data.len()]
-            } else if d <= kd {
-                -1.0 / d as f64
-            } else {
-                0.0
-            }
-        });
-        let banded = BandedCholesky::from_dense(&a, kd);
-        let dense = Cholesky::new(&a).unwrap();
-        let b: Vec<f64> = (0..n).map(|i| data[(i * 3) % data.len()] - 1.0).collect();
-        let xb = banded.solve(&b);
-        let xd = dense.solve(&b);
-        for (g, w) in xb.iter().zip(xd.iter()) {
-            assert!((g - w).abs() < 1e-9 * (1.0 + w.abs()));
-        }
     });
 }
 
