@@ -15,7 +15,7 @@ fn main() {
     let n = 8;
     let geo = Geometry::new(&mesh, n);
     let num = GlobalNumbering::new(&mesh, &geo);
-    let gs = GsHandle::new(&num.ids);
+    let gs = GsHandle::for_elements(&num.ids, geo.npts);
     let nl = num.ids.len();
     let mut u: Vec<f64> = (0..nl).map(|i| (i as f64 * 0.37).sin()).collect();
     let mut group = BenchGroup::new("gather_scatter");

@@ -9,9 +9,9 @@
 //!
 //! 1. **Determinism across thread counts.** Every element's work is
 //!    independent and writes to disjoint storage, and reductions
-//!    ([`par_sum`]) accumulate over *fixed-size* chunks combined in index
-//!    order — so results are bitwise identical whether the loop runs on
-//!    1, 2, or 64 threads.
+//!    ([`par_chunked`], [`par_sum`]) accumulate over *fixed-size* chunks
+//!    combined in index order — so results are bitwise identical whether
+//!    the loop runs on 1, 2, or 64 threads.
 //! 2. **A serial fast path.** At 1 thread (or a loop of one item) the
 //!    loop runs on the calling thread and the pool is not touched; a
 //!    process whose loops all run at 1 thread never starts a worker.
@@ -24,10 +24,12 @@
 //! Every loop splits its `n` items into contiguous blocks of
 //! `n.div_ceil(nt)` items, `nt` = [`current_threads`], and runs them as
 //! one *region*: the calling thread runs block 0 and pool worker `w`
-//! runs block `w + 1`. The pool is process-wide. The first region of
-//! more than one block starts it, and it grows to the largest block
-//! count any region runs; its workers live as long as the process and
-//! wait between regions.
+//! runs block `w + 1`. [`par_ranges`] exposes that partition, so work
+//! that is not an element loop (the gather-scatter fold) can run on the
+//! thread that owns the elements it touches. The pool is process-wide.
+//! The first region of more than one block starts it, and it grows to
+//! the largest block count any region runs; its workers live as long as
+//! the process and wait between regions.
 //!
 //! One region owns the pool at a time. A region started while the pool
 //! is busy — from inside a region body, or by a second caller thread —
@@ -64,6 +66,8 @@
 
 use std::any::Any;
 use std::cell::Cell;
+use std::marker::PhantomData;
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
@@ -71,10 +75,10 @@ use std::sync::{Arc, Mutex, OnceLock, TryLockError};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
-/// Chunk length (in scalar indices) used by the deterministic reduction
-/// [`par_sum`]. Fixed — never derived from the thread count — so the
-/// grouping of partial sums is identical for every parallel
-/// configuration.
+/// Chunk length (in scalar indices) of the deterministic reductions
+/// [`par_chunked`] and [`par_sum`]. Fixed — never derived from the
+/// thread count — so the grouping of partial sums is identical for every
+/// parallel configuration.
 const SUM_CHUNK: usize = 4096;
 
 /// How long a waiting thread spins before it parks. Long enough to span
@@ -303,44 +307,77 @@ fn run(blocks: usize, body: &(dyn Fn(usize) + Sync)) {
     }
 }
 
-/// The base of a slice whose disjoint blocks go to different threads.
-struct Items<T>(*mut T);
+/// A mutable slice lent to the blocks of one region, each block
+/// touching indices that no other block touches. The loops of this
+/// module cut it into disjoint blocks; the gather-scatter fold touches
+/// the scattered copies of the node groups its block owns.
+pub struct SharedSlice<'a, T> {
+    base: *mut T,
+    len: usize,
+    _borrow: PhantomData<&'a mut [T]>,
+}
 
-// SAFETY: the only field is the base pointer; `par_blocks` derives
-// disjoint blocks from it, each used by one thread at a time, and
-// `T: Send` lets those items be mutated (and their contents moved) on
-// the thread that runs the block.
-unsafe impl<T: Send> Sync for Items<T> {}
+// SAFETY: the wrapper holds the slice's exclusive borrow for `'a`; its
+// users touch disjoint indices from different threads, and `T: Send`
+// lets those items be mutated (and their contents moved) on the thread
+// that touches them.
+unsafe impl<T: Send> Sync for SharedSlice<'_, T> {}
 
-impl<T> Items<T> {
-    /// A method rather than a field access, so a closure captures the
-    /// whole (`Sync`) wrapper and not the bare pointer.
-    fn base(&self) -> *mut T {
-        self.0
+impl<'a, T> SharedSlice<'a, T> {
+    /// Lend `items` to the blocks of a region.
+    pub fn new(items: &'a mut [T]) -> Self {
+        SharedSlice {
+            base: items.as_mut_ptr(),
+            len: items.len(),
+            _borrow: PhantomData,
+        }
+    }
+
+    /// Base pointer of the lent slice (a method, so a closure captures
+    /// the whole `Sync` wrapper and not the bare pointer).
+    pub fn as_ptr(&self) -> *mut T {
+        self.base
+    }
+
+    /// The items `range` as a slice of their own.
+    ///
+    /// # Safety
+    /// `range` lies inside the slice, and no other thread touches those
+    /// items while the returned slice lives.
+    #[allow(clippy::mut_from_ref)]
+    pub unsafe fn range_mut(&self, range: Range<usize>) -> &mut [T] {
+        debug_assert!(range.start <= range.end && range.end <= self.len);
+        std::slice::from_raw_parts_mut(self.base.add(range.start), range.len())
     }
 }
 
-/// The dispatch of every loop: split `items` into `n` groups of `unit`
-/// items, partition the groups into contiguous blocks of `n.div_ceil(nt)`
-/// groups, and run `f(first_group, block_items)` once per block through
-/// [`run`].
-fn par_blocks<T: Send>(items: &mut [T], unit: usize, f: impl Fn(usize, &mut [T]) + Sync) {
-    let n = items.len() / unit;
+/// Run `f(lo..hi)` once per block of the partition every loop over `n`
+/// items uses: contiguous blocks of `n.div_ceil(nt)` items, `nt` =
+/// [`current_threads`], the first on the calling thread. Returns once
+/// every block has finished; `n = 0` runs nothing.
+pub fn par_ranges(n: usize, f: impl Fn(Range<usize>) + Sync) {
     if n == 0 {
         return;
     }
     let per = n.div_ceil(current_threads().min(n));
-    let base = Items(items.as_mut_ptr());
     run(n.div_ceil(per), &|b| {
         let lo = b * per;
-        let hi = (lo + per).min(n);
-        // SAFETY: block `b` covers items `lo * unit .. hi * unit`, inside
-        // `items` (`hi <= n`, `n * unit <= items.len()`); `run` calls each
-        // block exactly once, so the slices are disjoint, and it returns
-        // only after every block has finished, so `items` outlives them.
-        let block =
-            unsafe { std::slice::from_raw_parts_mut(base.base().add(lo * unit), (hi - lo) * unit) };
-        f(lo, block);
+        f(lo..(lo + per).min(n));
+    });
+}
+
+/// The dispatch of the slice loops: split `items` into `n` groups of
+/// `unit` items and run `f(first_group, block_items)` once per block of
+/// [`par_ranges`]' partition of the groups.
+fn par_blocks<T: Send>(items: &mut [T], unit: usize, f: impl Fn(usize, &mut [T]) + Sync) {
+    let n = items.len() / unit;
+    let shared = SharedSlice::new(items);
+    par_ranges(n, |groups| {
+        // SAFETY: the block covers items `lo * unit .. hi * unit` of the
+        // groups `lo..hi <= n`, inside `items`, and `par_ranges` hands
+        // out each group range exactly once, so the blocks are disjoint.
+        let block = unsafe { shared.range_mut(groups.start * unit..groups.end * unit) };
+        f(groups.start, block);
     });
 }
 
@@ -408,26 +445,55 @@ pub fn par_fill(out: &mut [f64], f: impl Fn(usize) -> f64 + Sync) {
     par_map_inplace(out, |i, v| *v = f(i));
 }
 
-/// Deterministic parallel reduction `Σ_{i<n} f(i)`.
+/// Deterministic chunked pass over the indices `0..n`, with mutable
+/// access to `outs` (each of length `n`): `f(lo..hi, [out[lo..hi], …])`
+/// runs once per fixed `SUM_CHUNK` (4096-index) chunk, the chunks
+/// partitioned over the threads like any loop's items, and the chunks'
+/// returns are summed in chunk order. A pass with nothing to reduce
+/// returns 0 from every chunk.
 ///
-/// Partial sums are taken over fixed-size chunks (`SUM_CHUNK` = 4096 terms) and
-/// combined sequentially in chunk order, so the floating-point result is
-/// bitwise identical for every thread count (including 1).
-pub fn par_sum(n: usize, f: impl Fn(usize) -> f64 + Sync) -> f64 {
+/// The chunk boundaries never depend on the thread count, so a chunk
+/// that accumulates its terms in index order gives a bitwise-identical
+/// sum for every thread count (including 1). Several vector updates and
+/// the reduction that reads them can share one pass, chunk by chunk, so
+/// each chunk's data is still in cache when the sum reads it.
+///
+/// # Panics
+/// Panics if an `outs` slice is not `n` long.
+pub fn par_chunked<const M: usize>(
+    n: usize,
+    outs: [&mut [f64]; M],
+    f: impl Fn(Range<usize>, [&mut [f64]; M]) -> f64 + Sync,
+) -> f64 {
+    for out in &outs {
+        assert_eq!(out.len(), n, "par_chunked: output length");
+    }
     if n == 0 {
         return 0.0;
     }
+    let shared = outs.map(SharedSlice::new);
     let mut partials = vec![0.0f64; n.div_ceil(SUM_CHUNK)];
     par_map_inplace(&mut partials, |c, slot| {
-        let lo = c * SUM_CHUNK;
-        let hi = (lo + SUM_CHUNK).min(n);
-        let mut acc = 0.0;
-        for i in lo..hi {
-            acc += f(i);
-        }
-        *slot = acc;
+        let chunk = c * SUM_CHUNK..((c + 1) * SUM_CHUNK).min(n);
+        // SAFETY: the chunk lies inside every output (each is `n` long),
+        // and `par_map_inplace` visits every chunk exactly once, so no
+        // two threads touch the same items.
+        let outs = std::array::from_fn(|k| unsafe { shared[k].range_mut(chunk.clone()) });
+        *slot = f(chunk, outs);
     });
     partials.iter().sum()
+}
+
+/// Deterministic parallel reduction `Σ_{i<n} f(i)`: [`par_chunked`]
+/// with no outputs, each chunk accumulating its terms in index order.
+pub fn par_sum(n: usize, f: impl Fn(usize) -> f64 + Sync) -> f64 {
+    par_chunked(n, [], |chunk, []| {
+        let mut acc = 0.0;
+        for i in chunk {
+            acc += f(i);
+        }
+        acc
+    })
 }
 
 #[cfg(test)]
@@ -489,6 +555,46 @@ mod tests {
             let got = with_threads(nt, || par_sum(n, f));
             assert_eq!(got.to_bits(), want.to_bits(), "nt {nt}");
         }
+    }
+
+    #[test]
+    fn chunked_pass_writes_and_sums_bitwise_across_thread_counts() {
+        let n = 3 * SUM_CHUNK + 17;
+        let f = |i: usize| ((i as f64) * 0.37).sin() * 1e6f64.powf((i % 5) as f64 / 4.0 - 0.5);
+        let pass = |nt: usize| {
+            let (mut a, mut b) = (vec![0.0; n], vec![1.0; n]);
+            let sum = with_threads(nt, || {
+                par_chunked(n, [&mut a, &mut b], |c, [ac, bc]| {
+                    let mut acc = 0.0;
+                    for ((i, x), y) in c.zip(ac.iter_mut()).zip(bc.iter_mut()) {
+                        *x = f(i);
+                        *y += *x;
+                        acc += *x;
+                    }
+                    acc
+                })
+            });
+            (sum, a, b)
+        };
+        let (want, a1, b1) = pass(1);
+        assert_eq!(want.to_bits(), par_sum(n, f).to_bits());
+        assert!(a1.iter().enumerate().all(|(i, &x)| x == f(i)));
+        assert!(b1.iter().enumerate().all(|(i, &y)| y == 1.0 + f(i)));
+        for nt in [2usize, 3, 5, 8] {
+            let (got, a, b) = pass(nt);
+            assert_eq!(got.to_bits(), want.to_bits(), "nt {nt}");
+            assert_eq!((a, b), (a1.clone(), b1.clone()), "nt {nt}");
+        }
+    }
+
+    #[test]
+    fn ranges_follow_the_loop_partition() {
+        let seen = Mutex::new(Vec::new());
+        with_threads(3, || par_ranges(10, |r| seen.lock().unwrap().push(r)));
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_by_key(|r| r.start);
+        assert_eq!(seen, vec![0..4, 4..8, 8..10]);
+        with_threads(3, || par_ranges(0, |_| unreachable!()));
     }
 
     #[test]

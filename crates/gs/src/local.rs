@@ -1,5 +1,8 @@
 //! Shared-memory gather-scatter.
 
+use sem_comm::par;
+use std::ops::Range;
+
 /// Commutative/associative reduction operations supported by `gs_op`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GsOp {
@@ -40,7 +43,15 @@ impl GsOp {
 /// global numbering (`gs_init`).
 ///
 /// Only nodes with multiplicity ≥ 2 participate; the groups are stored as
-/// flat index lists for cache-friendly traversal.
+/// flat index lists for cache-friendly traversal, in order of their
+/// lowest local copy.
+///
+/// The fold runs on the threads of `sem_comm::par`, over the partition
+/// its element loops use: each block folds the groups whose lowest copy
+/// lies in its element block, so a thread combines the values its own
+/// element loop wrote. Each group is folded by one thread, copy by copy
+/// in ascending local order, so the bits do not depend on the thread
+/// count.
 ///
 /// # Examples
 ///
@@ -57,30 +68,51 @@ impl GsOp {
 pub struct GsHandle {
     /// Local length the handle was built for.
     n_local: usize,
+    /// Local slots per element: the unit of the partition the fold
+    /// shares with the element loops.
+    elem_len: usize,
     /// Concatenated local indices of all shared groups.
     pub(crate) idx: Vec<u32>,
     /// Group boundaries into `idx` (CSR-style offsets).
     offsets: Vec<u32>,
+    /// Whether each local slot belongs to a group.
+    grouped: Vec<bool>,
 }
 
 impl GsHandle {
     /// Build the exchange pattern from the local→global id map
-    /// (the paper's `gs_init(global_node_numbers, n)`).
+    /// (the paper's `gs_init(global_node_numbers, n)`), each slot an
+    /// element of its own.
     pub fn new(global_ids: &[usize]) -> Self {
+        Self::for_elements(global_ids, 1)
+    }
+
+    /// [`GsHandle::new`] for element-major storage of `elem_len` slots per
+    /// element: the fold then splits its groups over the threads as the
+    /// element loops split the elements.
+    ///
+    /// # Panics
+    /// Panics if `elem_len` is 0 or does not divide `global_ids.len()`.
+    pub fn for_elements(global_ids: &[usize], elem_len: usize) -> Self {
         let n_local = global_ids.len();
+        assert!(
+            elem_len > 0 && n_local.is_multiple_of(elem_len),
+            "gs_init: {n_local} slots are not whole elements of {elem_len}"
+        );
         let n_global = global_ids.iter().copied().max().map_or(0, |m| m + 1);
         // Count copies per global id.
         let mut counts = vec![0u32; n_global];
         for &g in global_ids {
             counts[g] += 1;
         }
-        // CSR over *shared* ids only.
-        let mut group_of: Vec<i64> = vec![-1; n_global];
+        // CSR over *shared* ids only, numbered as a sweep over the local
+        // slots first meets them: in order of their lowest copy.
+        let mut group_of = vec![u32::MAX; n_global];
         let mut sizes: Vec<u32> = Vec::new();
-        for (g, &c) in counts.iter().enumerate() {
-            if c >= 2 {
-                group_of[g] = sizes.len() as i64;
-                sizes.push(c);
+        for &g in global_ids {
+            if counts[g] >= 2 && group_of[g] == u32::MAX {
+                group_of[g] = sizes.len() as u32;
+                sizes.push(counts[g]);
             }
         }
         let mut offsets = Vec::with_capacity(sizes.len() + 1);
@@ -94,32 +126,42 @@ impl GsHandle {
         let mut cursor: Vec<u32> = offsets[..sizes.len()].to_vec();
         for (local, &g) in global_ids.iter().enumerate() {
             let grp = group_of[g];
-            if grp >= 0 {
+            if grp != u32::MAX {
                 let c = &mut cursor[grp as usize];
                 idx[*c as usize] = local as u32;
                 *c += 1;
             }
         }
+        let grouped = global_ids.iter().map(|&g| counts[g] >= 2).collect();
         GsHandle {
             n_local,
+            elem_len,
             idx,
             offsets,
+            grouped,
         }
     }
 
     /// Handle over `n_local` slots with explicit groups, each listed in
-    /// fold order.
+    /// fold order. The slots form one element, so its fold runs on one
+    /// thread whatever order the groups come in.
     pub(crate) fn from_groups(n_local: usize, groups: &[Vec<u32>]) -> Self {
         let mut offsets = vec![0u32];
         let mut acc = 0u32;
+        let mut grouped = vec![false; n_local];
         for g in groups {
             acc += g.len() as u32;
             offsets.push(acc);
+            for &i in g {
+                grouped[i as usize] = true;
+            }
         }
         GsHandle {
             n_local,
+            elem_len: n_local.max(1),
             idx: groups.concat(),
             offsets,
+            grouped,
         }
     }
 
@@ -160,40 +202,146 @@ impl GsHandle {
             self.n_local * fields,
             "gs_fields: vector length mismatch"
         );
-        if sem_obs::fault::fire(sem_obs::fault::FaultSite::GsExchange) {
-            // Injected exchange drop: skip the combine entirely, leaving
-            // every shared copy stale — finite but wrong, detectable only
-            // through the fired flag the comm layer reports upward
-            // (`sem_obs::fault::drain`).
+        if self.dropped(fields) {
             return;
         }
-        self.charge_exchange(fields);
-        self.fold(u, fields, op);
+        self.fold_par(u, fields, op, None);
     }
 
-    /// The gather-scatter fold loop, shared by [`GsHandle::gs_fields`]
-    /// and [`crate::RankGs::fold`]: `u` holds `fields` fields of
-    /// `n_local` slots, component-major. Each group's copies are combined
-    /// with `op` from its identity in stored order, field by field, and
-    /// the result is written back to every copy. Both store a group's
-    /// copies in ascending canonical (serial) position, which is what
-    /// makes a distributed fold bitwise-equal to the serial one.
-    pub(crate) fn fold(&self, u: &mut [f64], fields: usize, op: GsOp) {
-        for g in 0..self.num_groups() {
-            let lo = self.offsets[g] as usize;
-            let hi = self.offsets[g + 1] as usize;
-            let copies = &self.idx[lo..hi];
+    /// Direct stiffness summation under a mask: [`GsHandle::gs`] with
+    /// [`GsOp::Add`], then `u[i] *= mask[i]` for every slot, in one
+    /// parallel region. `unshared` lists, ascending, the slots in no
+    /// group whose mask is not 1; the other unshared slots are left as
+    /// they are (`v·1 = v`), and every copy of a group gets
+    /// `sum·mask[copy]` inside the fold. An injected exchange drop skips
+    /// the sum but still applies the mask to every slot.
+    ///
+    /// # Panics
+    /// Panics if `u` or `mask` is not [`GsHandle::n_local`] long, or if
+    /// `unshared` is not strictly ascending or names a grouped slot.
+    pub fn gs_masked(&self, u: &mut [f64], mask: &[f64], unshared: &[u32]) {
+        assert_eq!(u.len(), self.n_local, "gs_masked: vector length mismatch");
+        assert_eq!(mask.len(), self.n_local, "gs_masked: mask length mismatch");
+        // Each block masks the listed slots of its own range, so a
+        // repeated or grouped slot would be touched by two threads.
+        assert!(
+            unshared.windows(2).all(|w| w[0] < w[1])
+                && unshared.iter().all(|&i| !self.grouped[i as usize]),
+            "gs_masked: `unshared` must list ungrouped slots, ascending"
+        );
+        if self.dropped(1) {
+            for (v, m) in u.iter_mut().zip(mask) {
+                *v *= m;
+            }
+            return;
+        }
+        self.fold_par(u, 1, GsOp::Add, Some((mask, unshared)));
+    }
+
+    /// The caller's half of an exchange: an injected exchange drop
+    /// (one probe per call) reports `true`; otherwise the exchange is
+    /// charged to the counters.
+    fn dropped(&self, fields: usize) -> bool {
+        if sem_obs::fault::fire(sem_obs::fault::FaultSite::GsExchange) {
+            // Injected exchange drop: the caller skips the combine,
+            // leaving every shared copy stale — finite but wrong,
+            // detectable only through the fired flag the comm layer
+            // reports upward (`sem_obs::fault::drain`).
+            return true;
+        }
+        self.charge_exchange(fields);
+        false
+    }
+
+    /// The parallel fold: one `sem_comm::par` region over the element
+    /// blocks; block `lo..hi` folds the groups whose lowest copy lies in
+    /// its slots and, under a mask, masks its `unshared` slots.
+    fn fold_par(&self, u: &mut [f64], fields: usize, op: GsOp, mask: Option<(&[f64], &[u32])>) {
+        let u = par::SharedSlice::new(u);
+        par::par_ranges(self.n_local / self.elem_len, |elems| {
+            let (lo, hi) = (elems.start * self.elem_len, elems.end * self.elem_len);
+            let groups = self.groups_from(lo)..self.groups_from(hi);
+            // SAFETY: `u` holds `fields · n_local` values. A handle of
+            // more than one element comes from `for_elements`: its groups
+            // are stored in order of their lowest copy and no slot is in
+            // two of them, so every group is folded by the one block
+            // holding its lowest copy, and every `unshared` slot is in no
+            // group and lies in one block — no two threads touch a slot.
+            // A `from_groups` handle is one element: one block, one
+            // thread.
+            unsafe {
+                self.fold_groups(u.as_ptr(), groups, fields, op, mask.map(|(m, _)| m));
+                if let Some((mask, unshared)) = mask {
+                    let from = |s: usize| unshared.partition_point(|&i| (i as usize) < s);
+                    for &i in &unshared[from(lo)..from(hi)] {
+                        *u.as_ptr().add(i as usize) *= mask[i as usize];
+                    }
+                }
+            }
+        });
+    }
+
+    /// The first group whose lowest copy is at or past `slot` (groups are
+    /// stored in order of their lowest copy).
+    fn groups_from(&self, slot: usize) -> usize {
+        self.offsets[..self.num_groups()]
+            .partition_point(|&o| (self.idx[o as usize] as usize) < slot)
+    }
+
+    /// The gather-scatter fold loop of `groups`, shared by
+    /// [`GsHandle::gs_fields`], [`GsHandle::gs_masked`] and
+    /// [`crate::RankGs::fold`]: `u` holds `fields` fields of `n_local`
+    /// slots, component-major. Each group's copies are combined with `op`
+    /// from its identity in stored order, field by field, and the result
+    /// (times the copy's `mask` entry, under a mask) is written back to
+    /// every copy. Both store a group's copies in ascending canonical
+    /// (serial) position, which is what makes a distributed fold
+    /// bitwise-equal to the serial one.
+    ///
+    /// # Safety
+    /// `u` points to `fields · n_local` values, and no other thread
+    /// touches the copies of `groups` while this runs.
+    unsafe fn fold_groups(
+        &self,
+        u: *mut f64,
+        groups: Range<usize>,
+        fields: usize,
+        op: GsOp,
+        mask: Option<&[f64]>,
+    ) {
+        for g in groups {
+            let copies = &self.idx[self.offsets[g] as usize..self.offsets[g + 1] as usize];
             for f in 0..fields {
-                let base = f * self.n_local;
+                let uf = u.add(f * self.n_local);
                 let mut acc = op.identity();
                 for &i in copies {
-                    acc = op.combine(acc, u[base + i as usize]);
+                    acc = op.combine(acc, *uf.add(i as usize));
                 }
-                for &i in copies {
-                    u[base + i as usize] = acc;
+                match mask {
+                    None => {
+                        for &i in copies {
+                            *uf.add(i as usize) = acc;
+                        }
+                    }
+                    Some(mask) => {
+                        for &i in copies {
+                            *uf.add(i as usize) = acc * mask[i as usize];
+                        }
+                    }
                 }
             }
         }
+    }
+
+    /// The serial fold of every group, for [`crate::RankGs::fold`].
+    pub(crate) fn fold(&self, u: &mut [f64], fields: usize, op: GsOp) {
+        assert_eq!(
+            u.len(),
+            self.n_local * fields,
+            "fold: vector length mismatch"
+        );
+        // SAFETY: `u` is exclusively borrowed and `n_local · fields` long.
+        unsafe { self.fold_groups(u.as_mut_ptr(), 0..self.num_groups(), fields, op, None) }
     }
 
     /// Charge one exchange to the sem-obs counters: every shared-node

@@ -25,8 +25,6 @@
 //!   diagonalization method (FDM).
 //! * [`complex`] — complex arithmetic, complex LU, and inverse iteration for
 //!   the Orr–Sommerfeld reference eigenproblem of Table 1.
-//! * [`vector`] — level-1 helpers (dot, axpy, norms) shared by the
-//!   iterative solvers.
 //! * [`rng`] — a seeded SplitMix64 generator and the explicit seeded-loop
 //!   property-test harness used across the workspace (no external
 //!   `rand`/`proptest` dependency), and the one FNV-1a hash.
@@ -40,7 +38,6 @@ pub mod mxm;
 pub mod rng;
 pub mod simd;
 pub mod tensor;
-pub mod vector;
 
 pub use complex::Complex;
 pub use matrix::Matrix;

@@ -261,13 +261,6 @@ impl From<io::Error> for NetError {
     }
 }
 
-impl FrameError {
-    /// The transport-level error a damaged frame from `peer` maps to.
-    pub fn into_net_error(self, peer: usize) -> NetError {
-        NetError::Corrupt { peer }
-    }
-}
-
 /// Socket path of rank `r` under `dir`.
 pub fn sock_path(dir: &Path, rank: usize) -> PathBuf {
     dir.join(format!("rank_{rank}.sock"))
@@ -1479,7 +1472,6 @@ mod tests {
         *flipped.last_mut().unwrap() ^= 0x01;
         let err = decode_frame(&flipped).unwrap_err();
         assert!(matches!(err, FrameError::Crc { .. }), "{err}");
-        assert!(matches!(err.into_net_error(3), NetError::Corrupt { peer: 3 }));
     }
 
     #[test]

@@ -30,7 +30,8 @@ pub struct SemOps {
     pub geo: Geometry,
     /// Global numbering of velocity (GLL) dofs.
     pub num: GlobalNumbering,
-    /// Gather-scatter handle over the velocity dofs.
+    /// Gather-scatter handle over the velocity dofs, its fold split over
+    /// the element blocks of the element loops.
     pub gs: GsHandle,
     /// Unified Dirichlet mask: 0.0 on Dirichlet nodes (consistent across
     /// all element copies), 1.0 elsewhere.
@@ -53,6 +54,9 @@ pub struct SemOps {
     /// Gauss-grid quadrature weights × interpolated Jacobian, per
     /// pressure node (the pressure-space mass diagonal).
     pub jw_gauss: Vec<f64>,
+    /// The Dirichlet nodes that belong to no gather-scatter group,
+    /// ascending: [`SemOps::dssum_mask`] masks them beside the fold.
+    unshared_masked: Vec<u32>,
 }
 
 impl SemOps {
@@ -65,10 +69,14 @@ impl SemOps {
             "SemOps requires N ≥ 2 for the P_{{N-2}} pressure space"
         );
         let num = GlobalNumbering::new(&mesh, &geo);
-        let gs = GsHandle::new(&num.ids);
+        let gs = GsHandle::for_elements(&num.ids, geo.npts);
         // Unify the element-local Dirichlet mask across shared nodes.
         let mut mask = dirichlet_mask(&mesh, &geo);
         gs.gs(&mut mask, GsOp::Min);
+        let unshared_masked = (0..mask.len())
+            .filter(|&i| num.multiplicity[num.ids[i]] < 2 && mask[i] != 1.0)
+            .map(|i| i as u32)
+            .collect();
         let wt: Vec<f64> = num
             .ids
             .iter()
@@ -117,6 +125,7 @@ impl SemOps {
             interp_vp,
             interp_vp_t,
             jw_gauss,
+            unshared_masked,
         }
     }
 
@@ -143,11 +152,11 @@ impl SemOps {
 
     /// Direct-stiffness assembly: gather-scatter `Add` then apply the
     /// Dirichlet mask (the standard post-matvec step of every solve).
+    /// One parallel region: the fold writes `sum·mask` to every copy of
+    /// a shared node, and each block masks its own unshared Dirichlet
+    /// nodes ([`GsHandle::gs_masked`]).
     pub fn dssum_mask(&self, u: &mut [f64]) {
-        self.gs.gs(u, GsOp::Add);
-        for (v, m) in u.iter_mut().zip(self.mask.iter()) {
-            *v *= m;
-        }
+        self.gs.gs_masked(u, &self.mask, &self.unshared_masked);
     }
 
     /// Gather-scatter `Add` without masking (e.g. for Neumann problems).

@@ -1,12 +1,21 @@
 //! Preconditioned conjugate gradient iteration.
 //!
-//! Generic over the operator, preconditioner, and inner product so the
-//! same driver serves the Jacobi-preconditioned Helmholtz solves (velocity
-//! space, multiplicity-weighted dot products) and the Schwarz-
+//! One solver serves the Jacobi-preconditioned Helmholtz solves
+//! (velocity space, multiplicity-weighted dot products) and the Schwarz-
 //! preconditioned consistent-Poisson solves (pressure space, plain dot
 //! products, constant nullspace projected out each iteration).
+//!
+//! The vector work of an iteration runs on the threads of
+//! `sem_comm::par` as chunked passes ([`par::par_chunked`]): every dot
+//! product sums fixed 4096-term chunks in index order, so its bits do
+//! not depend on the thread count, and the updates that feed a dot share
+//! its pass, chunk by chunk. An iteration is three passes when the
+//! preconditioner is diagonal and there is no nullspace hook — `pᵀAp`;
+//! `x += αp`, `r −= αAp`, `z = r/d` and `rᵀz`; `p = z + βp` — and
+//! otherwise the middle pass splits around the hook and the
+//! preconditioner, which run on the caller in their own order.
 
-use sem_linalg::vector::{axpy, xpby};
+use sem_comm::par;
 
 /// CG stopping/behaviour options.
 #[derive(Clone, Copy, Debug)]
@@ -60,6 +69,54 @@ pub struct CgResult {
     pub breakdown: Option<CgBreakdown>,
 }
 
+/// The preconditioner `z = M⁻¹ r` of [`pcg`].
+pub enum Precond<'a> {
+    /// Diagonal (Jacobi): `z = r / d` pointwise, fused into the pass
+    /// that updates `r`.
+    Diagonal(&'a [f64]),
+    /// A general apply `(r, z)`, run on the caller between passes.
+    Apply(&'a mut dyn FnMut(&[f64], &mut [f64])),
+}
+
+/// `Σ w·u·v` (or `Σ u·v` without weights) over one chunk, in index order.
+#[inline]
+fn chunk_dot(w: Option<&[f64]>, u: &[f64], v: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    match w {
+        Some(w) => {
+            for ((wi, ui), vi) in w.iter().zip(u).zip(v) {
+                acc += wi * ui * vi;
+            }
+        }
+        None => {
+            for (ui, vi) in u.iter().zip(v) {
+                acc += ui * vi;
+            }
+        }
+    }
+    acc
+}
+
+/// The inner product `Σ w·u·v` as a chunked parallel reduction: the bits
+/// of `sem_ops::fields::dot_weighted` with weights, of
+/// `sem_ops::fields::dot_pressure` without.
+fn dot(w: Option<&[f64]>, u: &[f64], v: &[f64]) -> f64 {
+    par::par_chunked(u.len(), [], |c, []| {
+        chunk_dot(w.map(|w| &w[c.clone()]), &u[c.clone()], &v[c])
+    })
+}
+
+/// `x += αp` and `r −= αAp` over one chunk (the CG step).
+#[inline]
+fn step_chunk(alpha: f64, p: &[f64], ap: &[f64], x: &mut [f64], r: &mut [f64]) {
+    for (xi, pi) in x.iter_mut().zip(p) {
+        *xi += alpha * pi;
+    }
+    for (ri, api) in r.iter_mut().zip(ap) {
+        *ri += -alpha * api;
+    }
+}
+
 /// Solve `A x = b` by PCG.
 ///
 /// # Examples
@@ -67,7 +124,7 @@ pub struct CgResult {
 /// Unpreconditioned CG on a small SPD tridiagonal system:
 ///
 /// ```
-/// use sem_solvers::cg::{pcg, CgOptions};
+/// use sem_solvers::cg::{pcg, CgOptions, Precond};
 /// let n = 8;
 /// let apply = |p: &[f64], ap: &mut [f64]| {
 ///     for i in 0..n {
@@ -82,50 +139,85 @@ pub struct CgResult {
 ///     &mut x,
 ///     &b,
 ///     apply,
-///     |r, z| z.copy_from_slice(r),                       // no preconditioner
-///     |u, v| u.iter().zip(v).map(|(a, b)| a * b).sum(),  // plain dot
-///     |_| {},                                            // no nullspace
+///     Precond::Diagonal(&vec![1.0; n]), // no preconditioning
+///     None,                             // plain dot product
+///     None,                             // no nullspace
 ///     &CgOptions { tol: 1e-12, ..Default::default() },
 /// );
 /// assert!(res.converged && res.iterations <= n);
 /// ```
 ///
 /// * `apply_a(p, ap)` — operator application `ap = A p`.
-/// * `precond(r, z)` — preconditioner application `z = M⁻¹ r`
-///   (copy for no preconditioning).
-/// * `dot(u, v)` — the inner product (must make `A` self-adjoint).
-/// * `project(v)` — nullspace handling hook, applied to `b`-residual and
-///   iterates (e.g. mean removal for the consistent Poisson operator);
-///   pass a no-op when the operator is definite.
+/// * `precond` — the preconditioner `z = M⁻¹ r` ([`Precond`]).
+/// * `weight` — the inner product `Σ w·u·v`, which must make `A`
+///   self-adjoint (`None`: the plain `Σ u·v`).
+/// * `project(v)` — nullspace handling hook, applied to the residual and
+///   the preconditioned residual (e.g. mean removal for the consistent
+///   Poisson operator); `None` when the operator is definite.
 ///
-/// `x` holds the initial guess on entry and the solution on exit.
-#[allow(clippy::too_many_arguments)]
+/// `x` holds the initial guess on entry and the solution on exit. An
+/// all-zero guess starts from `r = b` without applying `A`.
+#[allow(clippy::too_many_arguments, clippy::type_complexity)]
 pub fn pcg(
     x: &mut [f64],
     b: &[f64],
     mut apply_a: impl FnMut(&[f64], &mut [f64]),
-    mut precond: impl FnMut(&[f64], &mut [f64]),
-    mut dot: impl FnMut(&[f64], &[f64]) -> f64,
-    mut project: impl FnMut(&mut [f64]),
+    mut precond: Precond<'_>,
+    weight: Option<&[f64]>,
+    mut project: Option<&mut dyn FnMut(&mut [f64])>,
     opts: &CgOptions,
 ) -> CgResult {
     let n = x.len();
     assert_eq!(b.len(), n, "pcg: rhs length");
+    if let Some(w) = weight {
+        assert_eq!(w.len(), n, "pcg: weight length");
+    }
+    if let Precond::Diagonal(d) = precond {
+        assert_eq!(d.len(), n, "pcg: diagonal length");
+    }
     let mut r = vec![0.0; n];
     let mut z = vec![0.0; n];
     let mut p = vec![0.0; n];
     let mut ap = vec![0.0; n];
 
-    // r = b − A x.
-    apply_a(x, &mut ap);
-    sem_obs::counters::add(sem_obs::Counter::OperatorApplications, 1);
-    for i in 0..n {
-        r[i] = b[i] - ap[i];
+    // r = b − A x; A·0 = 0, so a zero start needs no apply.
+    if x.iter().all(|&v| v == 0.0) {
+        r.copy_from_slice(b);
+    } else {
+        apply_a(x, &mut ap);
+        sem_obs::counters::add(sem_obs::Counter::OperatorApplications, 1);
+        for i in 0..n {
+            r[i] = b[i] - ap[i];
+        }
     }
-    project(&mut r);
-    precond(&r, &mut z);
-    project(&mut z);
-    let mut rz = dot(&r, &z);
+    // The diagonal's `z = r/d` joins the step's pass when no hook has to
+    // run between them.
+    let fused = match (&precond, &project) {
+        (Precond::Diagonal(d), None) => Some(*d),
+        _ => None,
+    };
+    // The hook, the preconditioner and the hook again: z = P M⁻¹ P r.
+    let mut precondition = |r: &mut [f64], z: &mut [f64]| {
+        if let Some(project) = project.as_mut() {
+            project(r);
+        }
+        match &mut precond {
+            Precond::Diagonal(d) => {
+                par::par_chunked(n, [z], |c, [zc]| {
+                    for ((zi, ri), di) in zc.iter_mut().zip(&r[c.clone()]).zip(&d[c]) {
+                        *zi = ri / di;
+                    }
+                    0.0
+                });
+            }
+            Precond::Apply(apply) => apply(r, z),
+        }
+        if let Some(project) = project.as_mut() {
+            project(z);
+        }
+    };
+    precondition(&mut r, &mut z);
+    let mut rz = dot(weight, &r, &z);
     let initial_residual = rz.abs().sqrt();
     let target = opts.tol;
     if initial_residual <= target {
@@ -158,7 +250,7 @@ pub fn pcg(
     for it in 1..=opts.max_iter {
         apply_a(&p, &mut ap);
         sem_obs::counters::add(sem_obs::Counter::OperatorApplications, 1);
-        let pap = dot(&p, &ap);
+        let pap = dot(weight, &p, &ap);
         if pap <= 0.0 || pap.is_nan() {
             // Operator not positive on this direction (indefinite
             // operator, NaN contamination, or roundoff at the nullspace
@@ -169,12 +261,23 @@ pub fn pcg(
             break;
         }
         let alpha = rz / pap;
-        axpy(alpha, &p, x);
-        axpy(-alpha, &ap, &mut r);
-        project(&mut r);
-        precond(&r, &mut z);
-        project(&mut z);
-        let rz_new = dot(&r, &z);
+        let rz_new = match fused {
+            Some(d) => par::par_chunked(n, [&mut *x, &mut r, &mut z], |c, [xc, rc, zc]| {
+                step_chunk(alpha, &p[c.clone()], &ap[c.clone()], xc, rc);
+                for ((zi, ri), di) in zc.iter_mut().zip(&*rc).zip(&d[c.clone()]) {
+                    *zi = ri / di;
+                }
+                chunk_dot(weight.map(|w| &w[c]), rc, zc)
+            }),
+            None => {
+                par::par_chunked(n, [&mut *x, &mut r], |c, [xc, rc]| {
+                    step_chunk(alpha, &p[c.clone()], &ap[c], xc, rc);
+                    0.0
+                });
+                precondition(&mut r, &mut z);
+                dot(weight, &r, &z)
+            }
+        };
         residual = rz_new.abs().sqrt();
         iterations = it;
         // Convergence is checked before the indefiniteness guard so a
@@ -191,7 +294,12 @@ pub fn pcg(
         }
         let beta = rz_new / rz;
         rz = rz_new;
-        xpby(&z, beta, &mut p);
+        par::par_chunked(n, [&mut p], |c, [pc]| {
+            for (pi, zi) in pc.iter_mut().zip(&z[c]) {
+                *pi = zi + beta * *pi;
+            }
+            0.0
+        });
     }
     CgResult {
         iterations,
@@ -219,10 +327,6 @@ mod tests {
         })
     }
 
-    fn plain_dot(u: &[f64], v: &[f64]) -> f64 {
-        u.iter().zip(v.iter()).map(|(a, b)| a * b).sum()
-    }
-
     #[test]
     fn solves_spd_system_unpreconditioned() {
         let n = 20;
@@ -234,9 +338,9 @@ mod tests {
             &mut x,
             &b,
             |p, ap| a.matvec_into(p, ap),
-            |r, z| z.copy_from_slice(r),
-            plain_dot,
-            |_| {},
+            Precond::Apply(&mut |r, z| z.copy_from_slice(r)),
+            None,
+            None,
             &CgOptions {
                 tol: 1e-12,
                 ..Default::default()
@@ -261,23 +365,16 @@ mod tests {
         }
         let diag: Vec<f64> = (0..n).map(|i| a[(i, i)]).collect();
         let b = vec![1.0; n];
+        let ones = vec![1.0; n];
         let run = |precond: bool| {
             let mut x = vec![0.0; n];
             let res = pcg(
                 &mut x,
                 &b,
                 |p, ap| a.matvec_into(p, ap),
-                |r, z| {
-                    if precond {
-                        for i in 0..n {
-                            z[i] = r[i] / diag[i];
-                        }
-                    } else {
-                        z.copy_from_slice(r);
-                    }
-                },
-                plain_dot,
-                |_| {},
+                Precond::Diagonal(if precond { &diag } else { &ones }),
+                None,
+                None,
                 &CgOptions {
                     tol: 1e-10,
                     ..Default::default()
@@ -299,9 +396,9 @@ mod tests {
             &mut x,
             &[0.0; 5],
             |p, ap| a.matvec_into(p, ap),
-            |r, z| z.copy_from_slice(r),
-            plain_dot,
-            |_| {},
+            Precond::Apply(&mut |r, z| z.copy_from_slice(r)),
+            None,
+            None,
             &CgOptions::default(),
         );
         assert_eq!(res.iterations, 0);
@@ -323,9 +420,9 @@ mod tests {
             &mut cold,
             &b,
             |p, ap| a.matvec_into(p, ap),
-            |r, z| z.copy_from_slice(r),
-            plain_dot,
-            |_| {},
+            Precond::Apply(&mut |r, z| z.copy_from_slice(r)),
+            None,
+            None,
             &opts,
         );
         // Warm start very close to the solution.
@@ -334,9 +431,9 @@ mod tests {
             &mut warm,
             &b,
             |p, ap| a.matvec_into(p, ap),
-            |r, z| z.copy_from_slice(r),
-            plain_dot,
-            |_| {},
+            Precond::Apply(&mut |r, z| z.copy_from_slice(r)),
+            None,
+            None,
             &opts,
         );
         assert!(res_warm.iterations < res_cold.iterations);
@@ -353,7 +450,7 @@ mod tests {
         let b: Vec<f64> = (0..n)
             .map(|i| (2.0 * std::f64::consts::PI * i as f64 / n as f64).sin())
             .collect();
-        let project = |v: &mut [f64]| {
+        let mut project = |v: &mut [f64]| {
             let m: f64 = v.iter().sum::<f64>() / v.len() as f64;
             v.iter_mut().for_each(|x| *x -= m);
         };
@@ -362,9 +459,9 @@ mod tests {
             &mut x,
             &b,
             |p, ap| a.matvec_into(p, ap),
-            |r, z| z.copy_from_slice(r),
-            plain_dot,
-            project,
+            Precond::Apply(&mut |r, z| z.copy_from_slice(r)),
+            None,
+            Some(&mut project),
             &CgOptions {
                 tol: 1e-11,
                 ..Default::default()
@@ -388,9 +485,9 @@ mod tests {
             &mut x,
             &b,
             |p, ap| a.matvec_into(p, ap),
-            |r, z| z.copy_from_slice(r),
-            plain_dot,
-            |_| {},
+            Precond::Apply(&mut |r, z| z.copy_from_slice(r)),
+            None,
+            None,
             &CgOptions {
                 tol: 1e-10,
                 ..Default::default()
@@ -416,9 +513,9 @@ mod tests {
                 a.matvec_into(p, ap);
                 ap.iter_mut().for_each(|v| *v = -*v);
             },
-            |r, z| z.copy_from_slice(r),
-            plain_dot,
-            |_| {},
+            Precond::Apply(&mut |r, z| z.copy_from_slice(r)),
+            None,
+            None,
             &CgOptions {
                 tol: 1e-12,
                 ..Default::default()
@@ -448,13 +545,13 @@ mod tests {
             &mut x,
             &b,
             |p, ap| a.matvec_into(p, ap),
-            |r, z| {
+            Precond::Apply(&mut |r, z| {
                 for (zi, ri) in z.iter_mut().zip(r) {
                     *zi = -ri;
                 }
-            },
-            plain_dot,
-            |_| {},
+            }),
+            None,
+            None,
             &CgOptions {
                 tol: 1e-12,
                 ..Default::default()
@@ -483,9 +580,9 @@ mod tests {
             &mut x,
             &b,
             |p, ap| a.matvec_into(p, ap),
-            |r, z| z.copy_from_slice(r),
-            plain_dot,
-            |_| {},
+            Precond::Apply(&mut |r, z| z.copy_from_slice(r)),
+            None,
+            None,
             &CgOptions {
                 tol: 1e-12,
                 max_iter: 500,
@@ -506,9 +603,9 @@ mod tests {
             &mut x,
             &b,
             |p, ap| a.matvec_into(p, ap),
-            |r, z| z.copy_from_slice(r),
-            plain_dot,
-            |_| {},
+            Precond::Apply(&mut |r, z| z.copy_from_slice(r)),
+            None,
+            None,
             &CgOptions::default(),
         );
         assert!(res.converged);

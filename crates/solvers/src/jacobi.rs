@@ -6,9 +6,8 @@
 //! exact operator diagonal is assembled analytically from the geometric
 //! factors, including the `G_rs` cross terms of deformed elements.
 
-use crate::cg::{pcg, CgOptions, CgResult};
+use crate::cg::{pcg, CgOptions, CgResult, Precond};
 use sem_mesh::geom::split_index;
-use sem_ops::fields::dot_weighted;
 use sem_ops::laplace::helmholtz;
 use sem_ops::SemOps;
 
@@ -106,21 +105,18 @@ impl HelmholtzSolver {
     }
 
     /// Solve `H x = b` (homogeneous-Dirichlet form: `b` must already be
-    /// masked/assembled, `x` holds the initial guess).
+    /// masked/assembled, `x` holds the initial guess). The inner product
+    /// is the multiplicity-weighted one (`ops.wt`), and the Jacobi sweep
+    /// runs fused into CG's vector pass.
     pub fn solve(&self, ops: &SemOps, x: &mut [f64], b: &[f64]) -> CgResult {
         let (h1, h2) = (self.h1, self.h2);
-        let diag = &self.diag;
         pcg(
             x,
             b,
             |p, ap| helmholtz(ops, p, ap, h1, h2),
-            |r, z| {
-                for ((zi, &ri), &di) in z.iter_mut().zip(r.iter()).zip(diag.iter()) {
-                    *zi = ri / di;
-                }
-            },
-            |u, v| dot_weighted(ops, u, v),
-            |_| {},
+            Precond::Diagonal(&self.diag),
+            Some(&ops.wt),
+            None,
             &self.opts,
         )
     }
@@ -131,7 +127,7 @@ mod tests {
     use super::*;
     use sem_gs::GsOp;
     use sem_mesh::generators::box2d;
-    use sem_ops::fields::eval_on_nodes;
+    use sem_ops::fields::{dot_weighted, eval_on_nodes};
     use sem_ops::laplace::helmholtz_local;
 
     fn ops2d(k: usize, n: usize) -> SemOps {
@@ -236,9 +232,9 @@ mod tests {
             &mut x2,
             &b,
             |p, ap| helmholtz(&ops, p, ap, h1, h2),
-            |r, z| z.copy_from_slice(r),
-            |u, v| dot_weighted(&ops, u, v),
-            |_| {},
+            Precond::Apply(&mut |r, z| z.copy_from_slice(r)),
+            Some(&ops.wt),
+            None,
             &opts,
         );
         assert!(res_jac.converged && res_id.converged);

@@ -6,11 +6,10 @@
 //! constant nullspace removed by (plain) mean projection inside the
 //! iteration.
 
-use crate::cg::{pcg, CgBreakdown, CgOptions, CgResult};
+use crate::cg::{pcg, CgBreakdown, CgOptions, CgResult, Precond};
 use crate::projection::RhsProjection;
 use crate::schwarz::{SchwarzConfig, SchwarzPrecond};
 use sem_obs::fault::{self, FaultSite};
-use sem_ops::fields::dot_pressure;
 use sem_ops::pressure::EOperator;
 use sem_ops::SemOps;
 
@@ -163,6 +162,26 @@ impl PressureSolver {
         let mut dp = vec![0.0; p.len()];
         let e = &mut self.e;
         let precond = &self.precond;
+        // The Jacobi rung is a diagonal; the Schwarz method, and either
+        // one under an injected sign flip, a general apply.
+        let mut flipped = |r: &[f64], z: &mut [f64]| {
+            match jacobi {
+                Some(d) => {
+                    for i in 0..r.len() {
+                        z[i] = r[i] / d[i];
+                    }
+                }
+                None => precond.apply(r, z),
+            }
+            z.iter_mut().for_each(|v| *v = -*v);
+        };
+        let mut schwarz = |r: &[f64], z: &mut [f64]| precond.apply(r, z);
+        let pc = match (jacobi, pc_fault) {
+            (_, true) => Precond::Apply(&mut flipped),
+            (Some(d), false) => Precond::Diagonal(d),
+            (None, false) => Precond::Apply(&mut schwarz),
+        };
+        let mut project = project_mean;
         let res: CgResult = pcg(
             &mut dp,
             g,
@@ -172,21 +191,9 @@ impl PressureSolver {
                     eq.iter_mut().for_each(|v| *v = -*v);
                 }
             },
-            |r, z| {
-                match jacobi {
-                    Some(d) => {
-                        for i in 0..r.len() {
-                            z[i] = r[i] / d[i];
-                        }
-                    }
-                    None => precond.apply(r, z),
-                }
-                if pc_fault {
-                    z.iter_mut().for_each(|v| *v = -*v);
-                }
-            },
-            |u, v| dot_pressure(ops, u, v),
-            project_mean,
+            pc,
+            None,
+            Some(&mut project),
             &self.opts,
         );
         drop(cg_span);

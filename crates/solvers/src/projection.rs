@@ -171,7 +171,7 @@ impl RhsProjection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cg::{pcg, CgOptions};
+    use crate::cg::{pcg, CgOptions, Precond};
     use sem_linalg::Matrix;
 
     fn spd(n: usize) -> Matrix {
@@ -196,9 +196,9 @@ mod tests {
             &mut x,
             b,
             |p, ap| a.matvec_into(p, ap),
-            |r, z| z.copy_from_slice(r),
-            dot,
-            |_| {},
+            Precond::Apply(&mut |r, z| z.copy_from_slice(r)),
+            None,
+            None,
             &CgOptions {
                 tol: 1e-12,
                 ..Default::default()

@@ -338,9 +338,8 @@ fn build_links(ops: &SemOps) -> Vec<[Option<FaceLink>; 6]> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cg::{pcg, CgOptions};
+    use crate::cg::{pcg, CgOptions, Precond};
     use sem_mesh::generators::box2d;
-    use sem_ops::fields::dot_pressure;
     use sem_ops::pressure::EOperator;
 
     fn ops2d(k: usize, n: usize) -> SemOps {
@@ -431,16 +430,16 @@ mod tests {
             &mut x,
             &b,
             |p, ep| e.apply(ops, p, ep),
-            |r, z| match precond {
+            Precond::Apply(&mut |r, z| match precond {
                 Some(m) => m.apply(r, z),
                 None => z.copy_from_slice(r),
-            },
-            |u, v| dot_pressure(ops, u, v),
-            |v| {
+            }),
+            None,
+            Some(&mut |v| {
                 // E's nullspace under the plain dot: plain mean removal.
                 let m: f64 = v.iter().sum::<f64>() / v.len() as f64;
                 v.iter_mut().for_each(|x| *x -= m);
-            },
+            }),
             &CgOptions {
                 tol: 1e-10,
                 max_iter: 3000,

@@ -8,7 +8,7 @@
 use sem_linalg::chol::Cholesky;
 use sem_linalg::rng::forall;
 use sem_linalg::Matrix;
-use sem_solvers::cg::{pcg, CgOptions};
+use sem_solvers::cg::{pcg, CgOptions, Precond};
 use sem_solvers::projection::RhsProjection;
 use sem_solvers::sparse::Csr;
 use sem_solvers::xxt::{nested_dissection, XxtSolver};
@@ -38,9 +38,9 @@ fn cg_converges_on_spd() {
             &mut x,
             &b,
             |p, ap| a.matvec_into(p, ap),
-            |r, z| z.copy_from_slice(r),
-            |u, v| u.iter().zip(v.iter()).map(|(a, b)| a * b).sum(),
-            |_| {},
+            Precond::Apply(&mut |r, z| z.copy_from_slice(r)),
+            None,
+            None,
             &CgOptions {
                 tol: 1e-10,
                 max_iter: 10 * n + 20,

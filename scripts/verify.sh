@@ -14,6 +14,10 @@ cargo test -q --offline -p sem-obs
 cargo test -q --release --offline -p sem-comm
 # So are the runtime-chosen `unsafe` SIMD mxm kernels, for the same reason.
 cargo test -q --release --offline -p sem-linalg
+# And the parallel gather-scatter fold and CG's chunked vector passes,
+# which write disjoint parts of one slice from several threads.
+cargo test -q --release --offline -p sem-gs
+cargo test -q --release --offline -p sem-solvers
 cargo bench --no-run --offline -p sem-bench
 scripts/metrics_smoke.sh
 scripts/fault_smoke.sh

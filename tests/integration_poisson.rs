@@ -8,7 +8,7 @@ use terasem::ops::fields::{dot_pressure, eval_on_nodes};
 use terasem::ops::laplace::mass_local;
 use terasem::ops::pressure::EOperator;
 use terasem::ops::SemOps;
-use terasem::solvers::cg::CgOptions;
+use terasem::solvers::cg::{CgOptions, Precond};
 use terasem::solvers::jacobi::HelmholtzSolver;
 use terasem::solvers::schwarz::{LocalKind, SchwarzConfig, SchwarzPrecond};
 use terasem::solvers::PressureSolver;
@@ -199,12 +199,12 @@ fn schwarz_variants_agree_on_solution() {
             &mut p,
             &g,
             |q, eq| e.apply(&ops, q, eq),
-            |r, z| precond.apply(r, z),
-            |u, v| dot_pressure(&ops, u, v),
-            |v| {
+            Precond::Apply(&mut |r, z| precond.apply(r, z)),
+            None,
+            Some(&mut |v| {
                 let m: f64 = v.iter().sum::<f64>() / v.len() as f64;
                 v.iter_mut().for_each(|x| *x -= m);
-            },
+            }),
             &CgOptions {
                 tol: 1e-10,
                 max_iter: 5000,
