@@ -8,10 +8,17 @@
 //!   without successive-RHS projection (`L = 10` vs `L = 0`) inside a
 //!   real step sequence.
 //!
+//! And the checkpoint I/O of a shear-service-sized state
+//! (`checkpoint_io`): `write_to` and `write_compressed_to` into
+//! `io::sink()`, and `from_bytes` of either image, each as a rate of
+//! plain-image bytes (one element is one byte).
+//!
 //! Runs on the in-repo harness ([`sem_bench::timing`]).
 
 use sem_bench::timing::BenchGroup;
+use sem_bench::workloads::shear_layer;
 use sem_mesh::generators::box2d;
+use sem_ns::checkpoint::Checkpoint;
 use sem_ns::{ConvectionScheme, NsConfig, NsSolver};
 use sem_ops::SemOps;
 use sem_solvers::cg::CgOptions;
@@ -102,4 +109,47 @@ fn main() {
         std::hint::black_box(s_on.step().unwrap());
     });
     sem_obs::set_enabled(false);
+
+    let ck = shear_service_checkpoint();
+    let (mut plain, mut z) = (Vec::new(), Vec::new());
+    ck.write_to(&mut plain).unwrap();
+    ck.write_compressed_to(&mut z).unwrap();
+    let bytes = plain.len() as u64;
+    let mut group = BenchGroup::new("checkpoint_io");
+    group.sample_size(10);
+    group.throughput("write_to", bytes, || {
+        ck.write_to(&mut std::io::sink()).unwrap();
+    });
+    group.throughput("write_compressed_to", bytes, || {
+        ck.write_compressed_to(&mut std::io::sink()).unwrap();
+    });
+    group.throughput("from_bytes_plain", bytes, || {
+        std::hint::black_box(Checkpoint::from_bytes(std::hint::black_box(&plain)).unwrap());
+    });
+    group.throughput("from_bytes_compressed", bytes, || {
+        std::hint::black_box(Checkpoint::from_bytes(std::hint::black_box(&z)).unwrap());
+    });
+}
+
+/// The `shear-service` job's state: Fig. 3's shear layer on 16×16
+/// elements at N = 8 with one dye, stepped until the pressure
+/// projection basis is full.
+fn shear_service_checkpoint() -> Checkpoint {
+    let mut s = shear_layer(16, 8, 30.0, 1e5, 0.3, 0.002);
+    s.add_scalar("dye", 1e-3, |x, y, _| {
+        (2.0 * std::f64::consts::PI * x).sin() * (2.0 * std::f64::consts::PI * y).cos()
+    });
+    for _ in 0..100 {
+        if s.checkpoint().projection.len() == s.cfg.pressure_lmax {
+            break;
+        }
+        s.step().unwrap();
+    }
+    let ck = s.checkpoint();
+    assert_eq!(
+        ck.projection.len(),
+        s.cfg.pressure_lmax,
+        "the basis fills up"
+    );
+    ck
 }

@@ -19,11 +19,21 @@
 //! transient recovery-ladder state (per-step Jacobi fallback, pending
 //! Δt restoration) are *not* checkpointed: rebuild the solver the same
 //! way, then call `NsSolver::restore_checkpoint`.
+//!
+//! Writes and loads stream: a file is written or read in one pass over
+//! the state, float arrays in bulk through a stack buffer, through one
+//! large file buffer. The compressed container runs the same pass
+//! through the [`rle`] codec's streaming encoder or decoder, so neither
+//! direction holds a whole raw or encoded image.
+
+pub mod rle;
 
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::ops::Range;
 use std::path::Path;
+
+use rle::{RleReader, RleWriter};
 
 /// File magic ("terasem checkpoint").
 pub const MAGIC: [u8; 8] = *b"TERASEMC";
@@ -39,8 +49,14 @@ pub const VERSION: u32 = 1;
 pub const Z_MAGIC: [u8; 8] = *b"TERASEMZ";
 /// Compressed-container format version.
 pub const Z_VERSION: u32 = 1;
-/// Codec id 1: the PackBits-style run-length encoding below.
+/// Codec id 1: the PackBits-style run-length encoding of [`rle`].
 pub const CODEC_RLE: u32 = 1;
+
+/// Capacity of a checkpoint file's buffer: a multi-megabyte image takes
+/// a few dozen system calls.
+const FILE_BUF: usize = 256 << 10;
+/// Floats converted per bulk read or write (a 4 KiB stack buffer).
+const F64_CHUNK: usize = 512;
 
 /// A registered passive species: its identity and current values (its
 /// past values live in the shared [`Level`] ring).
@@ -133,8 +149,12 @@ fn w_f64(w: &mut dyn Write, v: f64) -> io::Result<()> {
 
 fn w_f64s(w: &mut dyn Write, v: &[f64]) -> io::Result<()> {
     w_u64(w, v.len() as u64)?;
-    for &x in v {
-        w_f64(w, x)?;
+    let mut buf = [0u8; 8 * F64_CHUNK];
+    for chunk in v.chunks(F64_CHUNK) {
+        for (b, x) in buf.chunks_exact_mut(8).zip(chunk) {
+            b.copy_from_slice(&x.to_le_bytes());
+        }
+        w.write_all(&buf[..8 * chunk.len()])?;
     }
     Ok(())
 }
@@ -188,8 +208,15 @@ fn r_len(r: &mut dyn Read) -> io::Result<usize> {
 fn r_f64s(r: &mut dyn Read) -> io::Result<Vec<f64>> {
     let len = r_len(r)?;
     let mut v = Vec::with_capacity(len.min(1 << 20));
-    for _ in 0..len {
-        v.push(r_f64(r)?);
+    let mut buf = [0u8; 8 * F64_CHUNK];
+    while v.len() < len {
+        let bytes = &mut buf[..8 * (len - v.len()).min(F64_CHUNK)];
+        r.read_exact(bytes)?;
+        v.extend(
+            bytes
+                .chunks_exact(8)
+                .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk"))),
+        );
     }
     Ok(v)
 }
@@ -214,99 +241,14 @@ fn r_f64s3(r: &mut dyn Read) -> io::Result<Vec<Vec<Vec<f64>>>> {
 
 fn r_str(r: &mut dyn Read) -> io::Result<String> {
     let len = r_len(r)?;
-    let mut b = vec![0u8; len];
-    r.read_exact(&mut b)?;
+    // The buffer grows with the bytes present, not with the length field.
+    let mut b = Vec::new();
+    (&mut *r).take(len as u64).read_to_end(&mut b)?;
+    if b.len() != len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
     String::from_utf8(b)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "checkpoint name not UTF-8"))
-}
-
-// ---------------------------------------------------------------------
-// Run-length codec (PackBits-style).
-//
-// Checkpoint payloads are dominated by f64 arrays whose high mantissa
-// bytes are often zero (early histories, quiescent scalars, padded
-// projection images) plus long runs of zero bytes in length fields —
-// exactly the "zero-run" redundancy a byte-level RLE removes without
-// touching the float bit patterns. Control byte `c`:
-//   0x00..=0x7F  → the next c+1 bytes are a literal run (1..=128)
-//   0x80..=0xFF  → the next byte repeats (c-0x80)+3 times (3..=130)
-// Runs shorter than 3 are carried as literals (a 2-byte run would cost
-// 2 encoded bytes either way; encoding it as a run just fragments the
-// surrounding literal). Worst case expansion is 1 byte per 128.
-// ---------------------------------------------------------------------
-
-const RLE_MIN_RUN: usize = 3;
-const RLE_MAX_RUN: usize = 130; // 0xFF - 0x80 + RLE_MIN_RUN
-const RLE_MAX_LIT: usize = 128; // 0x7F + 1
-
-fn rle_flush_literals(out: &mut Vec<u8>, lits: &[u8]) {
-    for chunk in lits.chunks(RLE_MAX_LIT) {
-        out.push((chunk.len() - 1) as u8);
-        out.extend_from_slice(chunk);
-    }
-}
-
-/// Run-length encode `raw`. Deterministic: one canonical encoding per
-/// input, so compressed checkpoints byte-compare like raw ones do.
-pub fn rle_compress(raw: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(raw.len() / 4 + 16);
-    let mut lit_start = 0;
-    let mut i = 0;
-    while i < raw.len() {
-        let b = raw[i];
-        let mut j = i + 1;
-        while j < raw.len() && raw[j] == b && j - i < RLE_MAX_RUN {
-            j += 1;
-        }
-        let run = j - i;
-        if run >= RLE_MIN_RUN {
-            rle_flush_literals(&mut out, &raw[lit_start..i]);
-            out.push(0x80 + (run - RLE_MIN_RUN) as u8);
-            out.push(b);
-            lit_start = j;
-        }
-        i = j;
-    }
-    rle_flush_literals(&mut out, &raw[lit_start..]);
-    out
-}
-
-/// Decode an [`rle_compress`] stream. `raw_len` is the declared decoded
-/// size from the container header; the stream must decode to exactly
-/// that many bytes — over- or under-runs are corruption, not padding.
-pub fn rle_decompress(enc: &[u8], raw_len: usize) -> io::Result<Vec<u8>> {
-    let corrupt = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
-    let mut out = Vec::with_capacity(raw_len);
-    let mut i = 0;
-    while i < enc.len() {
-        let c = enc[i];
-        i += 1;
-        if c < 0x80 {
-            let len = c as usize + 1;
-            if i + len > enc.len() {
-                return Err(corrupt("rle literal run truncated"));
-            }
-            out.extend_from_slice(&enc[i..i + len]);
-            i += len;
-        } else {
-            if i >= enc.len() {
-                return Err(corrupt("rle repeat run truncated"));
-            }
-            let len = (c - 0x80) as usize + RLE_MIN_RUN;
-            let b = enc[i];
-            i += 1;
-            out.resize(out.len() + len, b);
-        }
-        if out.len() > raw_len {
-            return Err(corrupt("rle stream decodes past the declared raw length"));
-        }
-    }
-    if out.len() != raw_len {
-        return Err(corrupt(
-            "rle stream decodes short of the declared raw length",
-        ));
-    }
-    Ok(out)
 }
 
 fn invalid(what: &str) -> io::Error {
@@ -500,57 +442,73 @@ impl Checkpoint {
     }
 
     /// Serialize as a compressed container: [`Z_MAGIC`] header wrapping
-    /// the RLE-encoded plain serialization.
+    /// the RLE-encoded plain serialization. Two passes of
+    /// [`Checkpoint::write_to`]: one counts the raw length the header
+    /// declares, the other streams through the encoder.
     pub fn write_compressed_to(&self, w: &mut dyn Write) -> io::Result<()> {
-        let mut raw = Vec::new();
-        self.write_to(&mut raw)?;
-        let enc = rle_compress(&raw);
+        let mut raw_len = ByteCount(0);
+        self.write_to(&mut raw_len)?;
         w.write_all(&Z_MAGIC)?;
         w_u32(w, Z_VERSION)?;
         w_u32(w, CODEC_RLE)?;
-        w_u64(w, raw.len() as u64)?;
-        w.write_all(&enc)
+        w_u64(w, raw_len.0)?;
+        let mut enc = RleWriter::new(w);
+        self.write_to(&mut enc)?;
+        enc.finish()?;
+        Ok(())
     }
 
     /// Deserialize from an in-memory image, accepting either format:
-    /// a [`Z_MAGIC`] container is decompressed and the decoded bytes
-    /// parsed as a plain checkpoint; a [`MAGIC`] image parses directly.
+    /// a [`Z_MAGIC`] container is parsed as it decodes; a [`MAGIC`]
+    /// image parses directly.
     pub fn from_bytes(bytes: &[u8]) -> io::Result<Checkpoint> {
-        if bytes.len() >= 8 && bytes[..8] == Z_MAGIC {
-            let mut r: &[u8] = &bytes[8..];
-            let version = r_u32(&mut r)?;
-            if version != Z_VERSION {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unsupported compressed-checkpoint version {version} (expected {Z_VERSION})"),
-                ));
-            }
-            let codec = r_u32(&mut r)?;
-            if codec != CODEC_RLE {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unknown checkpoint codec id {codec}"),
-                ));
-            }
-            let raw_len = r_u64(&mut r)?;
-            if raw_len > MAX_LEN {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("compressed checkpoint raw length {raw_len} out of range"),
-                ));
-            }
-            let raw = rle_decompress(r, raw_len as usize)?;
-            Checkpoint::read_from(&mut raw.as_slice())
-        } else {
-            Checkpoint::read_from(&mut &bytes[..])
+        Checkpoint::read_sniffed(bytes)
+    }
+
+    /// Parse either format from `r`, sniffing the magic. A container's
+    /// payload must decode to exactly its declared raw length, also past
+    /// the end of the checkpoint it holds.
+    fn read_sniffed(mut r: impl BufRead) -> io::Result<Checkpoint> {
+        let mut head = [0u8; 8];
+        r.read_exact(&mut head)?;
+        if head != Z_MAGIC {
+            // Plain format: splice the sniffed header back in front of
+            // the stream so `read_from` sees the whole file.
+            return Checkpoint::read_from(&mut head.as_slice().chain(r));
         }
+        let version = r_u32(&mut r)?;
+        if version != Z_VERSION {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "unsupported compressed-checkpoint version {version} (expected {Z_VERSION})"
+                ),
+            ));
+        }
+        let codec = r_u32(&mut r)?;
+        if codec != CODEC_RLE {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("unknown checkpoint codec id {codec}"),
+            ));
+        }
+        let raw_len = r_u64(&mut r)?;
+        if raw_len > MAX_LEN {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("compressed checkpoint raw length {raw_len} out of range"),
+            ));
+        }
+        let mut raw = RleReader::new(r, raw_len);
+        let ck = Checkpoint::read_from(&mut raw)?;
+        // Bytes past the checkpoint must decode to the declared end too.
+        io::copy(&mut raw, &mut io::sink())?;
+        Ok(ck)
     }
 
     /// Write to `path` (buffered; the file is created or truncated).
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let mut w = BufWriter::new(File::create(path)?);
-        self.write_to(&mut w)?;
-        w.flush()
+        self.save_with(path, false)
     }
 
     /// Write to `path`, compressed when `compress` is set. Readers never
@@ -558,7 +516,7 @@ impl Checkpoint {
     /// magic — so raw and compressed files can coexist in one
     /// checkpoint directory (e.g. across a config change mid-campaign).
     pub fn save_with(&self, path: impl AsRef<Path>, compress: bool) -> io::Result<()> {
-        let mut w = BufWriter::new(File::create(path)?);
+        let mut w = BufWriter::with_capacity(FILE_BUF, File::create(path)?);
         if compress {
             self.write_compressed_to(&mut w)?;
         } else {
@@ -569,28 +527,27 @@ impl Checkpoint {
 
     /// Read from `path`, transparently handling both on-disk formats.
     pub fn load(path: impl AsRef<Path>) -> io::Result<Checkpoint> {
-        let mut r = BufReader::new(File::open(path)?);
-        let mut head = [0u8; 8];
-        match r.read_exact(&mut head) {
-            Ok(()) => {}
-            Err(e) => return Err(e),
-        }
-        if head == Z_MAGIC {
-            let mut rest = Vec::new();
-            r.read_to_end(&mut rest)?;
-            let mut bytes = head.to_vec();
-            bytes.extend_from_slice(&rest);
-            Checkpoint::from_bytes(&bytes)
-        } else {
-            // Plain format: splice the sniffed header back in front of
-            // the stream so `read_from` sees the whole file.
-            Checkpoint::read_from(&mut io::Read::chain(&head[..], r))
-        }
+        Checkpoint::read_sniffed(BufReader::with_capacity(FILE_BUF, File::open(path)?))
+    }
+}
+
+/// A writer that only counts the bytes written to it.
+struct ByteCount(u64);
+
+impl Write for ByteCount {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0 += buf.len() as u64;
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::rle::{rle_compress, rle_decompress};
     use super::*;
 
     fn sample() -> Checkpoint {
@@ -731,7 +688,7 @@ mod tests {
             let back = rle_decompress(&enc, raw.len()).unwrap();
             assert_eq!(&back, raw, "round trip failed for len {}", raw.len());
             // Worst-case bound: one control byte per 128 literals.
-            assert!(enc.len() <= raw.len() + raw.len() / RLE_MAX_LIT + 2);
+            assert!(enc.len() <= raw.len() + raw.len() / 128 + 2);
         }
     }
 

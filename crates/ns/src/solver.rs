@@ -551,13 +551,9 @@ impl NsSolver {
         for (b, h) in rhs.iter_mut().zip(&h_lift) {
             *b -= h;
         }
-        // Initial guess: the previous homogeneous part.
-        let mut u0: Vec<f64> = phi
-            .iter()
-            .zip(&lift)
-            .zip(&self.ops.mask)
-            .map(|((&u, &l), &m)| (u - l) * m)
-            .collect();
+        // The lift carries uⁿ, so the solve is for the step's increment
+        // and its zero start is uⁿ itself.
+        let mut u0 = vec![0.0; lift.len()];
         let s = self.helmholtz_for(kappa, h2);
         let helm_span = (f >= self.vel.len()).then(|| sem_obs::span(Phase::Helmholtz));
         let res = self.helmholtz[s].2.solve(&self.ops, &mut u0, rhs);

@@ -26,6 +26,10 @@
 //!   [`RunError`] carrying the error — never a panic, never a
 //!   half-written state.
 //!
+//! Every run exits through a checkpoint of its final state. When the
+//! run's own periodic checkpoint already holds that step, that file is
+//! the final checkpoint and is not written again.
+//!
 //! Checkpoints fall on step boundaries only, never on wall-clock time,
 //! so every rank of a `sem-net` job writes the same generations and a
 //! resumed run is bitwise reproducible.
@@ -136,7 +140,9 @@ pub struct RunReport {
     pub resumed_from: Option<u64>,
     /// Checkpoints committed to disk (atomic renames that completed).
     pub checkpoints_written: usize,
-    /// The final checkpoint written on exit, if checkpointing is on.
+    /// The checkpoint of the state the run exited with, if checkpointing
+    /// is on: written on exit, or the periodic one of that step when
+    /// this run wrote it.
     pub final_checkpoint: Option<PathBuf>,
 }
 
@@ -389,7 +395,17 @@ impl RunSupervisor {
 
     /// Final-checkpoint-then-return helper shared by the success and
     /// give-up exits ("the run always exits through a checkpoint").
-    fn exit_checkpoint(&mut self, report: &mut RunReport) {
+    /// `written` is the checkpoint this run committed last: when it is
+    /// of the current step it already holds this state (a failed step
+    /// rolls back to it), so it is the final checkpoint, not written
+    /// twice.
+    fn exit_checkpoint(&mut self, report: &mut RunReport, written: Option<(u64, PathBuf)>) {
+        if let Some((step, path)) = written {
+            if step == self.solver.step_index as u64 {
+                report.final_checkpoint = Some(path);
+                return;
+            }
+        }
         match self.write_checkpoint_now() {
             Ok(Some(path)) => {
                 report.checkpoints_written += 1;
@@ -426,13 +442,15 @@ impl RunSupervisor {
             resumed_from: self.resumed_from,
             ..RunReport::default()
         };
+        // `(step, path)` of the newest checkpoint this run committed.
+        let mut written = None;
         while (self.solver.step_index as u64) < target_step {
             let stats = match self.solver.step() {
                 Ok(stats) => stats,
                 Err(e) => {
                     // The solver is rolled back to its pre-step state,
                     // which the exit checkpoint persists.
-                    self.exit_checkpoint(&mut report);
+                    self.exit_checkpoint(&mut report, written);
                     self.emit_run_record(&report, "failed", 1);
                     return Err(RunError {
                         reason: GiveUpReason::StepFailed,
@@ -454,13 +472,16 @@ impl RunSupervisor {
             report.steps.push(stats);
             if self.checkpoint_due() {
                 match self.write_checkpoint_now() {
-                    Ok(Some(_)) => report.checkpoints_written += 1,
+                    Ok(Some(path)) => {
+                        report.checkpoints_written += 1;
+                        written = Some((self.solver.step_index as u64, path));
+                    }
                     Ok(None) => {}
                     Err(e) => eprintln!("terasem: periodic checkpoint failed: {e}"),
                 }
             }
         }
-        self.exit_checkpoint(&mut report);
+        self.exit_checkpoint(&mut report, written);
         self.emit_run_record(&report, "completed", 0);
         Ok(report)
     }

@@ -14,12 +14,14 @@
 //!   shape). The species' entries date from when scalars were
 //!   EXT-convected under OIFS; the solver now advects them along
 //!   characteristics and ignores those entries.
+//! - `v1_oifs_bdf2_one_species_rle.ckpt`: the same checkpoint in the
+//!   compressed container, written before the codec streamed.
 
 use std::f64::consts::PI;
 use std::path::PathBuf;
 
 use sem_mesh::generators::box2d;
-use sem_ns::checkpoint::Checkpoint;
+use sem_ns::checkpoint::{Checkpoint, Z_MAGIC};
 use sem_ns::config::Boussinesq;
 use sem_ns::{ConvectionScheme, NsConfig, NsSolver};
 use sem_ops::SemOps;
@@ -117,6 +119,22 @@ fn oifs_bdf2_fixture_with_one_species_round_trips() {
         assert!(level.conv[..2].iter().all(Vec::is_empty));
         assert_eq!(level.conv[2].len(), level.values[2].len());
     }
+}
+
+#[test]
+fn compressed_fixture_loads_and_re_serializes_byte_for_byte() {
+    let path = fixture("v1_oifs_bdf2_one_species_rle.ckpt");
+    let file = std::fs::read(&path).unwrap();
+    assert_eq!(&file[..8], &Z_MAGIC, "a compressed container");
+    let ck = Checkpoint::load(&path).unwrap();
+    let mut z = Vec::new();
+    ck.write_compressed_to(&mut z).unwrap();
+    assert!(z == file, "compressed re-serialization differs");
+    let plain = Checkpoint::load(fixture("v1_oifs_bdf2_one_species.ckpt")).unwrap();
+    assert!(
+        bytes_of(&ck) == bytes_of(&plain),
+        "the container holds the plain fixture's checkpoint"
+    );
 }
 
 /// Under OIFS the dye rides the characteristics sweep, so the convective

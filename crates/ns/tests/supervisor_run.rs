@@ -230,8 +230,13 @@ fn retention_keeps_exactly_k_checkpoints_over_a_long_run() {
         RunPolicy::checkpointing(&dir, 1, 2),
     ));
     let report = sup.run_to(8).expect("run completes");
-    // Every step checkpointed; the exit checkpoint re-writes step 8.
-    assert_eq!(report.checkpoints_written, 9);
+    // Every step checkpointed; the exit finds step 8 already written.
+    assert_eq!(report.checkpoints_written, 8);
+    assert_eq!(
+        report.final_checkpoint,
+        Some(dir.join("ckpt_00000008.ckpt")),
+        "the final checkpoint is the periodic one of step 8"
+    );
     assert_eq!(
         ckpt_files(&dir),
         vec!["ckpt_00000007.ckpt", "ckpt_00000008.ckpt"],
@@ -263,6 +268,43 @@ fn give_up_exits_through_a_final_checkpoint_with_the_step_error() {
     assert_eq!(ck.step_index, 2);
     let msg = format!("{err}");
     assert!(msg.contains("gave up"), "{msg}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A step that fails right after its predecessor's periodic checkpoint
+/// rolls back to exactly that state: the run exits through that file
+/// instead of writing it again.
+#[test]
+fn give_up_after_a_periodic_checkpoint_exits_through_that_file() {
+    let _g = lock();
+    let dir = scratch("giveup_periodic");
+    let run = RunPolicy::checkpointing(&dir, 2, 3);
+    let mut sup = RunSupervisor::new(taylor_green("nan:u@3x99", RecoveryPolicy::default(), run));
+    let err = sup
+        .run_to(6)
+        .expect_err("persistent fault must end the run");
+    assert_eq!(err.error.as_ref().expect("the step error").step, 3);
+    assert_eq!(
+        err.report.checkpoints_written, 1,
+        "only step 2's periodic write"
+    );
+    let final_ck = err
+        .report
+        .final_checkpoint
+        .as_ref()
+        .expect("final checkpoint");
+    assert_eq!(final_ck, &dir.join("ckpt_00000002.ckpt"));
+    let ck = sem_ns::checkpoint::Checkpoint::load(final_ck).expect("final checkpoint loads");
+    let bytes = |ck: &sem_ns::checkpoint::Checkpoint| {
+        let mut b = Vec::new();
+        ck.write_to(&mut b).unwrap();
+        b
+    };
+    assert!(
+        bytes(&ck) == bytes(&sup.solver().checkpoint()),
+        "the file holds the rolled-back state"
+    );
+    assert_eq!(ckpt_files(&dir), vec!["ckpt_00000002.ckpt"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
